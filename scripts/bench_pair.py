@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""A/B benchmark: a parent commit against the working tree, in alternating pairs.
+
+    python3 scripts/bench_pair.py --parent <commit> [--workload fold-pairs ...]
+                                  [--pairs 10]
+
+Run from the root of a checkout.  The parent commit is exported with
+`git archive` into a temporary directory, which is deleted at the end.  Pair
+i runs `perfbench/run.py --trace 0` with seed 101 + i (the seeds of
+`perfbench/baseline.json`) for the `run_seconds` of BENCHMARK.json, once on
+each side, the parent first in even pairs and the working tree first in odd
+ones, so that a slow drift of the host's speed falls on both sides alike.
+
+For every workload and end-to-end metric it prints each side's median and
+quartiles over the pairs and the number of pairs the working tree won (ties
+count for neither side), with one mark:
+
+- GAIN: at least ten pairs ran, the working tree wins at least nine tenths
+  of them, the medians differ by more than the interquartile range of the
+  parent's runs, and the working tree failed no more ops than the parent;
+- REGRESSION: the working tree's median is worse than the parent's by more
+  than the metric's bound in BENCHMARK.json;
+- UNRESOLVED: either side's interquartile range exceeds the bound times its
+  median and not every working-tree run beats every parent run, so the runs
+  spread too widely to tell;
+- `-`: none of these.
+
+Everything perfbench writes stays in each side's own git-ignored
+`.perfbench_out/`; the per-pair results are also saved as
+`.perfbench_out/bench_pair.json` in the working tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIRST_SEED = 101
+MIN_PAIRS_FOR_GAIN = 10
+
+
+def export_commit(commit: str, dest: str) -> None:
+    """Write the tree of `commit` into the empty directory `dest`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in the checkout at `root`; returns its
+    summary line (correct, attempted, failed, metrics)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench failed in {root} (exit {proc.returncode}):\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            failed: tuple[int, int]) -> dict:
+    """Compare one metric over the pairs; `failed` is (parent, change) failed ops."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    pq1, pmed, pq3 = quartiles(parent)
+    cq1, cmed, cq3 = quartiles(change)
+    gain = (len(parent) >= MIN_PAIRS_FOR_GAIN and wins >= 0.9 * len(parent)
+            and sign * (pmed - cmed) > pq3 - pq1 and failed[1] <= failed[0])
+    regression = sign * (cmed - pmed) > bound * abs(pmed)
+    wide = pq3 - pq1 > bound * abs(pmed) or cq3 - cq1 > bound * abs(cmed)
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
+    unresolved = wide and not separated
+    mark = ("GAIN" if gain and not unresolved else "REGRESSION" if regression
+            else "UNRESOLVED" if unresolved else "-")
+    return {"parent": [pq1, pmed, pq3], "change": [cq1, cmed, cq3], "wins": wins,
+            "pairs": len(parent), "mark": mark}
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    names = [w["name"] for w in spec["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="commit to compare against")
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="workload to run (repeatable; default: all)")
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    workloads = args.workload or names
+    seconds = spec["run_seconds"]
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
+
+    results = {w: {"parent": [], "change": []} for w in workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
+        export_commit(args.parent, parent_root)
+        sides = {"parent": parent_root, "change": ROOT}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for w in workloads:
+                for side in order:
+                    out = run_side(sides[side], w, seed, seconds)
+                    results[w][side].append(out)
+                    vals = {k: round(v["value"], 4) for k, v in out["metrics"].items()}
+                    print(f"pair {i} {w} {side}: failed {out['failed']}/{out['attempted']} "
+                          f"{json.dumps(vals)}", flush=True)
+
+    summary = {}
+    for w in workloads:
+        summary[w] = {}
+        print(f"\n{w} ({args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, {seconds} s runs)")
+        failed = {}
+        for side in ("parent", "change"):
+            failed[side] = sum(r["failed"] for r in results[w][side])
+            attempted = sum(r["attempted"] for r in results[w][side])
+            print(f"  {side}: {failed[side]} of {attempted} ops failed")
+        for m in spec["end_to_end"]:
+            name = m["name"]
+            p = [r["metrics"][name]["value"] for r in results[w]["parent"]]
+            c = [r["metrics"][name]["value"] for r in results[w]["change"]]
+            v = verdict(p, c, m["better"], m["bound"], (failed["parent"], failed["change"]))
+            summary[w][name] = v
+            print(f"  {name:9s} parent {v['parent'][1]:.4f} [{v['parent'][0]:.4f}, "
+                  f"{v['parent'][2]:.4f}]  change {v['change'][1]:.4f} "
+                  f"[{v['change'][0]:.4f}, {v['change'][2]:.4f}] {m['unit']}  "
+                  f"wins {v['wins']}/{v['pairs']}  {v['mark']}")
+
+    out_dir = os.path.join(ROOT, ".perfbench_out")
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "bench_pair.json"), "w") as fh:
+        json.dump({"parent": args.parent, "seeds": seeds, "seconds": seconds,
+                   "runs": results, "summary": summary}, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

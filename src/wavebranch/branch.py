@@ -2,11 +2,12 @@
 monitoring (mu0, mu1 against the continuous-spectrum edge nu0), and detection
 of turning points and candidate eigenvalue crossings.
 
-The stepping core is generic over a small system protocol (residual, jacobian,
-parameter derivative, inner-product weight) so it can be exercised in isolation
-on closed-form fold problems; the PDE system wraps the strip discretization
-and re-pins the far-field column to the supercritical stream of the current R
-at every corrector iterate.
+The stepping core is generic over a small system protocol (residual, one
+linearization giving the Jacobian and the parameter derivative, inner-product
+weight) so it can be exercised in isolation on closed-form fold problems; the
+PDE system wraps the strip discretization, re-pins the far-field column to the
+supercritical stream of the current R at every corrector iterate, and hands the
+corrector one band LU factor of its Jacobian per iterate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs, spsolve
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import (
     BranchStallError,
@@ -38,6 +39,7 @@ from .strip import (
     StripField,
     StripGrid,
     assemble_jacobian,
+    band_lu,
     cached_summary,
     initial_guess,
     pack,
@@ -177,23 +179,27 @@ def tangent(prev, curr, weight=1.0):
 
 
 def _solve_bordered(J, F_lam, w_tan_x, tan_lam, rhs_top, rhs_bot):
-    """Solve [[J, F_lam], [w_tan_x^T, tan_lam]] [dx; dlam] = [rhs_top; rhs_bot]."""
-    n = rhs_top.shape[0]
-    if sp.issparse(J):
-        border = sp.bmat(
-            [
-                [J, sp.csc_matrix(F_lam.reshape(-1, 1))],
-                [sp.csc_matrix(w_tan_x.reshape(1, -1)), sp.csc_matrix([[tan_lam]])],
-            ],
-            format="csc",
-        )
-        sol = spsolve(border, np.concatenate([rhs_top, [rhs_bot]]))
-    else:
-        border = np.block(
-            [[np.atleast_2d(J), F_lam.reshape(-1, 1)], [w_tan_x.reshape(1, -1), tan_lam]]
-        )
-        sol = np.linalg.solve(border, np.concatenate([rhs_top, [rhs_bot]]))
-    return sol[:n], float(sol[n])
+    """Solve [[J, F_lam], [w_tan_x^T, tan_lam]] [dx; dlam] = [rhs_top; rhs_bot].
+
+    J is the BandLU factor of the Jacobian.  Block elimination: J [u v] =
+    [rhs_top F_lam], dlam = (rhs_bot - w.u) / (tan_lam - w.v), dx = u - dlam v,
+    then one step of iterative refinement on the full bordered system, because
+    J is nearly singular at a fold while the bordered matrix is not (Keller
+    1977; Govaerts 2000, ch. 3).
+    """
+    uv = J.solve(np.column_stack([rhs_top, F_lam]))
+    v = uv[:, 1]
+    schur = tan_lam - w_tan_x @ v
+
+    def eliminate(bot, u):
+        dlam = (bot - w_tan_x @ u) / schur
+        return u - dlam * v, dlam
+
+    dx, dlam = eliminate(rhs_bot, uv[:, 0])
+    r_top = rhs_top - J.matrix @ dx - dlam * F_lam
+    r_bot = rhs_bot - w_tan_x @ dx - tan_lam * dlam
+    ex, elam = eliminate(r_bot, J.solve(r_top))
+    return dx + ex, float(dlam + elam)
 
 
 def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
@@ -207,8 +213,7 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
         if sup <= ctrl.newton_tol and abs(c) <= ctrl.constraint_tol:
             if sup > 1e-14:
                 # polish: one more full step to push the residual to rounding level
-                J = sys_.jacobian(x, lam)
-                Fl = sys_.dresidual_dlam(x, lam)
+                J, Fl = sys_.linearize(x, lam)
                 dx, dlam = _solve_bordered(J, Fl, weight * tan_x, tan_lam, -F, -c)
                 x_try, lam_try = x + dx, lam + dlam
                 try:
@@ -219,8 +224,7 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
             return x, lam, it
         if it == ctrl.max_newton_iters:
             break
-        J = sys_.jacobian(x, lam)
-        Fl = sys_.dresidual_dlam(x, lam)
+        J, Fl = sys_.linearize(x, lam)
         dx, dlam = _solve_bordered(J, Fl, weight * tan_x, tan_lam, -F, -c)
         x = x + dx
         lam = lam + dlam
@@ -232,11 +236,11 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
 def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=None):
     """Generic pseudo-arclength continuation.
 
-    sys_ must provide residual(x, lam), jacobian(x, lam), dresidual_dlam(x, lam)
-    and an ip_weight attribute.  Returns (accepted steps, status); status is
-    'completed' or the stop reason returned by on_accept.  Repeated corrector
-    failure at the minimal step raises BranchStallError carrying the last
-    accepted step.
+    sys_ must provide residual(x, lam), linearize(x, lam) -> (J, dF/dlam) with
+    J a BandLU factor (strip.band_lu), and an ip_weight attribute.  Returns
+    (accepted steps, status); status is 'completed' or the stop reason
+    returned by on_accept.  Repeated corrector failure at the minimal step
+    raises BranchStallError carrying the last accepted step.
     """
     ctrl = ctrl or StepControl()
     weight = sys_.ip_weight
@@ -354,14 +358,15 @@ class SolitarySystem:
     def residual(self, x: np.ndarray, R: float) -> np.ndarray:
         return residual_vector(self.field_of(x, R), self.spec)
 
-    def jacobian(self, x: np.ndarray, R: float):
-        return assemble_jacobian(self.field_of(x, R), self.spec)
+    def linearize(self, x: np.ndarray, R: float):
+        """Band LU factor of dF/dx and the vector dF/dR, from one assembly.
 
-    def dresidual_dlam(self, x: np.ndarray, R: float) -> np.ndarray:
-        _, J_bnd = assemble_jacobian(self.field_of(x, R), self.spec, with_boundary_cols=True)
-        fr = np.asarray(J_bnd @ self.dfar_dR(R)).ravel()
+        R enters through the pinned far-field column and the right-hand side
+        of the surface condition."""
+        J, J_bnd = assemble_jacobian(self.field_of(x, R), self.spec, with_boundary_cols=True)
+        fr = J_bnd @ self.dfar_dR(R)
         fr[self.surface_rows] -= 1.0
-        return fr
+        return band_lu(J, self.grid.np), fr
 
 
 def loop_closure(points, field: StripField, t: float, min_arc: float, tol: float) -> bool:
@@ -396,6 +401,19 @@ def diagnostics_of(field: StripField) -> Diagnostics:
         bottom_margin=bottom_margin,
         min_hp=min_hp,
     )
+
+
+def _margin_breaches(diag: Diagnostics, init: Diagnostics, frac: float) -> list[str]:
+    """Stagnation/overhang proxies of diag that fell past the fraction frac of
+    their values init at the start of the branch, in rule order: surface
+    stagnation, bottom stagnation, unidirectionality, overhanging."""
+    hits = [
+        ("surface-stagnation", diag.surface_margin < frac * init.surface_margin),
+        ("bottom-stagnation", diag.bottom_margin < frac * init.bottom_margin),
+        ("unidirectionality", diag.min_hp < frac * init.min_hp),
+        ("overhanging", diag.max_surface_slope > max(init.max_surface_slope, 1e-3) / frac),
+    ]
+    return [kind for kind, hit in hits if hit]
 
 
 @dataclass
@@ -451,9 +469,9 @@ def spectrum_at(
 
     J = assemble_jacobian(field, spec)
     hp_c = (field.h[: nq - 1, 2:] - field.h[: nq - 1, :-2]) / (2.0 * grid.dp)
-    bmat = np.zeros((nq - 1, npp - 1))
-    bmat[:, : npp - 2] = 1.0 / hp_c
-    B = sp.diags(bmat.ravel())
+    bdiag = np.zeros((nq - 1, npp - 1))
+    bdiag[:, : npp - 2] = 1.0 / hp_c
+    B = sp.diags(bdiag.ravel(), format="csr")
 
     fixed_shift = sigma is not None
     if sigma is None:
@@ -462,10 +480,12 @@ def spectrum_at(
     # can span an invariant subspace at uniform streams and break Arnoldi
     v0 = np.random.default_rng(1234).standard_normal(J.shape[0])
     v0 /= np.linalg.norm(v0)
-    Jc, Bc = J.tocsc(), B.tocsc()
     for attempt in range(4):
+        # shift-invert through one band LU factor of J - sigma B per shift
+        lu = band_lu(J - sigma * B, npp)
+        OPinv = LinearOperator(J.shape, matvec=lu.solve, dtype=float)
         try:
-            vals, vecs = eigs(Jc, k=k, M=Bc, sigma=sigma, which="LM", v0=v0)
+            vals, vecs = eigs(J, k=k, M=B, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
         except (ArpackError, ArpackNoConvergence) as exc:
             raise NumericalError(f"shift-invert eigensolve failed: {exc}") from exc
         scale = 1.0 + np.abs(vals.real).max()
@@ -555,19 +575,6 @@ def continue_branch(
 
     points: list[BranchPoint] = [start]
 
-    def margin_breach(diag: Diagnostics):
-        frac = ctrl.margin_fraction
-        if diag.surface_margin < frac * init_diag.surface_margin:
-            return "margin-breach:surface-stagnation"
-        if diag.bottom_margin < frac * init_diag.bottom_margin:
-            return "margin-breach:bottom-stagnation"
-        if diag.min_hp < frac * init_diag.min_hp:
-            return "margin-breach:unidirectionality"
-        slope_ref = max(init_diag.max_surface_slope, 1e-3)
-        if diag.max_surface_slope > slope_ref / frac:
-            return "margin-breach:overhanging"
-        return None
-
     def on_accept(step: AcceptedStep):
         fld = sys_.field_of(step.x, step.lam)
         if loop_closure(points, fld, step.t + start.t, min_arc=3.0 * ds,
@@ -580,7 +587,8 @@ def continue_branch(
             )
             return "loop-closure"
         diag = diagnostics_of(fld)
-        breach = margin_breach(diag)
+        breaches = _margin_breaches(diag, init_diag, ctrl.margin_fraction)
+        breach = f"margin-breach:{breaches[0]}" if breaches else None
         if breach:
             # diagnostics already signal physical breakdown; spectral data at
             # the terminal point is best-effort only
@@ -634,8 +642,7 @@ def replay_checkpoint(field: StripField, spec: VorticitySpec) -> float:
     Converged checkpoints must replay below 1e-12.
     """
     J = assemble_jacobian(field, spec)
-    rhs = -residual_vector(field, spec)
-    dx = spsolve(J.tocsc(), rhs)
+    dx = band_lu(J, field.grid.np).solve(-residual_vector(field, spec))
     return float(np.abs(dx).max())
 
 
@@ -838,18 +845,8 @@ def detect_events(
         for p in pts[1:]:
             if p.diag is None:
                 continue
-            checks = [
-                ("surface-stagnation", p.diag.surface_margin < margin_fraction * init.surface_margin),
-                ("bottom-stagnation", p.diag.bottom_margin < margin_fraction * init.bottom_margin),
-                ("unidirectionality", p.diag.min_hp < margin_fraction * init.min_hp),
-                (
-                    "overhanging",
-                    p.diag.max_surface_slope
-                    > max(init.max_surface_slope, 1e-3) / margin_fraction,
-                ),
-            ]
-            for kind, hit in checks:
-                if hit and kind not in seen:
+            for kind in _margin_breaches(p.diag, init, margin_fraction):
+                if kind not in seen:
                     seen.add(kind)
                     events.append(MarginBreach(kind=kind, t=p.t))
     return events

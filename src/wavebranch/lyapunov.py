@@ -212,8 +212,7 @@ def reduced_problem(
             b, w = reduced_map(family, s, lam, tol=tol)
             B[i, j] = b
             w_norms[i, j] = np.linalg.norm(w)
-    # w = O(s^2): fitted exponent over a decade of s at lambda = 0
-    svals = s_max * np.geomspace(1e-3 / s_max if s_max > 1e-3 else 0.1, 1.0, 7)
+    # w = O(s^2): fitted exponent over two decades of s at lambda = 0
     svals = s_max * np.geomspace(0.01, 1.0, 7)
     norms = np.array([np.linalg.norm(solve_complement(family, s, 0.0, tol=tol)) for s in svals])
     ok = norms > 1e-300

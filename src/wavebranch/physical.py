@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import PreconditionError
 from .stream import depth as stream_depth, flow_force_of_R
-from .strip import StripField
+from .strip import StripField, cached_summary
 from .vorticity import VorticitySpec, eval_Omega
 
 __all__ = [
@@ -153,7 +153,8 @@ def profile_csv(profile: WaveProfile) -> str:
 def verify_flow_force_selection(profile: WaveProfile, spec: VorticitySpec) -> float:
     """|S(profile) - S_-(R)|: the solitary wave must carry the supercritical
     stream's flow force at its own Bernoulli constant."""
-    return abs(profile.flow_force - flow_force_of_R(spec, profile.R, "supercritical"))
+    S_minus = flow_force_of_R(spec, profile.R, "supercritical", summary=cached_summary(spec))
+    return abs(profile.flow_force - S_minus)
 
 
 def _fold_epsilon(ts, Rs, k_star, t_star):

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
     BelowCriticalError,
     CheckpointFormatError,
     NonConvergenceError,
+    NumericalError,
     StagnationBreachError,
     StalledError,
 )
@@ -48,6 +49,8 @@ __all__ = [
     "residual",
     "residual_vector",
     "assemble_jacobian",
+    "BandLU",
+    "band_lu",
     "newton_solve",
     "initial_guess",
     "default_grid",
@@ -129,6 +132,8 @@ def default_grid(spec: VorticitySpec, R: float, nq: int = 301, npp: int = 41,
                  L_factor: float = 30.0,
                  summary: DispersionSummary | None = None) -> StripGrid:
     """Default truncation: L = L_factor * d_-(R) with the standard node counts."""
+    if summary is None:
+        summary = cached_summary(spec)
     theta = solve_theta_for_R(spec, R, "supercritical", summary=summary)
     d = stream_depth(spec, theta)
     return StripGrid(L=L_factor * d, nq=nq, np=npp)
@@ -215,14 +220,14 @@ def unpack(field: StripField, x: np.ndarray) -> StripField:
     return out
 
 
+def _packed(r: StripResidual) -> np.ndarray:
+    """Residual in the unknown ordering k = i*(np-1) + (j-1)."""
+    return np.column_stack([r.interior, r.surface]).ravel()
+
+
 def residual_vector(field: StripField, spec: VorticitySpec) -> np.ndarray:
     """Residual packed in the unknown ordering k = i*(np-1) + (j-1)."""
-    r = residual(field, spec)
-    nq, npp = field.grid.nq, field.grid.np
-    out = np.empty((nq - 1, npp - 1))
-    out[:, : npp - 2] = r.interior
-    out[:, npp - 2] = r.surface
-    return out.ravel()
+    return _packed(residual(field, spec))
 
 
 def _ext_cols(ii: np.ndarray, jj: np.ndarray, nq: int, npp: int):
@@ -323,6 +328,68 @@ def assemble_jacobian(
     return J_mat, J_bnd
 
 
+@dataclass(frozen=True, eq=False)
+class BandLU:
+    """LU factors of a row-scaled banded matrix in LAPACK band storage.
+
+    `matrix` is the factored sparse matrix itself, kept for the residuals of
+    iterative refinement; diag(row_scale) @ matrix is what dgbtrf factored.
+    """
+
+    matrix: sp.spmatrix
+    row_scale: np.ndarray
+    lu: np.ndarray
+    piv: np.ndarray
+    bw: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve matrix @ x = rhs for rhs of shape (n,) or (n, k) (dgbtrs)."""
+        scale = self.row_scale if rhs.ndim == 1 else self.row_scale[:, None]
+        x, info = dgbtrs(self.lu, self.bw, self.bw, scale * rhs, self.piv, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"dgbtrs: illegal value in argument {-info}")
+        return x
+
+
+def band_lu(A: sp.spmatrix, bw: int) -> BandLU:
+    """Factor a square sparse matrix whose entries all lie within bw of the
+    diagonal by band LU with partial pivoting (LAPACK dgbtrf).
+
+    The strip Jacobian has bw = grid.np: unknown k = i*(np-1) + (j-1) couples
+    only to k +- (np-1) +- 1.  Rows are first scaled by powers of two to unit
+    maximum, which is exact: unscaled, the surface rows and the interior rows
+    differ in size enough that partial pivoting loses about a decimal digit.
+    An entry outside the band raises ValueError instead of being dropped; an
+    exactly singular matrix (a zero row or pivot) raises NumericalError.
+    """
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"band_lu needs a square matrix, got shape {A.shape}")
+    coo = A.tocoo()
+    coo.sum_duplicates()
+    off = coo.row - coo.col
+    if off.size and np.abs(off).max() > bw:
+        raise ValueError(
+            f"matrix entry at diagonal offset {off[np.abs(off).argmax()]} lies "
+            f"outside the band of half-width {bw}"
+        )
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, coo.row, np.abs(coo.data))
+    if not row_max.all():
+        raise NumericalError("band LU: matrix is singular (a row is zero)")
+    row_scale = np.exp2(-np.round(np.log2(row_max)))
+    # A[i, j] sits in row 2*bw + i - j of column j; the top bw rows are room
+    # for the fill-in that row pivoting creates
+    ab = np.zeros((3 * bw + 1, n), order="F")
+    ab[2 * bw + off, coo.col] = row_scale[coo.row] * coo.data
+    lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError(f"band LU: matrix is singular (zero pivot in column {info})")
+    if info < 0:
+        raise ValueError(f"dgbtrf: illegal value in argument {-info}")
+    return BandLU(matrix=A, row_scale=row_scale, lu=lu, piv=piv, bw=bw)
+
+
 @dataclass
 class NewtonInfo:
     iterations: int
@@ -346,19 +413,15 @@ def newton_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     f = f0.copy()
+    bw = f.grid.np
     res = residual(f, spec)
     info = NewtonInfo(iterations=0, residual_sup=res.sup, step_sups=[])
-
-    def one_step(cur_field, cur_res):
-        J = assemble_jacobian(cur_field, spec)
-        rhs = -residual_vector(cur_field, spec)
-        dx = spsolve(J.tocsc(), rhs)
-        return dx
 
     for it in range(max_iter):
         if res.sup <= tol:
             break
-        dx = one_step(f, res)
+        J = assemble_jacobian(f, spec)
+        dx = band_lu(J, bw).solve(-_packed(res))
         x = pack(f)
         alpha = 1.0
         accepted = False
@@ -389,7 +452,8 @@ def newton_solve(
 
     if 1e-14 < res.sup <= tol:
         # polish: one undamped step to push the residual to the rounding floor
-        dx = one_step(f, res)
+        J = assemble_jacobian(f, spec)
+        dx = band_lu(J, bw).solve(-_packed(res))
         trial = unpack(f, pack(f) + dx)
         try:
             trial_res = residual(trial, spec)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wavebranch import branch, spectrum1d as sp1, stream as st, strip
 from wavebranch.errors import DegenerateTangentError
@@ -14,11 +15,8 @@ class FoldSystem:
     def residual(self, x, lam):
         return np.array([x[0] ** 2 + lam])
 
-    def jacobian(self, x, lam):
-        return np.array([[2.0 * x[0]]])
-
-    def dresidual_dlam(self, x, lam):
-        return np.array([1.0])
+    def linearize(self, x, lam):
+        return strip.band_lu(sp.csr_matrix([[2.0 * x[0]]]), 0), np.array([1.0])
 
 
 class TestGenericDriver:
