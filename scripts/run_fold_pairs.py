@@ -2,7 +2,7 @@
 """Continue the irrotational solitary branch through its fold and exhibit
 pairs of distinct waves sharing one Bernoulli constant.
 
-Writes checkpoints, branch.csv and pairs.json under --out (default
+Writes the checkpoints point_NNNN.txt and pairs.json under --out (default
 ./fold_run) and prints a summary table.
 """
 
@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from wavebranch import branch, physical, stream, strip
+from wavebranch import branch, physical, strip
 from wavebranch.vorticity import VorticitySpec
 
 
@@ -49,15 +49,8 @@ def main():
         print(f"  event: {ev.__class__.__name__} at t = {ev.t:.5f}"
               + (f", R* = {ev.R:.7f}" if isinstance(ev, branch.Turning) else ""))
 
-    summ = strip.cached_summary(spec)
-
     def resolve(Rv, ref):
-        fld = ref.field.copy()
-        theta = stream.solve_theta_for_R(spec, Rv, "supercritical", summary=summ)
-        fld.h[-1, :] = stream.stream_profile(spec, theta, grid.p)
-        fld.R = Rv
-        fld.theta = theta
-        return strip.newton_solve(fld, spec, tol=1e-10)
+        return strip.resolve_at(ref.field, spec, Rv, 1e-10)
 
     pairs = physical.find_pairs(
         [(p.t, p.R, p) for p in points], events, n_r=args.n_pairs, resolve=resolve

@@ -28,13 +28,7 @@ from .errors import (
     WavebranchError,
 )
 from . import spectrum1d
-from .stream import (
-    R_prime_of_theta,
-    solve_theta_for_R,
-    stream_at,
-    stream_profile,
-    stream_profile_dtheta,
-)
+from .stream import moments, solve_theta_for_R, stream_at
 from .strip import (
     StripField,
     StripGrid,
@@ -315,45 +309,32 @@ class SolitarySystem:
         self.grid = grid
         self.summary = cached_summary(spec)
         self.ip_weight = grid.dq * grid.dp
-        self._theta_cache: dict[float, float] = {}
-        self._col_cache: dict[float, np.ndarray] = {}
-        self._dcol_cache: dict[float, np.ndarray] = {}
+        self._col_cache: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
         npp = grid.np
         i = np.arange(grid.nq - 1)
         self.surface_rows = i * (npp - 1) + (npp - 2)
 
-    def theta_of(self, R: float) -> float:
-        if R not in self._theta_cache:
-            self._trim()
-            self._theta_cache[R] = solve_theta_for_R(
-                self.spec, R, "supercritical", summary=self.summary
-            )
-        return self._theta_cache[R]
+    def far_column(self, R: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """(theta, H, dH/dR) of the supercritical stream at R on the grid's p-nodes.
 
-    def far_column(self, R: float) -> np.ndarray:
+        dH/dR = (dH/dtheta) / R'(theta), with dH/dtheta = -theta*M_3 and
+        R'(theta) = theta + dH/dtheta at p = 1, from one moment-kernel call."""
         if R not in self._col_cache:
-            self._col_cache[R] = stream_profile(self.spec, self.theta_of(R), self.grid.p)
+            if len(self._col_cache) > 512:
+                self._col_cache.clear()
+            theta = solve_theta_for_R(self.spec, R, "supercritical", summary=self.summary)
+            H, m3 = moments(self.spec, theta, self.grid.p, (1, 3))
+            dH = -theta * m3
+            self._col_cache[R] = (theta, H, dH / (theta + dH[-1]))
         return self._col_cache[R]
-
-    def dfar_dR(self, R: float) -> np.ndarray:
-        if R not in self._dcol_cache:
-            theta = self.theta_of(R)
-            dH = stream_profile_dtheta(self.spec, theta, self.grid.p)
-            self._dcol_cache[R] = dH / R_prime_of_theta(self.spec, theta)
-        return self._dcol_cache[R]
-
-    def _trim(self):
-        if len(self._theta_cache) > 512:
-            self._theta_cache.clear()
-            self._col_cache.clear()
-            self._dcol_cache.clear()
 
     def field_of(self, x: np.ndarray, R: float) -> StripField:
         grid = self.grid
+        theta, H, _ = self.far_column(R)
         h = np.zeros((grid.nq, grid.np))
         h[: grid.nq - 1, 1:] = x.reshape(grid.nq - 1, grid.np - 1)
-        h[grid.nq - 1, :] = self.far_column(R)
-        return StripField(grid=grid, h=h, R=R, theta=self.theta_of(R))
+        h[grid.nq - 1, :] = H
+        return StripField(grid=grid, h=h, R=R, theta=theta)
 
     def residual(self, x: np.ndarray, R: float) -> np.ndarray:
         return residual_vector(self.field_of(x, R), self.spec)
@@ -364,7 +345,7 @@ class SolitarySystem:
         R enters through the pinned far-field column and the right-hand side
         of the surface condition."""
         J, J_bnd = assemble_jacobian(self.field_of(x, R), self.spec, with_boundary_cols=True)
-        fr = J_bnd @ self.dfar_dR(R)
+        fr = J_bnd @ self.far_column(R)[2]
         fr[self.surface_rows] -= 1.0
         return band_lu(J, self.grid.np), fr
 

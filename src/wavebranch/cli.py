@@ -229,14 +229,19 @@ def _cmd_continue(args) -> int:
     return 0
 
 
+def _read_branch_csv(csv_path: str):
+    """Rows of a branch.csv as lists of fields, and the column index of each name."""
+    with open(csv_path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    return rows, {name: i for i, name in enumerate(header)}
+
+
 def _load_branch_dir(dirpath: str):
     csv_path = os.path.join(dirpath, "branch.csv")
     if not os.path.exists(csv_path):
         raise CheckpointFormatError(f"{dirpath}: missing branch.csv")
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: i for i, name in enumerate(header)}
+    rows, cols = _read_branch_csv(csv_path)
     points = []
     spec = None
     for idx, row in enumerate(rows):
@@ -265,14 +270,7 @@ def _cmd_pairs(args) -> int:
     summary = [(p.t, p.R, p) for p in points]
 
     def resolve(Rv, ref):
-        fld = ref.field.copy()
-        theta = stream_mod.solve_theta_for_R(
-            spec, Rv, "supercritical", summary=strip_mod.cached_summary(spec)
-        )
-        fld.h[-1, :] = stream_mod.stream_profile(spec, theta, fld.grid.p)
-        fld.R = Rv
-        fld.theta = theta
-        return strip_mod.newton_solve(fld, spec, tol=cfg.newton_tol)
+        return strip_mod.resolve_at(ref.field, spec, Rv, cfg.newton_tol)
 
     pairs = phys.find_pairs(summary, events, n_r=args.n_r, resolve=resolve)
     payload = {
@@ -454,10 +452,7 @@ def _cmd_verify(args) -> int:
         print(f"{name}: ok (replay {move:.2e}, taylor {defect:.2e})")
     csv_path = os.path.join(dirpath, "branch.csv")
     if os.path.exists(csv_path):
-        with open(csv_path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        cols = {name: i for i, name in enumerate(header)}
+        rows, cols = _read_branch_csv(csv_path)
         if len(rows) != len(names):
             failures.append(f"branch.csv: {len(rows)} rows vs {len(names)} checkpoints")
         else:

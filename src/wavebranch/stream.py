@@ -8,9 +8,20 @@ the depth is d = H(1), and
     1/F^2    = int_0^1 H_p^3 dp
     S(theta) = int_0^d (U_Y^2/2 - Omega(U) + Omega(1) - Y + R) dY
 
-All quadratures are adaptive Gauss-Kronrod (QUADPACK) with relative tolerance
-1e-12; the flow-force integral is reduced to a single non-nested quadrature via
-int_0^1 H H_p dp = d^2/2.
+Every one of these is a cumulative moment M_k(p) = int_0^p s^(-k/2) dtau of
+s = theta^2 - 2*Omega(tau), computed by the one kernel `moments`:
+H = M_1, d = M_1(1), d'(theta) = -theta*M_3(1), 1/F^2 = M_3(1), and, since
+R = theta^2/2 + d - Omega(1) turns the flow-force integrand into
+sqrt(s) + d/sqrt(s) (with int_0^1 H H_p dp = d^2/2),
+
+    S = M_{-1}(1) + d^2/2.
+
+The kernel integrates each cell between consecutive nodes, split at the
+interior critical points of Omega, by Gauss-Legendre of orders 10 and 20.  A
+cell on which the two orders differ by more than max(epsabs, epsrel*|value|)
+(epsabs 1e-14, epsrel 1e-12) holds a near-singular integrand, theta close to
+theta0, and is integrated by adaptive Gauss-Kronrod (QUADPACK) instead.  The
+endpoint-singular depth at theta0 itself uses QUADPACK with a substitution.
 """
 
 from __future__ import annotations
@@ -44,8 +55,8 @@ __all__ = [
     "R_prime_of_theta",
     "froude_of_theta",
     "flow_force_of_theta",
+    "moments",
     "stream_profile",
-    "stream_profile_dtheta",
     "stream_at",
     "dispersion_summary",
     "solve_theta_for_R",
@@ -54,6 +65,8 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+_GAUSS_LO, _GAUSS_HI = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
+_GAUSS_X = np.concatenate([_GAUSS_LO[0], _GAUSS_HI[0]])
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,8 @@ class DispersionSummary:
     theta_0: float
 
 
-def _inv_speed(spec: VorticitySpec, theta: float):
-    """Integrand 1/sqrt(theta^2 - 2*Omega(tau)) with a positivity guard."""
+def _integrand(spec: VorticitySpec, theta: float, k: float):
+    """Scalar integrand (theta^2 - 2*Omega(tau))^(-k/2) with a positivity guard."""
 
     def f(tau: float) -> float:
         s = theta * theta - 2.0 * eval_Omega(spec, tau)
@@ -90,7 +103,7 @@ def _inv_speed(spec: VorticitySpec, theta: float):
             raise SingularIntegrandError(
                 f"theta^2 - 2*Omega({tau}) = {s} <= 0; need theta > theta0"
             )
-        return 1.0 / math.sqrt(s)
+        return s ** (-0.5 * k)
 
     return f
 
@@ -111,21 +124,45 @@ def _require_above_theta0(spec: VorticitySpec, theta: float) -> float:
     return t0
 
 
+def moments(spec: VorticitySpec, theta: float, p, powers) -> np.ndarray:
+    """Cumulative moments M_k(p_j) = int_0^{p_j} (theta^2 - 2*Omega(tau))^(-k/2) dtau.
+
+    One row per k in powers, one column per ascending node p_j in [0, 1].
+    Omega is evaluated once, on the Gauss-Legendre nodes of every cell; see the
+    module docstring for the rule that sends a cell to QUADPACK.
+    """
+    _require_above_theta0(spec, theta)
+    p = np.asarray(p, dtype=float)
+    k = np.asarray(powers, dtype=float)
+    crit = [c for c in omega_critical_points(spec) if c < p[-1]]
+    edges = np.union1d(np.concatenate([[0.0], p]), crit)
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    tau = (a + half)[:, None] + half[:, None] * _GAUSS_X
+    s = theta * theta - 2.0 * eval_Omega(spec, tau)
+    if (s <= 0.0).any():
+        raise SingularIntegrandError(
+            f"theta^2 - 2*Omega <= 0 at theta={theta}; need theta > theta0"
+        )
+    f = s ** (-0.5 * k)[:, None, None]
+    n_lo = _GAUSS_LO[0].size
+    lo = half * (f[..., :n_lo] @ _GAUSS_LO[1])
+    cells = half * (f[..., n_lo:] @ _GAUSS_HI[1])
+    tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(cells))
+    for i, c in zip(*np.nonzero(np.abs(cells - lo) > tol)):
+        cells[i, c] = _quad(_integrand(spec, theta, k[i]), a[c], b[c])
+    cum = np.concatenate([np.zeros((k.size, 1)), np.cumsum(cells, axis=1)], axis=1)
+    return cum[:, np.searchsorted(edges, p)]
+
+
 def depth(spec: VorticitySpec, theta: float) -> float:
     """d(theta) = int_0^1 dtau / sqrt(theta^2 - 2*Omega(tau)), theta > theta0."""
-    _require_above_theta0(spec, theta)
-    return _quad(_inv_speed(spec, theta), 0.0, 1.0, points=omega_critical_points(spec))
+    return float(moments(spec, theta, [1.0], (1,))[0, 0])
 
 
 def depth_prime(spec: VorticitySpec, theta: float) -> float:
     """d'(theta) = -theta * int_0^1 (theta^2 - 2*Omega)^(-3/2) dtau."""
-    _require_above_theta0(spec, theta)
-
-    def f(tau: float) -> float:
-        s = theta * theta - 2.0 * eval_Omega(spec, tau)
-        return s ** -1.5
-
-    return -theta * _quad(f, 0.0, 1.0, points=omega_critical_points(spec))
+    return -theta * float(moments(spec, theta, [1.0], (3,))[0, 0])
 
 
 def R_of_theta(spec: VorticitySpec, theta: float) -> float:
@@ -138,83 +175,29 @@ def R_prime_of_theta(spec: VorticitySpec, theta: float) -> float:
 
 
 def froude_of_theta(spec: VorticitySpec, theta: float) -> float:
-    """Froude number from 1/F^2 = int_0^1 H_p^3 dp."""
-    _require_above_theta0(spec, theta)
-
-    def f(tau: float) -> float:
-        s = theta * theta - 2.0 * eval_Omega(spec, tau)
-        return s ** -1.5
-
-    inv_f2 = _quad(f, 0.0, 1.0, points=omega_critical_points(spec))
-    return inv_f2 ** -0.5
+    """Froude number from 1/F^2 = int_0^1 H_p^3 dp = M_3(1)."""
+    return float(moments(spec, theta, [1.0], (3,))[0, 0]) ** -0.5
 
 
 def flow_force_of_theta(spec: VorticitySpec, theta: float) -> float:
-    """Flow force of the stream, written as a single p-quadrature.
-
-    S = int_0^1 [ (theta^2 - 2*Omega)/2 - Omega + Omega(1) + R ] H_p dp - d^2/2,
-    using int_0^1 H H_p dp = d^2/2 exactly.
-    """
-    _require_above_theta0(spec, theta)
-    d = depth(spec, theta)
-    R = 0.5 * theta * theta + d - eval_Omega(spec, 1.0)
-    om1 = eval_Omega(spec, 1.0)
-
-    def f(tau: float) -> float:
-        s = theta * theta - 2.0 * eval_Omega(spec, tau)
-        return (0.5 * s - eval_Omega(spec, tau) + om1 + R) / math.sqrt(s)
-
-    val = _quad(f, 0.0, 1.0, points=omega_critical_points(spec))
-    return val - 0.5 * d * d
+    """Flow force of the stream, S = M_{-1}(1) + d^2/2 (see the module docstring)."""
+    m_neg1, d = moments(spec, theta, [1.0], (-1, 1))[:, 0]
+    return float(m_neg1 + 0.5 * d * d)
 
 
 def stream_profile(spec: VorticitySpec, theta: float, p: np.ndarray) -> np.ndarray:
-    """H(p_j; theta) at the given ascending nodes, by cumulative segment quadrature."""
-    _require_above_theta0(spec, theta)
-    p = np.asarray(p, dtype=float)
-    f = _inv_speed(spec, theta)
-    pts = omega_critical_points(spec)
-    H = np.zeros_like(p)
-    acc = 0.0
-    prev = 0.0
-    for j, pj in enumerate(p):
-        if pj > prev:
-            acc += _quad(f, prev, pj, points=pts)
-            prev = pj
-        H[j] = acc
-    return H
-
-
-def stream_profile_dtheta(spec: VorticitySpec, theta: float, p: np.ndarray) -> np.ndarray:
-    """dH/dtheta at the given nodes: -theta * int_0^p (theta^2 - 2*Omega)^(-3/2)."""
-    _require_above_theta0(spec, theta)
-    p = np.asarray(p, dtype=float)
-
-    def f(tau: float) -> float:
-        s = theta * theta - 2.0 * eval_Omega(spec, tau)
-        return s ** -1.5
-
-    pts = omega_critical_points(spec)
-    out = np.zeros_like(p)
-    acc = 0.0
-    prev = 0.0
-    for j, pj in enumerate(p):
-        if pj > prev:
-            acc += _quad(f, prev, pj, points=pts)
-            prev = pj
-        out[j] = -theta * acc
-    return out
+    """H(p_j; theta) at the given ascending nodes."""
+    return moments(spec, theta, p, (1,))[0]
 
 
 def stream_at(spec: VorticitySpec, theta: float, n_profile: int = 201) -> StreamSolution:
     """Assemble the full StreamSolution at the given theta > theta0."""
-    _require_above_theta0(spec, theta)
-    d = depth(spec, theta)
-    R = 0.5 * theta * theta + d - eval_Omega(spec, 1.0)
-    F = froude_of_theta(spec, theta)
-    S = flow_force_of_theta(spec, theta)
     p = np.linspace(0.0, 1.0, n_profile)
-    H = stream_profile(spec, theta, p)
+    m_neg1, H, m3 = moments(spec, theta, p, (-1, 1, 3))
+    d = float(H[-1])
+    R = 0.5 * theta * theta + d - eval_Omega(spec, 1.0)
+    F = float(m3[-1]) ** -0.5
+    S = float(m_neg1[-1]) + 0.5 * d * d
     return StreamSolution(theta=theta, depth=d, R=R, froude=F, flow_force=S, p=p, profile=H)
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "band_lu",
     "newton_solve",
     "initial_guess",
+    "resolve_at",
     "default_grid",
     "pack",
     "unpack",
@@ -534,6 +535,17 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     k = c2 * np.sqrt(dR)
     h = _build_guess(grid, Hcol, d, a, k)
     return StripField(grid=grid, h=h, R=R, theta=theta)
+
+
+def resolve_at(field: StripField, spec: VorticitySpec, R: float, tol: float) -> StripField:
+    """Newton solve at R from field, with the far-field column re-pinned to the
+    supercritical stream of R."""
+    theta = solve_theta_for_R(spec, R, "supercritical", summary=cached_summary(spec))
+    f = field.copy()
+    f.h[-1, :] = stream_profile(spec, theta, f.grid.p)
+    f.R = R
+    f.theta = theta
+    return newton_solve(f, spec, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -353,16 +353,9 @@ def test_criterion_10_pair_finder(fold_branch):
     pde_events = branch.detect_events(pde_pts)
     assert any(isinstance(e, branch.Turning) for e in pde_events)
     irrot = VorticitySpec([0.0])
-    summ = strip.cached_summary(irrot)
-    grid = pde_pts[0].field.grid
 
     def resolve(Rv, ref):
-        fld = ref.field.copy()
-        theta = st.solve_theta_for_R(irrot, Rv, "supercritical", summary=summ)
-        fld.h[-1, :] = st.stream_profile(irrot, theta, grid.p)
-        fld.R = Rv
-        fld.theta = theta
-        return strip.newton_solve(fld, irrot, tol=1e-10)
+        return strip.resolve_at(ref.field, irrot, Rv, 1e-10)
 
     pde_pairs = physical.find_pairs(
         [(p.t, p.R, p) for p in pde_pts], pde_events, n_r=4,

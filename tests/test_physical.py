@@ -114,16 +114,9 @@ class TestPairsPde:
         events = branch.detect_events(pts)
         assert any(isinstance(e, branch.Turning) for e in events)
         summary = [(p.t, p.R, p) for p in pts]
-        grid = pts[0].field.grid
-        summ = strip.cached_summary(irrot)
 
         def resolve(Rv, ref):
-            fld = ref.field.copy()
-            theta = st.solve_theta_for_R(irrot, Rv, "supercritical", summary=summ)
-            fld.h[-1, :] = st.stream_profile(irrot, theta, grid.p)
-            fld.R = Rv
-            fld.theta = theta
-            return strip.newton_solve(fld, irrot, tol=1e-10)
+            return strip.resolve_at(ref.field, irrot, Rv, 1e-10)
 
         pairs = physical.find_pairs(summary, events, n_r=4, resolve=resolve)
         assert pairs, "no PDE pairs found around the fold"

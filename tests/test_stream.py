@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from wavebranch import branch
 from wavebranch import stream as st
 from wavebranch.errors import (
     BelowCriticalError,
     NoRootError,
     SingularIntegrandError,
 )
-from wavebranch.vorticity import VorticitySpec
+from wavebranch.vorticity import VorticitySpec, eval_Omega, omega_critical_points
 
 
 def irrot_R(theta):
@@ -200,3 +202,56 @@ class TestProfileConsistency:
             s = st.stream_at(const_one, theta)
             hp1 = 1.0 / math.sqrt(theta**2 - 2.0)
             assert 1.0 / (2.0 * hp1**2) + s.depth == pytest.approx(s.R, abs=1e-10)
+
+
+def _quad_moment(spec, theta, p, k):
+    """Scalar QUADPACK reference for the cumulative moment M_k on the nodes p,
+    one adaptive quadrature per cell, split at the critical points of Omega."""
+
+    def f(tau):
+        return (theta * theta - 2.0 * eval_Omega(spec, tau)) ** (-0.5 * k)
+
+    crit = omega_critical_points(spec)
+    cells = [
+        integrate.quad(f, a, b, points=[c for c in crit if a < c < b] or None, **st._QUAD_OPTS)[0]
+        for a, b in zip(p[:-1], p[1:])
+    ]
+    return np.concatenate([[0.0], np.cumsum(cells)])
+
+
+class TestMomentKernel:
+    @pytest.mark.parametrize("coeffs", [[1.0, -2.0], [-0.5], [0.5]])
+    @pytest.mark.parametrize("dR", [0.005, 0.04])
+    def test_matches_scalar_quadpack(self, coeffs, dR, monkeypatch):
+        spec = VorticitySpec(coeffs)
+        ds = st.dispersion_summary(spec)
+        theta = st.solve_theta_for_R(spec, ds.R_c + dR, "supercritical", summary=ds)
+        p = np.linspace(0.0, 1.0, 41)
+        ref_H = _quad_moment(spec, theta, p, 1)
+        ref_M3 = _quad_moment(spec, theta, p, 3)
+        calls = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad", lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+        H = st.stream_profile(spec, theta, p)
+        M3 = st.moments(spec, theta, p, (3,))[0]
+        assert not calls  # away from theta0 no cell falls back to QUADPACK
+        assert np.abs(H - ref_H).max() <= 1e-13
+        assert np.abs(M3 - ref_M3).max() <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_near_singular_fallback(self, const_one, eps):
+        # near theta0 = sqrt(2) the integrand peaks at p = 1 and Gauss-Legendre
+        # alone is far off; the QUADPACK fallback meets the closed form
+        theta = math.sqrt(2.0) + eps
+        assert st.depth(const_one, theta) == pytest.approx(
+            theta - math.sqrt(theta**2 - 2.0), abs=1e-12
+        )
+
+
+def test_far_column_R_derivative(mini_branch, irrot):
+    grid = mini_branch[0].field.grid
+    R = mini_branch[3].R
+    h = 1e-5
+    system = branch.SolitarySystem(irrot, grid)
+    fd = (system.far_column(R + h)[1] - system.far_column(R - h)[1]) / (2 * h)
+    assert np.abs(system.far_column(R)[2] - fd).max() < 1e-7
