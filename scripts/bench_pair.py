@@ -25,6 +25,13 @@ count for neither side), with one mark:
   spread too widely to tell;
 - `-`: none of these.
 
+For every workload whose units record an output digest (fold-pairs: the
+checkpoints and pairs.json), it also reports, seed by seed, whether the
+working tree's digest equals the parent's, so that a change claiming the same
+outputs is checked on every pair.  Each side's digest is read from its own
+`.perfbench_out/digests.json`, under the key that side's perfbench/run.py
+gives its source tree.
+
 Everything perfbench writes stays in each side's own git-ignored
 `.perfbench_out/`; the per-pair results are also saved as
 `.perfbench_out/bench_pair.json` in the working tree.
@@ -33,6 +40,7 @@ Everything perfbench writes stays in each side's own git-ignored
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -66,6 +74,22 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"perfbench failed in {root} (exit {proc.returncode}):\n"
                            f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def output_digests(root: str, workload: str, seeds: list[int]) -> list:
+    """The output digest perfbench recorded for each seed in the checkout at
+    `root` under its current source tree (None where it recorded none)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(root, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    source = run._source_digest()
+    path = os.path.join(root, ".perfbench_out", "digests.json")
+    known = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            known = json.load(fh)
+    return [known.get(f"{workload}:{seed}:0:{source}") for seed in seeds]
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -121,6 +145,9 @@ def main(argv=None) -> int:
                     vals = {k: round(v["value"], 4) for k, v in out["metrics"].items()}
                     print(f"pair {i} {w} {side}: failed {out['failed']}/{out['attempted']} "
                           f"{json.dumps(vals)}", flush=True)
+        # read the parent's digests before its export is deleted
+        digests = {w: {side: output_digests(root, w, seeds) for side, root in sides.items()}
+                   for w in workloads}
 
     summary = {}
     for w in workloads:
@@ -141,12 +168,19 @@ def main(argv=None) -> int:
                   f"{v['parent'][2]:.4f}]  change {v['change'][1]:.4f} "
                   f"[{v['change'][0]:.4f}, {v['change'][2]:.4f}] {m['unit']}  "
                   f"wins {v['wins']}/{v['pairs']}  {v['mark']}")
+        pd, cd = digests[w]["parent"], digests[w]["change"]
+        if any(pd) or any(cd):
+            same = [p is not None and p == c for p, c in zip(pd, cd)]
+            summary[w]["outputs_identical"] = same
+            differ = [seed for seed, ok in zip(seeds, same) if not ok]
+            print(f"  outputs  byte-identical to the parent on {sum(same)}/{len(same)} seeds"
+                  + (f"; differ or missing on seeds {differ}" if differ else ""))
 
     out_dir = os.path.join(ROOT, ".perfbench_out")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench_pair.json"), "w") as fh:
         json.dump({"parent": args.parent, "seeds": seeds, "seconds": seconds,
-                   "runs": results, "summary": summary}, fh, indent=1)
+                   "runs": results, "digests": digests, "summary": summary}, fh, indent=1)
     return 0
 
 

@@ -56,6 +56,8 @@ __all__ = [
     "continue_branch",
     "tangent",
     "spectrum_at",
+    "pencil_weight",
+    "shift_invert_eigs",
     "localized_fraction",
     "diagnostics_of",
     "loop_closure",
@@ -65,18 +67,24 @@ __all__ = [
 ]
 
 
+# bordered Newton: iteration budget, and the tolerance on the arclength
+# constraint; a step converged in at most _FAST_ITERS iterations lets ds grow
+_MAX_NEWTON_ITERS = 12
+_CONSTRAINT_TOL = 1e-11
+_FAST_ITERS = 4
+# an eigenvector with this fraction of its mass in q < L/2 is localized
+_LOCALIZED = 0.99
+
+
 @dataclass
 class StepControl:
     """Adaptive step-control parameters for the continuation driver."""
 
     newton_tol: float = 1e-10
-    max_newton_iters: int = 12
     ds_min_factor: float = 1.0 / 64.0
     ds_max_factor: float = 8.0
     grow: float = 1.3
-    fast_iters: int = 4
     margin_fraction: float = 1e-2
-    constraint_tol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -200,11 +208,11 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
     """Bordered Newton iteration onto {residual = 0} cap the arclength plane."""
     weight = sys_.ip_weight
     x, lam = x0.copy(), lam0
-    for it in range(ctrl.max_newton_iters + 1):
+    for it in range(_MAX_NEWTON_ITERS + 1):
         F = sys_.residual(x, lam)
         c = _ip(weight, tan_x, x - x_prev) + tan_lam * (lam - lam_prev) - ds
         sup = float(np.abs(F).max())
-        if sup <= ctrl.newton_tol and abs(c) <= ctrl.constraint_tol:
+        if sup <= ctrl.newton_tol and abs(c) <= _CONSTRAINT_TOL:
             if sup > 1e-14:
                 # polish: one more full step to push the residual to rounding level
                 J, Fl = sys_.linearize(x, lam)
@@ -216,14 +224,14 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
                 except StagnationBreachError:
                     pass
             return x, lam, it
-        if it == ctrl.max_newton_iters:
+        if it == _MAX_NEWTON_ITERS:
             break
         J, Fl = sys_.linearize(x, lam)
         dx, dlam = _solve_bordered(J, Fl, weight * tan_x, tan_lam, -F, -c)
         x = x + dx
         lam = lam + dlam
     raise NonConvergenceError(
-        f"bordered Newton did not converge in {ctrl.max_newton_iters} iterations"
+        f"bordered Newton did not converge in {_MAX_NEWTON_ITERS} iterations"
     )
 
 
@@ -281,7 +289,7 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
         )
         accepted.append(step)
         x_prev, lam_prev = x_new, lam_new
-        if iters <= ctrl.fast_iters:
+        if iters <= _FAST_ITERS:
             ds_cur = min(ds_cur * ctrl.grow, ds_max)
         if on_accept is not None:
             reason = on_accept(step)
@@ -421,68 +429,78 @@ def localized_fraction(grid: StripGrid, vec: np.ndarray) -> float:
     return float(mass[inner].sum() / total)
 
 
+def pencil_weight(field: StripField) -> sp.csr_matrix:
+    """Weight B of the spectral pencil J w = mu B w at a solved field.
+
+    B is the diagonal of the central-difference 1/h_p at interior nodes and
+    zero on the surface-condition rows: that weighting makes the discrete
+    spectrum match the physical-plane linearized operator, whose continuous
+    spectrum starts at nu0 (the plain hodograph eigenproblem differs by the
+    factor h_p and would not be comparable to the 1-D edge).  The spectral
+    monitor and the Lyapunov-Schmidt eigen-data both use this pencil.
+    """
+    grid = field.grid
+    nq, npp = grid.nq, grid.np
+    hp_c = (field.h[: nq - 1, 2:] - field.h[: nq - 1, :-2]) / (2.0 * grid.dp)
+    bdiag = np.zeros((nq - 1, npp - 1))
+    bdiag[:, : npp - 2] = 1.0 / hp_c
+    return sp.diags(bdiag.ravel(), format="csr")
+
+
+def shift_invert_eigs(J, B, sigma: float, k: int, bw: int):
+    """k eigenpairs of the pencil J w = mu B w nearest sigma, real, in
+    ascending order of mu: ARPACK in shift-invert mode on one band LU factor
+    of J - sigma B (half-bandwidth bw).
+
+    The start vector is deterministic but unstructured: a symmetric one
+    (constant) can span an invariant subspace at uniform streams and break
+    Arnoldi.  ARPACK failure and complex eigenvalues raise NumericalError.
+    """
+    v0 = np.random.default_rng(1234).standard_normal(J.shape[0])
+    v0 /= np.linalg.norm(v0)
+    lu = band_lu(J - sigma * B, bw)
+    OPinv = LinearOperator(J.shape, matvec=lu.solve, dtype=float)
+    try:
+        vals, vecs = eigs(J, k=k, M=B, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+    except (ArpackError, ArpackNoConvergence) as exc:
+        raise NumericalError(f"shift-invert eigensolve failed: {exc}") from exc
+    scale = 1.0 + np.abs(vals.real).max()
+    if np.abs(vals.imag).max() > 1e-6 * scale:
+        raise NumericalError(
+            f"unexpected complex eigenvalues (max imag {np.abs(vals.imag).max():.3e})"
+        )
+    order = np.argsort(vals.real)
+    return vals.real[order], vecs.real[:, order]
+
+
 def spectrum_at(
     field: StripField,
     spec: VorticitySpec,
     k: int = 8,
     nu0_grid_n: int = 1024,
-    sigma: float | None = None,
-    localization_threshold: float = 0.99,
 ) -> SpectrumInfo:
-    """k eigenvalues of the discrete linearization nearest the shift, with
+    """k eigenvalues of the pencil of pencil_weight nearest the shift, with
     localization flags; mu0/mu1 extraction and the 1-D spectral edge nu0.
 
-    The eigenproblem is the generalized pencil J w = mu B w with B the diagonal
-    of 1/h_p at interior nodes and zero on the surface-condition rows: that
-    weighting makes the discrete spectrum match the physical-plane linearized
-    operator, whose continuous spectrum starts at nu0 (the plain hodograph
-    eigenproblem differs by the factor h_p and would not be comparable to the
-    1-D edge).  Eigenvectors with at least `localization_threshold` of their
-    mass in q < L/2 are classified localized; mu1 falls back to the sentinel
-    nu0 when no second localized eigenvalue lies below nu0.
+    The shift starts at -1.5 nu0 and deepens until a negative localized
+    eigenvalue is found.  Eigenvectors with at least 99% of their mass in
+    q < L/2 are classified localized; mu1 falls back to the sentinel nu0 when
+    no second localized eigenvalue lies below nu0.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     grid = field.grid
-    nq, npp = grid.nq, grid.np
     s = stream_at(spec, field.theta, n_profile=65)
     nu0 = spectrum1d.nu0(spectrum1d.robin_problem(s, spec, grid_n=nu0_grid_n))
 
     J = assemble_jacobian(field, spec)
-    hp_c = (field.h[: nq - 1, 2:] - field.h[: nq - 1, :-2]) / (2.0 * grid.dp)
-    bdiag = np.zeros((nq - 1, npp - 1))
-    bdiag[:, : npp - 2] = 1.0 / hp_c
-    B = sp.diags(bdiag.ravel(), format="csr")
-
-    fixed_shift = sigma is not None
-    if sigma is None:
-        sigma = -1.5 * nu0
-    # deterministic but unstructured start vector: a symmetric one (constant)
-    # can span an invariant subspace at uniform streams and break Arnoldi
-    v0 = np.random.default_rng(1234).standard_normal(J.shape[0])
-    v0 /= np.linalg.norm(v0)
-    for attempt in range(4):
-        # shift-invert through one band LU factor of J - sigma B per shift
-        lu = band_lu(J - sigma * B, npp)
-        OPinv = LinearOperator(J.shape, matvec=lu.solve, dtype=float)
-        try:
-            vals, vecs = eigs(J, k=k, M=B, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
-        except (ArpackError, ArpackNoConvergence) as exc:
-            raise NumericalError(f"shift-invert eigensolve failed: {exc}") from exc
-        scale = 1.0 + np.abs(vals.real).max()
-        if np.abs(vals.imag).max() > 1e-6 * scale:
-            raise NumericalError(
-                f"unexpected complex eigenvalues (max imag {np.abs(vals.imag).max():.3e})"
-            )
-        order = np.argsort(vals.real)
-        vals = vals.real[order]
-        vecs = vecs.real[:, order]
-
-        frac = np.array(
-            [localized_fraction(grid, vecs[:, j]) for j in range(vecs.shape[1])]
-        )
-        localized = frac >= localization_threshold
-        if fixed_shift or np.any(localized & (vals < 0.0)):
+    B = pencil_weight(field)
+    sigma = -1.5 * nu0
+    for _ in range(4):
+        vals, vecs = shift_invert_eigs(J, B, sigma, k, grid.np)
+        frac = np.array([localized_fraction(grid, vecs[:, j]) for j in range(k)])
+        localized = frac >= _LOCALIZED
+        if np.any(localized & (vals < 0.0)):
             break
         # the lowest mode may sit far below the shift (steep waves): deepen
         sigma *= 4.0
@@ -494,23 +512,40 @@ def spectrum_at(
     return SpectrumInfo(eigenvalues=vals, localized=localized, mu0=mu0, mu1=mu1, nu0=float(nu0))
 
 
+def _branch_point(
+    field: StripField,
+    spec: VorticitySpec,
+    t: float,
+    nu0_grid_n: int,
+    spectrum: str = "required",
+    tangent=(None, None),
+    ds: float = 0.0,
+) -> BranchPoint:
+    """BranchPoint of a solved field: its diagnostics, the tangent and ds of
+    the step that reached it, and spectral data by `spectrum`: "required"
+    (errors propagate), "best-effort" (a NumericalError leaves them unset) or
+    "none".  Unset spectral data read mu0 = None, mu1 = nu0 = nan."""
+    mu0, mu1, nu0 = None, np.nan, np.nan
+    if spectrum != "none":
+        try:
+            info = spectrum_at(field, spec, nu0_grid_n=nu0_grid_n)
+            mu0, mu1, nu0 = info.mu0, info.mu1, info.nu0
+        except NumericalError:
+            if spectrum == "required":
+                raise
+    return BranchPoint(
+        field=field, t=t, R=field.R, mu0=mu0, mu1=mu1, nu0=nu0,
+        diag=diagnostics_of(field), tangent_x=tangent[0], tangent_lam=tangent[1], ds=ds,
+    )
+
+
 def branch_point_from_field(
     field: StripField,
     spec: VorticitySpec,
     t: float = 0.0,
-    k: int = 8,
     nu0_grid_n: int = 1024,
 ) -> BranchPoint:
-    info = spectrum_at(field, spec, k=k, nu0_grid_n=nu0_grid_n)
-    return BranchPoint(
-        field=field,
-        t=t,
-        R=field.R,
-        mu0=info.mu0,
-        mu1=info.mu1,
-        nu0=info.nu0,
-        diag=diagnostics_of(field),
-    )
+    return _branch_point(field, spec, t, nu0_grid_n)
 
 
 def _initial_tangent(spec: VorticitySpec, start: StripField, weight: float):
@@ -531,7 +566,6 @@ def continue_branch(
     steps: int,
     ds: float,
     ctrl: StepControl | None = None,
-    k_eigs: int = 8,
     nu0_grid_n: int = 1024,
     direction: int = +1,
 ):
@@ -558,44 +592,19 @@ def continue_branch(
 
     def on_accept(step: AcceptedStep):
         fld = sys_.field_of(step.x, step.lam)
-        if loop_closure(points, fld, step.t + start.t, min_arc=3.0 * ds,
-                        tol=10.0 * ctrl.newton_tol):
-            points.append(
-                BranchPoint(field=fld, t=start.t + step.t, R=step.lam, mu0=None,
-                            mu1=np.nan, nu0=np.nan, diag=diagnostics_of(fld),
-                            tangent_x=step.tangent_x, tangent_lam=step.tangent_lam,
-                            ds=step.ds)
-            )
+        t = start.t + step.t
+        tan = (step.tangent_x, step.tangent_lam)
+        if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * ctrl.newton_tol):
+            points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
             return "loop-closure"
-        diag = diagnostics_of(fld)
-        breaches = _margin_breaches(diag, init_diag, ctrl.margin_fraction)
-        breach = f"margin-breach:{breaches[0]}" if breaches else None
-        if breach:
-            # diagnostics already signal physical breakdown; spectral data at
-            # the terminal point is best-effort only
-            try:
-                info = spectrum_at(fld, spec, k=k_eigs, nu0_grid_n=nu0_grid_n)
-                mu0, mu1, nu0 = info.mu0, info.mu1, info.nu0
-            except NumericalError:
-                mu0, mu1, nu0 = None, np.nan, np.nan
-        else:
-            info = spectrum_at(fld, spec, k=k_eigs, nu0_grid_n=nu0_grid_n)
-            mu0, mu1, nu0 = info.mu0, info.mu1, info.nu0
-        pt = BranchPoint(
-            field=fld,
-            t=start.t + step.t,
-            R=step.lam,
-            mu0=mu0,
-            mu1=mu1,
-            nu0=nu0,
-            diag=diag,
-            tangent_x=step.tangent_x,
-            tangent_lam=step.tangent_lam,
-            ds=step.ds,
-        )
+        breaches = _margin_breaches(diagnostics_of(fld), init_diag, ctrl.margin_fraction)
+        # at a breach the diagnostics already signal physical breakdown; the
+        # spectral data of the terminal point are best-effort only
+        spectrum = "best-effort" if breaches else "required"
+        pt = _branch_point(fld, spec, t, nu0_grid_n, spectrum, tan, step.ds)
         points.append(pt)
-        if breach:
-            return breach
+        if breaches:
+            return f"margin-breach:{breaches[0]}"
         if pt.mu0 is None or pt.mu0 >= 0.0:
             raise NumericalError(
                 f"lowest localized eigenvalue not negative at t={pt.t}: {pt.mu0}"
@@ -633,7 +642,6 @@ def point_at_arclength(
     t_target: float,
     ctrl: StepControl | None = None,
     with_spectrum: bool = True,
-    k_eigs: int = 8,
     nu0_grid_n: int = 1024,
 ) -> BranchPoint:
     """Re-solve the branch at a prescribed arclength by one bordered step from
@@ -650,23 +658,9 @@ def point_at_arclength(
     x_new, lam_new, _ = _corrector(
         sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds, ctrl
     )
-    fld = sys_.field_of(x_new, lam_new)
-    if with_spectrum:
-        info = spectrum_at(fld, spec, k=k_eigs, nu0_grid_n=nu0_grid_n)
-        mu0, mu1, nu0 = info.mu0, info.mu1, info.nu0
-    else:
-        mu0, mu1, nu0 = None, np.nan, np.nan
-    return BranchPoint(
-        field=fld,
-        t=t_target,
-        R=lam_new,
-        mu0=mu0,
-        mu1=mu1,
-        nu0=nu0,
-        diag=diagnostics_of(fld),
-        tangent_x=tan_x,
-        tangent_lam=tan_lam,
-        ds=ds,
+    spectrum = "required" if with_spectrum else "none"
+    return _branch_point(
+        sys_.field_of(x_new, lam_new), spec, t_target, nu0_grid_n, spectrum, (tan_x, tan_lam), ds
     )
 
 
@@ -675,44 +669,22 @@ def point_at_arclength(
 # ---------------------------------------------------------------------------
 
 
-def _refine_extremum(ts, Rs, k, r_eval):
-    """Refine a turning point inside [ts[k-1], ts[k+1]]."""
+def _refine_extremum(ts, Rs, k):
+    """Refine a turning point inside [ts[k-1], ts[k+1]] on the sampled trace."""
     a, b = ts[k - 1], ts[k + 1]
-    if r_eval is None:
-        if len(ts) >= 4:
-            spl = CubicSpline(ts, Rs)
-            dspl = spl.derivative()
-            roots = [r for r in np.atleast_1d(dspl.roots()) if a <= r <= b and abs(r.imag) == 0]
-            if roots:
-                t_star = float(min(roots, key=lambda r: abs(r - ts[k])))
-                return t_star, float(spl(t_star))
-        # parabola vertex through the three bracketing samples
-        t3 = np.asarray(ts[k - 1 : k + 2], dtype=float)
-        r3 = np.asarray(Rs[k - 1 : k + 2], dtype=float)
-        coef = np.polyfit(t3, r3, 2)
-        t_star = float(-coef[1] / (2.0 * coef[0]))
-        return t_star, float(np.polyval(coef, t_star))
-    # bisection on the centered-difference slope of the re-solving evaluator
-    delta = (b - a) / 16.0
-
-    def slope(t):
-        return (r_eval(t + delta) - r_eval(t - delta)) / (2.0 * delta)
-
-    lo, hi = a + delta, b - delta
-    slo, shi = slope(lo), slope(hi)
-    if slo * shi > 0:
-        return ts[k], Rs[k]
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        sm = slope(mid)
-        if slo * sm <= 0:
-            hi, shi = mid, sm
-        else:
-            lo, slo = mid, sm
-        if hi - lo < 1e-12 * max(1.0, abs(mid)):
-            break
-    t_star = 0.5 * (lo + hi)
-    return float(t_star), float(r_eval(t_star))
+    if len(ts) >= 4:
+        spl = CubicSpline(ts, Rs)
+        dspl = spl.derivative()
+        roots = [r for r in np.atleast_1d(dspl.roots()) if a <= r <= b and abs(r.imag) == 0]
+        if roots:
+            t_star = float(min(roots, key=lambda r: abs(r - ts[k])))
+            return t_star, float(spl(t_star))
+    # parabola vertex through the three bracketing samples
+    t3 = np.asarray(ts[k - 1 : k + 2], dtype=float)
+    r3 = np.asarray(Rs[k - 1 : k + 2], dtype=float)
+    coef = np.polyfit(t3, r3, 2)
+    t_star = float(-coef[1] / (2.0 * coef[0]))
+    return t_star, float(np.polyval(coef, t_star))
 
 
 def _secant_root(f, ta, tb, fa=None, fb=None, tol=1e-13, max_iter=80):
@@ -759,18 +731,12 @@ def _estimate_crossing_order(ts, mu1s, t_star):
     return int(round(slope))
 
 
-def detect_events(
-    points,
-    r_eval=None,
-    mu1_eval=None,
-    margin_fraction: float | None = None,
-):
+def detect_events(points, margin_fraction: float | None = None):
     """Scan an accepted branch for turning points, eigenvalue crossings, and
     margin breaches.
 
     points: sequence of BranchPoint (synthetic traces may use field=None).
-    r_eval / mu1_eval: optional callables t -> value used for refinement; by
-    default refinement interpolates the sampled trace.  Returns a list of
+    Refinement interpolates the sampled trace.  Returns a list of
     Turning / EigenCrossing / MarginBreach events (possibly empty).
     """
     pts = list(points)
@@ -790,7 +756,7 @@ def detect_events(
             continue
         k = (a + c + 1) // 2
         k = min(max(k, 1), len(pts) - 2)
-        t_star, R_star = _refine_extremum(ts, Rs, k, r_eval)
+        t_star, R_star = _refine_extremum(ts, Rs, k)
         events.append(Turning(t=t_star, R=R_star, bracket=(pts[a], pts[c + 1])))
 
     mu1s = np.array([p.mu1 for p in pts], dtype=float)
@@ -811,12 +777,8 @@ def detect_events(
             continue
         if mu1s[k + 1] == 0.0 or (mu1s[k] > 0) == (mu1s[k + 1] > 0):
             continue
-        if mu1_eval is not None:
-            f = mu1_eval
-        else:
-            spl = CubicSpline(ts, mu1s)
-            f = lambda t: float(spl(t))  # noqa: E731
-        t_star = _secant_root(f, ts[k], ts[k + 1], mu1s[k], mu1s[k + 1])
+        spl = CubicSpline(ts, mu1s)
+        t_star = _secant_root(lambda t: float(spl(t)), ts[k], ts[k + 1], mu1s[k], mu1s[k + 1])
         m_est = _estimate_crossing_order(ts, mu1s, t_star)
         events.append(EigenCrossing(t=float(t_star), m_estimate=m_est, bracket=(pts[k], pts[k + 1])))
 

@@ -408,6 +408,7 @@ def _cmd_verify(args) -> int:
     if not names:
         print(f"no checkpoints found in {dirpath}")
         return 2
+    R_of = {}  # R of each checkpoint that reads, for the branch.csv check
     for name in names:
         path = os.path.join(dirpath, name)
         try:
@@ -415,6 +416,7 @@ def _cmd_verify(args) -> int:
         except CheckpointFormatError as exc:
             failures.append(f"{name}: {exc}")
             continue
+        R_of[name] = fld.R
         # byte round-trip
         tmp = path + ".rt"
         strip_mod.write_checkpoint(tmp, fld, spec)
@@ -459,9 +461,8 @@ def _cmd_verify(args) -> int:
             ts = [float(r[cols["t"]]) for r in rows]
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 failures.append("branch.csv: t not strictly increasing")
-            for idx, row in enumerate(rows):
-                fld, _ = strip_mod.read_checkpoint(os.path.join(dirpath, names[idx]))
-                if float(row[cols["R"]]) != fld.R:
+            for idx, (row, name) in enumerate(zip(rows, names)):
+                if name in R_of and float(row[cols["R"]]) != R_of[name]:
                     failures.append(f"branch.csv row {idx}: R mismatch with checkpoint")
                     break
     if failures:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigs
 
+from . import branch as branch_mod
 from .errors import (
     IllPosedProjectorError,
     NoSecondaryBranchError,
@@ -30,6 +29,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
+from .strip import assemble_jacobian, newton_solve, pack, residual_vector, unpack
 
 __all__ = [
     "EigenData",
@@ -445,15 +445,16 @@ def seed_from_family(
 # ---------------------------------------------------------------------------
 
 
-def _pencil_eigendata(J, M, ip_weight, sigma=1e-10):
-    """Right/left eigenpair of the constrained pencil J w = mu M w nearest 0,
-    normalized <v, v> = 1 and <v, w> = 1 in the grid inner product."""
-    v0 = np.ones(J.shape[0]) / np.sqrt(J.shape[0])
-    vals, vecs = eigs(J.tocsc(), k=1, M=M.tocsc(), sigma=sigma, which="LM", v0=v0)
-    lvals, lvecs = eigs(J.T.tocsc(), k=1, M=M.tocsc(), sigma=sigma, which="LM", v0=v0)
-    mu = float(vals[0].real)
-    v = vecs[:, 0].real
-    w = lvecs[:, 0].real
+def _pencil_eigendata(field, J, ip_weight):
+    """Right/left eigenpair of the spectral pencil of the field
+    (branch.pencil_weight) nearest 0, normalized <v, v> = 1 and <v, w> = 1 in
+    the grid inner product."""
+    B = branch_mod.pencil_weight(field)
+    vals, vecs = branch_mod.shift_invert_eigs(J, B, 1e-10, 1, field.grid.np)
+    _, lvecs = branch_mod.shift_invert_eigs(J.T, B, 1e-10, 1, field.grid.np)
+    mu = float(vals[0])
+    v = vecs[:, 0]
+    w = lvecs[:, 0]
     imax = int(np.argmax(np.abs(v)))
     if v[imax] < 0:
         v = -v
@@ -468,16 +469,9 @@ def family_from_branch(bracket, spec, t_star, ctrl=None):
     """AnalyticFamily for the strip problem around the refined crossing t_star:
     x = deviation from the primary branch state h(t_star + lambda), so that
     F(0, lambda) = 0 along the branch."""
-    from . import branch as branch_mod
-    from .strip import assemble_jacobian, pack, residual_vector, unpack
-
     a, _ = bracket
     grid = a.field.grid
     weight = grid.dq * grid.dp
-    npp = grid.np
-    interior = np.ones((grid.nq - 1, npp - 1))
-    interior[:, npp - 2] = 0.0
-    M = sp.diags(interior.ravel())
     base_cache: dict[float, object] = {}
 
     def base(lam: float):
@@ -498,10 +492,10 @@ def family_from_branch(bracket, spec, t_star, ctrl=None):
         return assemble_jacobian(fld, spec)
 
     def eigendata(lam: float) -> EigenData:
-        J = df(np.zeros(M.shape[0]), lam)
-        return _pencil_eigendata(J, M, weight)
+        fld = base(lam).field
+        return _pencil_eigendata(fld, assemble_jacobian(fld, spec), weight)
 
-    n = (grid.nq - 1) * (npp - 1)
+    n = (grid.nq - 1) * (grid.np - 1)
     fam = AnalyticFamily(n=n, f=f, df=df, eigendata=eigendata, ip_weight=weight)
     fam.base = base  # used by switch_branch to rebuild fields
     return fam
@@ -523,9 +517,6 @@ def switch_branch(
     NoSecondaryBranchError when the reduced map shows only trivial zeros at
     lattice resolution.
     """
-    from . import branch as branch_mod
-    from .strip import newton_solve
-
     a, b = bracket
     if a.field is None or b.field is None or a.tangent_x is None:
         raise PreconditionError("bracket points must carry fields and tangents")
@@ -553,9 +544,7 @@ def switch_branch(
         lam_max = 0.5 * (b.t - a.t)
     s0, lam0, x0 = seed_from_family(fam, s_max=s_max, lam_max=lam_max)
     base_pt = fam.base(lam0)
-    from .strip import pack as _pack, unpack as _unpack
-
-    seed = _unpack(base_pt.field, _pack(base_pt.field) + x0)
+    seed = unpack(base_pt.field, pack(base_pt.field) + x0)
     converged = newton_solve(seed, spec, tol=newton_tol)
     dist = float(np.abs(converged.h - base_pt.field.h).max())
     if dist <= 10.0 * newton_tol:

@@ -255,15 +255,14 @@ def _classify_R0(spec: VorticitySpec) -> float:
     return 0.5 * t0 * t0 + d0 - eval_Omega(spec, 1.0)
 
 
-def dispersion_summary(spec: VorticitySpec, theta_max: float | None = None) -> DispersionSummary:
+def dispersion_summary(spec: VorticitySpec) -> DispersionSummary:
     """Locate the critical stream: theta_c = argmin R(theta), R_c, and R_0.
 
     The minimum is found as the root of R'(theta) = theta + d'(theta), which is
     negative just above theta0 and positive for large theta.
     """
     t0 = theta0(spec)
-    if theta_max is None:
-        theta_max = max(10.0, 3.0 * t0 + 10.0)
+    theta_max = max(10.0, 3.0 * t0 + 10.0)
 
     def rp(t: float) -> float:
         return R_prime_of_theta(spec, t)

@@ -8,6 +8,7 @@ All quantities are dimensionless (unit mass flux, unit gravity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -122,7 +123,10 @@ def max_Omega(spec: VorticitySpec) -> tuple[float, float]:
     return float(vals[k]), float(cand[k])
 
 
+@lru_cache(maxsize=256)
 def theta0(spec: VorticitySpec) -> float:
-    """Lower admissibility bound sqrt(2 * max_[0,1] Omega) for the stream parameter."""
+    """Lower admissibility bound sqrt(2 * max_[0,1] Omega) for the stream parameter.
+
+    Memoized per spec: every stream-moment kernel call checks it."""
     m, _ = max_Omega(spec)
     return float(np.sqrt(2.0 * max(m, 0.0)))

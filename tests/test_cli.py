@@ -165,6 +165,20 @@ class TestContinueAndVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_verify_reports_unreadable_checkpoint(self, branch_dir, tmp_path, capsys):
+        # the branch.csv check must not re-read the checkpoint that failed
+        import shutil
+
+        bad_dir = tmp_path / "garbage"
+        shutil.copytree(branch_dir, bad_dir)
+        (bad_dir / "point_0001.txt").write_text("not a checkpoint\n")
+        code, out, err = run(capsys, "verify", "--dir", str(bad_dir))
+        assert code == 1
+        assert "FAIL point_0001.txt" in out
+        for idx in (0, 2, 3, 4):
+            assert f"point_{idx:04d}.txt: ok" in out
+        assert err == ""
+
     def test_pairs_command_on_monotone_branch(self, branch_dir, capsys):
         code, out, _ = run(capsys, "pairs", "--branch", str(branch_dir))
         assert code == 0

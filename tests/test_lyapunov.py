@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
 from wavebranch import branch, lyapunov as ly, strip
-from wavebranch.errors import NoSecondaryBranchError, PreconditionError
+from wavebranch.errors import NoSecondaryBranchError, NumericalError, PreconditionError
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +229,25 @@ class TestPdeWiring:
         # the crossing-tracked eigenvalue matches the monitored mu1 at this point
         mid = branch.point_at_arclength(a, irrot, 0.5 * (a.t + b.t), nu0_grid_n=256)
         assert ed.mu == pytest.approx(mid.mu1, rel=2e-2)
+
+    def test_pde_eigendata_is_the_monitored_mu1(self, mini_branch, irrot):
+        # the reduction and the spectral monitor solve one pencil
+        a, b = mini_branch[2], mini_branch[3]
+        t_mid = 0.5 * (a.t + b.t)
+        fam = ly.family_from_branch((a, b), irrot, t_mid)
+        mid = branch.point_at_arclength(a, irrot, t_mid, nu0_grid_n=256)
+        assert fam.eigendata(0.0).mu == pytest.approx(mid.mu1, abs=1e-10)
+
+    def test_pde_eigendata_arpack_failure_is_numerical_error(
+        self, mini_branch, irrot, monkeypatch
+    ):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        a, b = mini_branch[2], mini_branch[3]
+        fam = ly.family_from_branch((a, b), irrot, 0.5 * (a.t + b.t))
+        monkeypatch.setattr(branch, "eigs", no_convergence)
+        with pytest.raises(NumericalError, match="eigensolve failed"):
+            fam.eigendata(0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from wavebranch import branch
+from wavebranch import branch, vorticity
 from wavebranch import stream as st
 from wavebranch.errors import (
     BelowCriticalError,
@@ -255,3 +255,20 @@ def test_far_column_R_derivative(mini_branch, irrot):
     system = branch.SolitarySystem(irrot, grid)
     fd = (system.far_column(R + h)[1] - system.far_column(R - h)[1]) / (2 * h)
     assert np.abs(system.far_column(R)[2] - fd).max() < 1e-7
+
+
+def test_moments_derive_theta0_once_per_spec(monkeypatch):
+    calls = []
+    original = vorticity.max_Omega
+
+    def counted(spec):
+        calls.append(spec.coeffs)
+        return original(spec)
+
+    monkeypatch.setattr(vorticity, "max_Omega", counted)
+    spec = VorticitySpec([0.3125, -0.21875])  # used by no other test
+    p = np.linspace(0.0, 1.0, 9)
+    first = st.moments(spec, 1.5, p, (1, 3))
+    for _ in range(4):
+        assert np.array_equal(st.moments(spec, 1.5, p, (1, 3)), first)
+    assert calls == [spec.coeffs]
