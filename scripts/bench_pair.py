@@ -33,8 +33,11 @@ outputs is checked on every pair.  Each side's digest is read from its own
 gives its source tree.
 
 Everything perfbench writes stays in each side's own git-ignored
-`.perfbench_out/`; the per-pair results are also saved as
-`.perfbench_out/bench_pair.json` in the working tree.
+`.perfbench_out/`.  The per-pair results are also saved as
+`.perfbench_out/bench_pair.json` in the working tree, with a "summary" that
+holds, per workload: each side's failed and attempted ops and env lines, per
+end-to-end metric each side's median, q1 and q3 with the win count and the
+mark, and, seed by seed, whether the output digests match.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def export_commit(commit: str, dest: str) -> None:
 
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in the checkout at `root`; returns its
-    summary line (correct, attempted, failed, metrics)."""
+    summary line (correct, attempted, failed, metrics) with its env line
+    (machine and library versions) under "env"."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -70,10 +74,11 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
         cwd=root, env=env, capture_output=True, text=True,
     )
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
-    if proc.returncode != 0 or not lines:
+    env = [ln for ln in proc.stdout.splitlines() if ln.startswith("env ")]
+    if proc.returncode != 0 or not lines or not env:
         raise RuntimeError(f"perfbench failed in {root} (exit {proc.returncode}):\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "env": json.loads(env[-1][len("env "):])}
 
 
 def output_digests(root: str, workload: str, seeds: list[int]) -> list:
@@ -112,8 +117,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     unresolved = wide and not separated
     mark = ("GAIN" if gain and not unresolved else "REGRESSION" if regression
             else "UNRESOLVED" if unresolved else "-")
-    return {"parent": [pq1, pmed, pq3], "change": [cq1, cmed, cq3], "wins": wins,
-            "pairs": len(parent), "mark": mark}
+    return {"parent": {"q1": pq1, "median": pmed, "q3": pq3},
+            "change": {"q1": cq1, "median": cmed, "q3": cq3},
+            "wins": wins, "pairs": len(parent), "mark": mark}
 
 
 def main(argv=None) -> int:
@@ -151,27 +157,29 @@ def main(argv=None) -> int:
 
     summary = {}
     for w in workloads:
-        summary[w] = {}
+        summary[w] = {"failed": {}, "attempted": {}, "env": {}}
         print(f"\n{w} ({args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, {seconds} s runs)")
-        failed = {}
+        failed = summary[w]["failed"]
         for side in ("parent", "change"):
             failed[side] = sum(r["failed"] for r in results[w][side])
-            attempted = sum(r["attempted"] for r in results[w][side])
-            print(f"  {side}: {failed[side]} of {attempted} ops failed")
+            summary[w]["attempted"][side] = sum(r["attempted"] for r in results[w][side])
+            envs = {json.dumps(r["env"], sort_keys=True) for r in results[w][side]}
+            summary[w]["env"][side] = [json.loads(e) for e in sorted(envs)]
+            print(f"  {side}: {failed[side]} of {summary[w]['attempted'][side]} ops failed")
         for m in spec["end_to_end"]:
             name = m["name"]
             p = [r["metrics"][name]["value"] for r in results[w]["parent"]]
             c = [r["metrics"][name]["value"] for r in results[w]["change"]]
             v = verdict(p, c, m["better"], m["bound"], (failed["parent"], failed["change"]))
             summary[w][name] = v
-            print(f"  {name:9s} parent {v['parent'][1]:.4f} [{v['parent'][0]:.4f}, "
-                  f"{v['parent'][2]:.4f}]  change {v['change'][1]:.4f} "
-                  f"[{v['change'][0]:.4f}, {v['change'][2]:.4f}] {m['unit']}  "
+            pv, cv = v["parent"], v["change"]
+            print(f"  {name:9s} parent {pv['median']:.4f} [{pv['q1']:.4f}, {pv['q3']:.4f}]  "
+                  f"change {cv['median']:.4f} [{cv['q1']:.4f}, {cv['q3']:.4f}] {m['unit']}  "
                   f"wins {v['wins']}/{v['pairs']}  {v['mark']}")
         pd, cd = digests[w]["parent"], digests[w]["change"]
         if any(pd) or any(cd):
             same = [p is not None and p == c for p, c in zip(pd, cd)]
-            summary[w]["outputs_identical"] = same
+            summary[w]["outputs_identical"] = dict(zip(map(str, seeds), same))
             differ = [seed for seed, ok in zip(seeds, same) if not ok]
             print(f"  outputs  byte-identical to the parent on {sum(same)}/{len(same)} seeds"
                   + (f"; differ or missing on seeds {differ}" if differ else ""))

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
@@ -265,7 +264,7 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
                     sys_, x_pred, lam_pred, x_prev, lam_prev, tan_x, tan_lam, ds_cur, ctrl
                 )
                 break
-            except (WavebranchError, RuntimeError) as exc:
+            except WavebranchError as exc:
                 if isinstance(exc, BranchStallError):
                     raise
                 ds_cur *= 0.5
@@ -352,10 +351,11 @@ class SolitarySystem:
 
         R enters through the pinned far-field column and the right-hand side
         of the surface condition."""
-        J, J_bnd = assemble_jacobian(self.field_of(x, R), self.spec, with_boundary_cols=True)
-        fr = J_bnd @ self.far_column(R)[2]
+        J, J_far = assemble_jacobian(self.field_of(x, R), self.spec, with_boundary_cols=True)
+        fr = np.zeros(self.grid.n_unknowns)
+        fr[-J_far.shape[0] :] = J_far @ self.far_column(R)[2]
         fr[self.surface_rows] -= 1.0
-        return band_lu(J, self.grid.np), fr
+        return band_lu(J), fr
 
 
 def loop_closure(points, field: StripField, t: float, min_arc: float, tol: float) -> bool:
@@ -429,13 +429,14 @@ def localized_fraction(grid: StripGrid, vec: np.ndarray) -> float:
     return float(mass[inner].sum() / total)
 
 
-def pencil_weight(field: StripField) -> sp.csr_matrix:
-    """Weight B of the spectral pencil J w = mu B w at a solved field.
+def pencil_weight(field: StripField) -> np.ndarray:
+    """Diagonal of the weight B of the spectral pencil J w = mu B w at a
+    solved field, in the unknown ordering.
 
-    B is the diagonal of the central-difference 1/h_p at interior nodes and
-    zero on the surface-condition rows: that weighting makes the discrete
-    spectrum match the physical-plane linearized operator, whose continuous
-    spectrum starts at nu0 (the plain hodograph eigenproblem differs by the
+    B is the central-difference 1/h_p at interior nodes and zero on the
+    surface-condition rows: that weighting makes the discrete spectrum match
+    the physical-plane linearized operator, whose continuous spectrum starts
+    at nu0 (the plain hodograph eigenproblem differs by the
     factor h_p and would not be comparable to the 1-D edge).  The spectral
     monitor and the Lyapunov-Schmidt eigen-data both use this pencil.
     """
@@ -444,26 +445,48 @@ def pencil_weight(field: StripField) -> sp.csr_matrix:
     hp_c = (field.h[: nq - 1, 2:] - field.h[: nq - 1, :-2]) / (2.0 * grid.dp)
     bdiag = np.zeros((nq - 1, npp - 1))
     bdiag[:, : npp - 2] = 1.0 / hp_c
-    return sp.diags(bdiag.ravel(), format="csr")
+    return bdiag.ravel()
 
 
-def shift_invert_eigs(J, B, sigma: float, k: int, bw: int):
-    """k eigenpairs of the pencil J w = mu B w nearest sigma, real, in
-    ascending order of mu: ARPACK in shift-invert mode on one band LU factor
-    of J - sigma B (half-bandwidth bw).
+def shift_invert_eigs(J, b: np.ndarray, sigma: float, k: int, left: bool = False):
+    """k eigenpairs of the pencil J w = mu B w, B = diag(b), nearest sigma,
+    real, in ascending order of mu: ARPACK in shift-invert mode on one band LU
+    factor of J - sigma B, a shift of J's main diagonal.
 
-    The start vector is deterministic but unstructured: a symmetric one
-    (constant) can span an invariant subspace at uniform streams and break
-    Arnoldi.  ARPACK failure and complex eigenvalues raise NumericalError.
+    With left=True, also returns the matching left eigenvectors (J^T w =
+    mu B w) as a third array, from a second Arnoldi run on the transposed
+    solves of the same factor.  The start vector is deterministic but
+    unstructured: a symmetric one (constant) can span an invariant subspace at
+    uniform streams and break Arnoldi.  ARPACK failure and complex eigenvalues
+    raise NumericalError.
     """
-    v0 = np.random.default_rng(1234).standard_normal(J.shape[0])
+    lu = band_lu(J.shift_diagonal(-sigma * b))
+    vals, vecs = _arnoldi(J.matvec, b, sigma, k, lu.solve)
+    if not left:
+        return vals, vecs
+    _, lvecs = _arnoldi(J.rmatvec, b, sigma, k, lambda x: lu.solve(x, trans=True))
+    return vals, vecs, lvecs
+
+
+def _arnoldi(matvec, b, sigma, k, solve):
+    """ARPACK eigs in shift-invert mode on the pencil of the operator `matvec`
+    and diag(b); `solve` applies the inverse of the shifted operator."""
+    n = b.size
+    v0 = np.random.default_rng(1234).standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    lu = band_lu(J - sigma * B, bw)
-    OPinv = LinearOperator(J.shape, matvec=lu.solve, dtype=float)
+    # scipy's ARPACK wrapper keeps the operators it is given in reference
+    # cycles, alive until the cyclic collector runs; reaching the matrix and
+    # the factor through `held`, emptied on return, frees them at once
+    held = [matvec, solve]
+    A = LinearOperator((n, n), matvec=lambda x: held[0](x), dtype=float)
+    OPinv = LinearOperator((n, n), matvec=lambda x: held[1](x), dtype=float)
+    M = LinearOperator((n, n), matvec=lambda x: b * x, dtype=float)
     try:
-        vals, vecs = eigs(J, k=k, M=B, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+        vals, vecs = eigs(A, k=k, M=M, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
     except (ArpackError, ArpackNoConvergence) as exc:
         raise NumericalError(f"shift-invert eigensolve failed: {exc}") from exc
+    finally:
+        held.clear()
     scale = 1.0 + np.abs(vals.real).max()
     if np.abs(vals.imag).max() > 1e-6 * scale:
         raise NumericalError(
@@ -494,10 +517,10 @@ def spectrum_at(
     nu0 = spectrum1d.nu0(spectrum1d.robin_problem(s, spec, grid_n=nu0_grid_n))
 
     J = assemble_jacobian(field, spec)
-    B = pencil_weight(field)
+    b = pencil_weight(field)
     sigma = -1.5 * nu0
     for _ in range(4):
-        vals, vecs = shift_invert_eigs(J, B, sigma, k, grid.np)
+        vals, vecs = shift_invert_eigs(J, b, sigma, k)
         frac = np.array([localized_fraction(grid, vecs[:, j]) for j in range(k)])
         localized = frac >= _LOCALIZED
         if np.any(localized & (vals < 0.0)):
@@ -632,7 +655,7 @@ def replay_checkpoint(field: StripField, spec: VorticitySpec) -> float:
     Converged checkpoints must replay below 1e-12.
     """
     J = assemble_jacobian(field, spec)
-    dx = band_lu(J, field.grid.np).solve(-residual_vector(field, spec))
+    dx = band_lu(J).solve(-residual_vector(field, spec))
     return float(np.abs(dx).max())
 
 

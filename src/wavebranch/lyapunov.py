@@ -449,9 +449,8 @@ def _pencil_eigendata(field, J, ip_weight):
     """Right/left eigenpair of the spectral pencil of the field
     (branch.pencil_weight) nearest 0, normalized <v, v> = 1 and <v, w> = 1 in
     the grid inner product."""
-    B = branch_mod.pencil_weight(field)
-    vals, vecs = branch_mod.shift_invert_eigs(J, B, 1e-10, 1, field.grid.np)
-    _, lvecs = branch_mod.shift_invert_eigs(J.T, B, 1e-10, 1, field.grid.np)
+    b = branch_mod.pencil_weight(field)
+    vals, vecs, lvecs = branch_mod.shift_invert_eigs(J, b, 1e-10, 1, left=True)
     mu = float(vals[0])
     v = vecs[:, 0]
     w = lvecs[:, 0]
@@ -473,6 +472,7 @@ def family_from_branch(bracket, spec, t_star, ctrl=None):
     grid = a.field.grid
     weight = grid.dq * grid.dp
     base_cache: dict[float, object] = {}
+    eig_cache: dict[float, EigenData] = {}
 
     def base(lam: float):
         if lam not in base_cache:
@@ -492,8 +492,10 @@ def family_from_branch(bracket, spec, t_star, ctrl=None):
         return assemble_jacobian(fld, spec)
 
     def eigendata(lam: float) -> EigenData:
-        fld = base(lam).field
-        return _pencil_eigendata(fld, assemble_jacobian(fld, spec), weight)
+        if lam not in eig_cache:
+            fld = base(lam).field
+            eig_cache[lam] = _pencil_eigendata(fld, assemble_jacobian(fld, spec), weight)
+        return eig_cache[lam]
 
     n = (grid.nq - 1) * (grid.np - 1)
     fam = AnalyticFamily(n=n, f=f, df=df, eigendata=eigendata, ip_weight=weight)

@@ -20,12 +20,13 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
     BelowCriticalError,
     CheckpointFormatError,
+    DomainError,
     NonConvergenceError,
     NumericalError,
     StagnationBreachError,
@@ -49,6 +50,7 @@ __all__ = [
     "residual",
     "residual_vector",
     "assemble_jacobian",
+    "BandMatrix",
     "BandLU",
     "band_lu",
     "newton_solve",
@@ -231,16 +233,98 @@ def residual_vector(field: StripField, spec: VorticitySpec) -> np.ndarray:
     return _packed(residual(field, spec))
 
 
-def _ext_cols(ii: np.ndarray, jj: np.ndarray, nq: int, npp: int):
-    """Map extended-array entries (ii, jj) to unknown column indices.
+def _stencil_slots(field: StripField, spec: VorticitySpec) -> np.ndarray:
+    """Exact derivatives of the discrete residual by stencil slot.
 
-    The ghost column ii = 0 folds onto the physical column i = 1; bottom
-    (j = 0) and far-field (i = nq-1) entries are pinned and masked out.
-    """
-    i_phys = np.where(ii == 0, 1, ii - 1)
-    valid = (jj >= 1) & (i_phys <= nq - 2)
-    col = i_phys * (npp - 1) + (jj - 1)
-    return col, valid, i_phys
+    Row (i, j) couples to h(i+di, j+dj) with di, dj in {-1, 0, 1}, and the
+    surface rows also to dj = -2.  The result has shape (3, 4, nq-1, np-1):
+    [di+1, dj+2, i, j-1] is the derivative of row (i, j) with respect to
+    h(i+di, j+dj), with the ghost column (i+di = -1) already folded onto
+    i = 1.  Bottom (j+dj = 0) and far-field (i+di = nq-1) slots are kept."""
+    grid = field.grid
+    dq, dp = grid.dq, grid.dp
+    _, a, b, _, c, e, _, g, m = _flux_pieces(field, spec)
+
+    # interior row (i, j) is (Gp(i, j) - Gp(i, j-1))/dp - (Fq(i+1, j) - Fq(i, j))/dq;
+    # Gp depends on b (the 2 nodes of the p-face) and a (4 nodes, 2 columns
+    # either side), Fq on c (the 2 nodes of the q-face) and e (4 nodes)
+    ga = a / (b * b) * (1.0 / dp) / (4.0 * dq)
+    gb = -(1.0 + a * a) / (b * b * b) * (1.0 / dp) / dp
+    fc = 1.0 / e * (1.0 / dq) / dq
+    fe = -c / (e * e) * (1.0 / dq) / (4.0 * dp)
+    au, al = ga[:, 1:], -ga[:, :-1]  # upper face Gp(j), lower face Gp(j-1)
+    bu, bl = gb[:, 1:], -gb[:, :-1]
+    cr, cl = -fc[1:], fc[:-1]  # right face Fq(i+1), left face Fq(i)
+    er, el = -fe[1:], fe[:-1]
+
+    S = np.zeros((3, 4, grid.nq - 1, grid.np - 1))
+    S[1, 3, :, :-1] = bu + er + el
+    S[1, 2, :, :-1] = -bu + bl - cr + cl
+    S[1, 1, :, :-1] = -bl - er - el
+    S[2, 3, :, :-1] = au + er
+    S[2, 2, :, :-1] = au + al + cr
+    S[2, 1, :, :-1] = al - er
+    S[0, 3, :, :-1] = -au + el
+    S[0, 2, :, :-1] = -au - al - cl
+    S[0, 1, :, :-1] = -al - el
+
+    # surface row: (1 + g^2)/(2 m^2) + h - R, g central in q, m one-sided in p
+    dBdg = g / (m * m) / (2.0 * dq)
+    dBdm = -(1.0 + g * g) / (m * m * m)
+    S[2, 2, :, -1] = dBdg
+    S[0, 2, :, -1] = -dBdg
+    S[1, 2, :, -1] = dBdm * (3.0 / (2.0 * dp)) + 1.0
+    S[1, 1, :, -1] = dBdm * (-4.0 / (2.0 * dp))
+    S[1, 0, :, -1] = dBdm * (1.0 / (2.0 * dp))
+
+    # even symmetry: the ghost column he[0] is h[1], so at i = 0 the di = -1
+    # derivatives belong to the same column as di = +1
+    S[2, :, 0] += S[0, :, 0]
+    S[0, :, 0] = 0.0
+    return S
+
+
+@dataclass(frozen=True, eq=False)
+class BandMatrix:
+    """Square matrix of half-bandwidth bw in LAPACK band storage: A[i, j] sits
+    at ab[bw + i - j, j], so row bw of ab is the main diagonal.  Products are
+    BLAS dgbmv."""
+
+    ab: np.ndarray  # (2*bw + 1, n), Fortran order
+    bw: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.ab.shape[1]
+        return n, n
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for x of shape (n,)."""
+        n = self.ab.shape[1]
+        return dgbmv(n, n, self.bw, self.bw, 1.0, self.ab, x)
+
+    __matmul__ = matvec
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """A.T @ x for x of shape (n,)."""
+        n = self.ab.shape[1]
+        return dgbmv(n, n, self.bw, self.bw, 1.0, self.ab, x, trans=1)
+
+    def shift_diagonal(self, d) -> "BandMatrix":
+        """A copy of the matrix with d added to its main diagonal."""
+        ab = self.ab.copy(order="F")
+        ab[self.bw] += d
+        return BandMatrix(ab, self.bw)
+
+    def toarray(self) -> np.ndarray:
+        """Dense copy (for small matrices)."""
+        n, bw = self.ab.shape[1], self.bw
+        out = np.zeros((n, n))
+        for off in range(-bw, bw + 1):
+            # the diagonal i - j = off, at columns j
+            j = np.arange(max(0, -off), min(n, n - off))
+            out[j + off, j] = self.ab[bw + off, j]
+        return out
 
 
 def assemble_jacobian(
@@ -248,147 +332,109 @@ def assemble_jacobian(
     spec: VorticitySpec,
     with_boundary_cols: bool = False,
 ):
-    """Exact Jacobian of the discrete residual, as a CSR matrix over unknowns.
+    """Exact Jacobian of the discrete residual over the unknowns, as a
+    BandMatrix of half-bandwidth np: each stencil slot is copied into its band
+    row by slicing.  Bottom entries (j + dj = 0) are pinned and dropped.
 
-    With with_boundary_cols=True, additionally returns the (N x np) matrix of
-    derivatives with respect to the pinned far-field column h(L, p_j), needed
-    by the continuation driver where that column depends on R.
+    With with_boundary_cols=True, additionally returns the dense (np-1, np)
+    block of derivatives of the last unknown column's rows (i = nq-2) with
+    respect to the pinned far-field column h(L, p_j), needed by the
+    continuation driver where that column depends on R; no other row touches
+    the far-field column.
     """
     _check_unidirectional(field)
     grid = field.grid
-    nq, npp = grid.nq, grid.np
-    dq, dp = grid.dq, grid.dp
-    N = grid.n_unknowns
-    _, a, b, _, c, e, _, g, m = _flux_pieces(field, spec)
+    npp = grid.np
+    n = grid.n_unknowns
+    S = _stencil_slots(field, spec)
 
-    dGda = a / (b * b)  # (nq-1, np-1)
-    dGdb = -(1.0 + a * a) / (b * b * b)
-    dFdc = 1.0 / e  # (nq, np-2)
-    dFde = -c / (e * e)
+    if with_boundary_cols:
+        # row (nq-2, j) couples to h(L, j + dj) through slot [2, dj + 2]
+        far = np.zeros((npp - 1, npp))
+        r = np.arange(npp - 1)
+        for dj in (-1, 0, 1):
+            ok = r + 1 + dj <= npp - 1
+            far[r[ok], r[ok] + 1 + dj] = S[2, dj + 2, -1, ok]
+    S[2, :, -1] = 0.0  # the far-field column is pinned
+    S[:, 1, :, 0] = 0.0  # so is the bottom
 
-    rows_l, iis_l, jjs_l, vals_l = [], [], [], []
-
-    def add(rows, ii, jj, vals):
-        rows_l.append(rows.ravel())
-        iis_l.append(ii.ravel())
-        jjs_l.append(jj.ravel())
-        vals_l.append(vals.ravel())
-
-    # interior rows (i = 0..nq-2, j = 1..np-2)
-    I, J = np.meshgrid(np.arange(nq - 1), np.arange(1, npp - 1), indexing="ij")
-    rows = I * (npp - 1) + (J - 1)
-
-    # usage: +1/dp * Gp(i, j) and -1/dp * Gp(i, j-1)
-    for jf, sgn in ((J, 1.0 / dp), (J - 1, -1.0 / dp)):
-        da = dGda[I, jf] * sgn
-        db = dGdb[I, jf] * sgn
-        add(rows, I + 1, jf + 1, db / dp)
-        add(rows, I + 1, jf, -db / dp)
-        for jslot in (jf, jf + 1):
-            add(rows, I + 2, jslot, da / (4.0 * dq))
-            add(rows, I, jslot, -da / (4.0 * dq))
-
-    # usage: -1/dq * Fq(f = i+1, j) and +1/dq * Fq(f = i, j)
-    for f, sgn in ((I + 1, -1.0 / dq), (I, 1.0 / dq)):
-        dc = dFdc[f, J - 1] * sgn
-        de = dFde[f, J - 1] * sgn
-        add(rows, f + 1, J, dc / dq)
-        add(rows, f, J, -dc / dq)
-        for fslot in (f, f + 1):
-            add(rows, fslot, J + 1, de / (4.0 * dp))
-            add(rows, fslot, J - 1, -de / (4.0 * dp))
-
-    # surface rows (i = 0..nq-2)
-    i_s = np.arange(nq - 1)
-    rows_s = i_s * (npp - 1) + (npp - 2)
-    dBdg = g / (m * m)
-    dBdm = -(1.0 + g * g) / (m * m * m)
-    last = np.full(nq - 1, npp - 1)
-    add(rows_s, i_s + 2, last, dBdg / (2.0 * dq))
-    add(rows_s, i_s, last, -dBdg / (2.0 * dq))
-    add(rows_s, i_s + 1, last, dBdm * (3.0 / (2.0 * dp)) + 1.0)
-    add(rows_s, i_s + 1, last - 1, dBdm * (-4.0 / (2.0 * dp)))
-    add(rows_s, i_s + 1, last - 2, dBdm * (1.0 / (2.0 * dp)))
-
-    rows_all = np.concatenate(rows_l)
-    ii_all = np.concatenate(iis_l)
-    jj_all = np.concatenate(jjs_l)
-    vals_all = np.concatenate(vals_l)
-
-    cols, valid, i_phys = _ext_cols(ii_all, jj_all, nq, npp)
-    J_mat = sp.coo_matrix(
-        (vals_all[valid], (rows_all[valid], cols[valid])), shape=(N, N)
-    ).tocsr()
+    bw = npp
+    ab = np.zeros((2 * bw + 1, n), order="F")
+    for di in (-1, 0, 1):
+        for dj in (-2, -1, 0, 1) if di == 0 else (-1, 0, 1):
+            off = di * (npp - 1) + dj
+            vals = S[di + 1, dj + 2].ravel()
+            # A[k, k + off] sits at ab[bw - off, k + off]
+            if off >= 0:
+                ab[bw - off, off:] = vals[: n - off]
+            else:
+                ab[bw - off, : n + off] = vals[-off:]
+    J = BandMatrix(ab, bw)
     if not with_boundary_cols:
-        return J_mat
-
-    far = (~valid) & (i_phys == nq - 1)
-    J_bnd = sp.coo_matrix(
-        (vals_all[far], (rows_all[far], jj_all[far])), shape=(N, npp)
-    ).tocsr()
-    return J_mat, J_bnd
+        return J
+    return J, far
 
 
 @dataclass(frozen=True, eq=False)
 class BandLU:
-    """LU factors of a row-scaled banded matrix in LAPACK band storage.
+    """LU factors of a row-scaled BandMatrix (LAPACK dgbtrf).
 
-    `matrix` is the factored sparse matrix itself, kept for the residuals of
+    `matrix` is the factored BandMatrix itself, kept for the residuals of
     iterative refinement; diag(row_scale) @ matrix is what dgbtrf factored.
     """
 
-    matrix: sp.spmatrix
+    matrix: BandMatrix
     row_scale: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
-    bw: int
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve matrix @ x = rhs for rhs of shape (n,) or (n, k) (dgbtrs)."""
+    def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
+        """Solve matrix @ x = rhs, or matrix.T @ x = rhs with trans=True, for
+        rhs of shape (n,) or (n, k) (dgbtrs)."""
+        bw = self.matrix.bw
         scale = self.row_scale if rhs.ndim == 1 else self.row_scale[:, None]
-        x, info = dgbtrs(self.lu, self.bw, self.bw, scale * rhs, self.piv, overwrite_b=1)
+        if trans:
+            # (D A)^T = A^T D with D = diag(row_scale): solve, then apply D
+            x, info = dgbtrs(self.lu, bw, bw, rhs, self.piv, trans=1)
+            x *= scale
+        else:
+            x, info = dgbtrs(self.lu, bw, bw, scale * rhs, self.piv, overwrite_b=1)
         if info != 0:
             raise ValueError(f"dgbtrs: illegal value in argument {-info}")
         return x
 
 
-def band_lu(A: sp.spmatrix, bw: int) -> BandLU:
-    """Factor a square sparse matrix whose entries all lie within bw of the
-    diagonal by band LU with partial pivoting (LAPACK dgbtrf).
+def band_lu(A: BandMatrix) -> BandLU:
+    """Factor a BandMatrix by band LU with partial pivoting (LAPACK dgbtrf).
 
-    The strip Jacobian has bw = grid.np: unknown k = i*(np-1) + (j-1) couples
-    only to k +- (np-1) +- 1.  Rows are first scaled by powers of two to unit
-    maximum, which is exact: unscaled, the surface rows and the interior rows
+    Rows are first scaled by powers of two to unit maximum, which is exact:
+    unscaled, the surface rows and the interior rows of the strip Jacobian
     differ in size enough that partial pivoting loses about a decimal digit.
-    An entry outside the band raises ValueError instead of being dropped; an
-    exactly singular matrix (a zero row or pivot) raises NumericalError.
+    An exactly singular matrix (a zero row or pivot) raises NumericalError.
     """
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"band_lu needs a square matrix, got shape {A.shape}")
-    coo = A.tocoo()
-    coo.sum_duplicates()
-    off = coo.row - coo.col
-    if off.size and np.abs(off).max() > bw:
-        raise ValueError(
-            f"matrix entry at diagonal offset {off[np.abs(off).argmax()]} lies "
-            f"outside the band of half-width {bw}"
-        )
+    bw, n = A.bw, A.shape[0]
+    # the diagonals i - j = off that hold an entry (10 of the 2 np + 1 of the
+    # strip Jacobian's band), each as its rows i and its columns j = i - off
+    diagonals = [
+        (off, slice(max(0, off), min(n, n + off)), slice(max(0, -off), min(n, n - off)))
+        for off in np.flatnonzero(A.ab.any(axis=1)) - bw
+    ]
     row_max = np.zeros(n)
-    np.maximum.at(row_max, coo.row, np.abs(coo.data))
+    for off, rows, cols in diagonals:
+        np.maximum(row_max[rows], np.abs(A.ab[bw + off, cols]), out=row_max[rows])
     if not row_max.all():
         raise NumericalError("band LU: matrix is singular (a row is zero)")
     row_scale = np.exp2(-np.round(np.log2(row_max)))
-    # A[i, j] sits in row 2*bw + i - j of column j; the top bw rows are room
-    # for the fill-in that row pivoting creates
+    # the top bw rows of the factor are room for the fill-in of row pivoting
     ab = np.zeros((3 * bw + 1, n), order="F")
-    ab[2 * bw + off, coo.col] = row_scale[coo.row] * coo.data
+    for off, rows, cols in diagonals:
+        np.multiply(A.ab[bw + off, cols], row_scale[rows], out=ab[2 * bw + off, cols])
     lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
     if info > 0:
         raise NumericalError(f"band LU: matrix is singular (zero pivot in column {info})")
     if info < 0:
         raise ValueError(f"dgbtrf: illegal value in argument {-info}")
-    return BandLU(matrix=A, row_scale=row_scale, lu=lu, piv=piv, bw=bw)
+    return BandLU(matrix=A, row_scale=row_scale, lu=lu, piv=piv)
 
 
 @dataclass
@@ -414,7 +460,6 @@ def newton_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     f = f0.copy()
-    bw = f.grid.np
     res = residual(f, spec)
     info = NewtonInfo(iterations=0, residual_sup=res.sup, step_sups=[])
 
@@ -422,7 +467,7 @@ def newton_solve(
         if res.sup <= tol:
             break
         J = assemble_jacobian(f, spec)
-        dx = band_lu(J, bw).solve(-_packed(res))
+        dx = band_lu(J).solve(-_packed(res))
         x = pack(f)
         alpha = 1.0
         accepted = False
@@ -454,7 +499,7 @@ def newton_solve(
     if 1e-14 < res.sup <= tol:
         # polish: one undamped step to push the residual to the rounding floor
         J = assemble_jacobian(f, spec)
-        dx = band_lu(J, bw).solve(-_packed(res))
+        dx = band_lu(J).solve(-_packed(res))
         trial = unpack(f, pack(f) + dx)
         try:
             trial_res = residual(trial, spec)
@@ -587,8 +632,14 @@ def write_checkpoint(path: str, field: StripField, spec: VorticitySpec) -> None:
 
 
 def read_checkpoint(path: str) -> tuple[StripField, VorticitySpec]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Field and vorticity of a checkpoint; anything that is not a valid
+    checkpoint (bad text, grid or non-finite numbers) raises
+    CheckpointFormatError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a text file: {exc}") from exc
     if not lines or lines[0] != _MAGIC:
         raise CheckpointFormatError(f"{path}: not a wavebranch checkpoint")
     try:
@@ -599,9 +650,14 @@ def read_checkpoint(path: str) -> tuple[StripField, VorticitySpec]:
         R = float(lines[5].split()[1])
         theta = float(lines[6].split()[1])
         h = np.array([[float(t) for t in lines[7 + i].split()] for i in range(nq)])
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, DomainError) as exc:
         raise CheckpointFormatError(f"{path}: malformed checkpoint: {exc}") from exc
     if h.shape != (nq, npp):
         raise CheckpointFormatError(f"{path}: h block shape {h.shape} != ({nq}, {npp})")
-    grid = StripGrid(L=L, nq=nq, np=npp)
+    if not (np.isfinite([L, R, theta]).all() and np.isfinite(h).all()):
+        raise CheckpointFormatError(f"{path}: non-finite value in L, R, theta or h")
+    try:
+        grid = StripGrid(L=L, nq=nq, np=npp)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: bad grid: {exc}") from exc
     return StripField(grid=grid, h=h, R=R, theta=theta), omega

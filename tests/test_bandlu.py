@@ -1,4 +1,5 @@
-"""The band LU core (strip.band_lu) against SuperLU references kept here only."""
+"""The band assembly (strip.assemble_jacobian) and the band LU core
+(strip.band_lu) against sparse and SuperLU references kept here only."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,96 @@ from wavebranch.errors import NumericalError
 
 def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _csc(band):
+    """The BandMatrix as a scipy CSC matrix, built from its band array."""
+    n, bw = band.shape[0], band.bw
+    # band row r holds the diagonal i - j = r - bw at column j, which is where
+    # scipy's DIA format keeps its diagonal j - i = bw - r
+    return sp.dia_matrix((band.ab, bw - np.arange(2 * bw + 1)), shape=(n, n)).tocsc()
+
+
+def _band(A, bw):
+    """The dense square A as a BandMatrix of half-bandwidth bw."""
+    n = A.shape[0]
+    ab = np.zeros((2 * bw + 1, n), order="F")
+    for off in range(-bw, bw + 1):
+        j = np.arange(max(0, -off), min(n, n - off))
+        ab[bw + off, j] = A[j + off, j]
+    return strip.BandMatrix(ab, bw)
+
+
+def _reference_jacobian(field, spec):
+    """Reference strip Jacobian, from one COO triplet per flux derivative over
+    the extended array (ghost column first), summed into CSR by scipy.
+    Returns the (N x N) matrix
+    over the unknowns and the (N x np) matrix of derivatives with respect to
+    the pinned far-field column."""
+    strip._check_unidirectional(field)
+    grid = field.grid
+    nq, npp = grid.nq, grid.np
+    dq, dp = grid.dq, grid.dp
+    N = grid.n_unknowns
+    _, a, b, _, c, e, _, g, m = strip._flux_pieces(field, spec)
+
+    dGda = a / (b * b)
+    dGdb = -(1.0 + a * a) / (b * b * b)
+    dFdc = 1.0 / e
+    dFde = -c / (e * e)
+    rows_l, iis_l, jjs_l, vals_l = [], [], [], []
+
+    def add(rows, ii, jj, vals):
+        rows_l.append(rows.ravel())
+        iis_l.append(ii.ravel())
+        jjs_l.append(jj.ravel())
+        vals_l.append(vals.ravel())
+
+    I, J = np.meshgrid(np.arange(nq - 1), np.arange(1, npp - 1), indexing="ij")
+    rows = I * (npp - 1) + (J - 1)
+    for jf, sgn in ((J, 1.0 / dp), (J - 1, -1.0 / dp)):
+        da = dGda[I, jf] * sgn
+        db = dGdb[I, jf] * sgn
+        add(rows, I + 1, jf + 1, db / dp)
+        add(rows, I + 1, jf, -db / dp)
+        for jslot in (jf, jf + 1):
+            add(rows, I + 2, jslot, da / (4.0 * dq))
+            add(rows, I, jslot, -da / (4.0 * dq))
+    for f, sgn in ((I + 1, -1.0 / dq), (I, 1.0 / dq)):
+        dc = dFdc[f, J - 1] * sgn
+        de = dFde[f, J - 1] * sgn
+        add(rows, f + 1, J, dc / dq)
+        add(rows, f, J, -dc / dq)
+        for fslot in (f, f + 1):
+            add(rows, fslot, J + 1, de / (4.0 * dp))
+            add(rows, fslot, J - 1, -de / (4.0 * dp))
+
+    i_s = np.arange(nq - 1)
+    rows_s = i_s * (npp - 1) + (npp - 2)
+    dBdg = g / (m * m)
+    dBdm = -(1.0 + g * g) / (m * m * m)
+    last = np.full(nq - 1, npp - 1)
+    add(rows_s, i_s + 2, last, dBdg / (2.0 * dq))
+    add(rows_s, i_s, last, -dBdg / (2.0 * dq))
+    add(rows_s, i_s + 1, last, dBdm * (3.0 / (2.0 * dp)) + 1.0)
+    add(rows_s, i_s + 1, last - 1, dBdm * (-4.0 / (2.0 * dp)))
+    add(rows_s, i_s + 1, last - 2, dBdm * (1.0 / (2.0 * dp)))
+
+    rows_all = np.concatenate(rows_l)
+    ii_all = np.concatenate(iis_l)
+    jj_all = np.concatenate(jjs_l)
+    vals_all = np.concatenate(vals_l)
+    # the ghost column ii = 0 folds onto i = 1; bottom (jj = 0) and far-field
+    # (i = nq-1) entries are pinned
+    i_phys = np.where(ii_all == 0, 1, ii_all - 1)
+    valid = (jj_all >= 1) & (i_phys <= nq - 2)
+    cols = i_phys * (npp - 1) + (jj_all - 1)
+    J_mat = sp.coo_matrix(
+        (vals_all[valid], (rows_all[valid], cols[valid])), shape=(N, N)
+    ).tocsr()
+    far = (~valid) & (i_phys == nq - 1)
+    J_bnd = sp.coo_matrix((vals_all[far], (rows_all[far], jj_all[far])), shape=(N, npp)).tocsr()
+    return J_mat, J_bnd
 
 
 @pytest.fixture(scope="module")
@@ -29,39 +120,77 @@ def near_turning(fold_branch):
     return min(pts[1:], key=lambda p: abs(p.t - turning.t))
 
 
+class TestBandAssembly:
+    @pytest.mark.parametrize("wave", ["wave153_medium", "wave153_default"])
+    def test_matches_coo_reference(self, request, irrot, wave):
+        field = request.getfixturevalue(wave)
+        npp = field.grid.np
+        J, J_far = strip.assemble_jacobian(field, irrot, with_boundary_cols=True)
+        ref, ref_bnd = _reference_jacobian(field, irrot)
+        assert J.bw == npp
+        coo = ref.tocoo()
+        # the reference has no entry outside the band
+        assert np.abs(coo.row - coo.col).max() <= npp
+        ref_ab = np.zeros_like(J.ab)
+        ref_ab[npp + coo.row - coo.col, coo.col] = coo.data
+        assert np.abs(J.ab - ref_ab).max() <= 1e-15 * np.abs(ref_ab).max()
+        # only the last unknown column's rows touch the far-field column
+        bnd = ref_bnd.toarray()
+        assert not bnd[: -(npp - 1)].any()
+        assert np.array_equal(J_far, bnd[-(npp - 1) :])
+
+    def test_matvec_is_the_dense_product(self, irrot, wave153_small):
+        J = strip.assemble_jacobian(wave153_small, irrot)
+        A = J.toarray()
+        x = np.random.default_rng(3).standard_normal(J.shape[0])
+        assert _rel(J @ x, A @ x) <= 1e-14
+        assert _rel(J.rmatvec(x), A.T @ x) <= 1e-14
+        assert np.array_equal(_band(A, J.bw).ab, J.ab)
+
+    def test_diagonal_shift_is_the_sparse_difference(self, irrot, wave153_small):
+        J = strip.assemble_jacobian(wave153_small, irrot)
+        b = branch.pencil_weight(wave153_small)
+        sigma = -0.37
+        shifted = J.shift_diagonal(-sigma * b)
+        ref = _csc(J) - sigma * sp.diags(b)
+        assert (_csc(shifted) != ref).nnz == 0
+        assert np.array_equal(J.ab, strip.assemble_jacobian(wave153_small, irrot).ab)
+
+
 class TestBandSolve:
     @pytest.mark.parametrize("wave", ["wave153_medium", "wave153_default"])
     def test_matches_spsolve(self, request, irrot, wave):
         field = request.getfixturevalue(wave)
         J = strip.assemble_jacobian(field, irrot)
         rhs = np.random.default_rng(5).standard_normal(J.shape[0])
-        x = strip.band_lu(J, field.grid.np).solve(rhs)
-        assert _rel(x, spsolve(J.tocsc(), rhs)) <= 1e-12
+        x = strip.band_lu(J).solve(rhs)
+        assert _rel(x, spsolve(_csc(J), rhs)) <= 1e-12
+
+    @pytest.mark.parametrize("wave", ["wave153_medium", "wave153_default"])
+    def test_transposed_solve_matches_spsolve(self, request, irrot, wave):
+        field = request.getfixturevalue(wave)
+        J = strip.assemble_jacobian(field, irrot)
+        rhs = np.random.default_rng(8).standard_normal(J.shape[0])
+        x = strip.band_lu(J).solve(rhs, trans=True)
+        assert _rel(x, spsolve(_csc(J).T.tocsc(), rhs)) <= 1e-12
 
     def test_repeat_is_bitwise_identical(self, irrot, wave153_medium):
         J = strip.assemble_jacobian(wave153_medium, irrot)
         rhs = np.random.default_rng(6).standard_normal((J.shape[0], 2))
-        bw = wave153_medium.grid.np
-        a = strip.band_lu(J, bw).solve(rhs)
-        b = strip.band_lu(J, bw).solve(rhs)
+        a = strip.band_lu(J).solve(rhs)
+        b = strip.band_lu(J).solve(rhs)
         assert a.tobytes() == b.tobytes()
 
     def test_singular_raises_numerical_error(self):
         # two equal rows: no zero row, but a zero pivot in the second column
-        A = sp.csr_matrix(
+        A = np.array(
             [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]
         )
         with pytest.raises(NumericalError, match="zero pivot in column 2"):
-            strip.band_lu(A, 1)
+            strip.band_lu(_band(A, 1))
         A[1, 0] = A[1, 1] = 0.0
         with pytest.raises(NumericalError, match="row is zero"):
-            strip.band_lu(A, 1)
-
-    def test_entry_outside_band_rejected(self, irrot, wave153_small):
-        J = strip.assemble_jacobian(wave153_small, irrot)
-        with pytest.raises(ValueError, match="outside the band"):
-            strip.band_lu(J, wave153_small.grid.np - 1)
-
+            strip.band_lu(_band(A, 1))
 
 class TestBorderedSolve:
     def test_block_elimination_matches_bordered_spsolve(self, irrot, near_turning):
@@ -75,7 +204,7 @@ class TestBorderedSolve:
 
         A = sp.bmat(
             [
-                [lu.matrix, sp.csc_matrix(F_R.reshape(-1, 1))],
+                [_csc(lu.matrix), sp.csc_matrix(F_R.reshape(-1, 1))],
                 [sp.csc_matrix(w.reshape(1, -1)), sp.csc_matrix([[p.tangent_lam]])],
             ],
             format="csc",
@@ -93,7 +222,7 @@ class TestSpectrum:
         info = branch.spectrum_at(fld, irrot, k=8, nu0_grid_n=512)
 
         # SuperLU shift-invert of the same pencil, with the same shift deepening
-        J = strip.assemble_jacobian(fld, irrot).tocsc()
+        J = _csc(strip.assemble_jacobian(fld, irrot))
         hp_c = (fld.h[: grid.nq - 1, 2:] - fld.h[: grid.nq - 1, :-2]) / (2.0 * grid.dp)
         bdiag = np.zeros((grid.nq - 1, grid.np - 1))
         bdiag[:, :-1] = 1.0 / hp_c

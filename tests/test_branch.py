@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from wavebranch import branch, spectrum1d as sp1, stream as st, strip
 from wavebranch.errors import DegenerateTangentError
@@ -16,7 +15,20 @@ class FoldSystem:
         return np.array([x[0] ** 2 + lam])
 
     def linearize(self, x, lam):
-        return strip.band_lu(sp.csr_matrix([[2.0 * x[0]]]), 0), np.array([1.0])
+        J = strip.BandMatrix(np.array([[2.0 * x[0]]]), 0)
+        return strip.band_lu(J), np.array([1.0])
+
+
+class BrokenSystem(FoldSystem):
+    """FoldSystem whose linearization has a bug: a non-package exception."""
+
+    def __init__(self, exc_type):
+        self.exc_type = exc_type
+        self.calls = 0
+
+    def linearize(self, x, lam):
+        self.calls += 1
+        raise self.exc_type("bug in linearize")
 
 
 class TestGenericDriver:
@@ -31,6 +43,17 @@ class TestGenericDriver:
         assert xs.min() < 0.0 < xs.max()  # passes through the fold
         tl = np.array([s.tangent_lam for s in steps])
         assert tl.max() > 0.0 > tl.min()  # lam-tangent changes sign at the fold
+
+    @pytest.mark.parametrize("exc_type", [RuntimeError, TypeError])
+    def test_bug_in_system_propagates_at_once(self, exc_type):
+        # only package errors mean "step too long"; anything else is a bug and
+        # must not be retried at halved ds down to a BranchStallError
+        sys_ = BrokenSystem(exc_type)
+        with pytest.raises(exc_type, match="bug in linearize"):
+            branch.arclength_continue(
+                sys_, np.array([1.0]), -1.0, (np.array([-1.0]), 2.0), ds=0.12, steps=3
+            )
+        assert sys_.calls == 1
 
     def test_arclength_accumulates(self):
         steps, _ = branch.arclength_continue(

@@ -179,6 +179,27 @@ class TestContinueAndVerify:
             assert f"point_{idx:04d}.txt: ok" in out
         assert err == ""
 
+    def test_verify_reports_bad_grid_and_non_finite_checkpoints(
+        self, branch_dir, tmp_path, capsys
+    ):
+        # a grid below the minimum and a non-finite L are checkpoint format
+        # errors (FAIL, exit 1), not configuration errors (exit 2)
+        import shutil
+
+        bad_dir = tmp_path / "bad"
+        shutil.copytree(branch_dir, bad_dir)
+        lines = (bad_dir / "point_0001.txt").read_text().splitlines()
+        small = lines[:3] + ["nq 5", "np 5"] + lines[5:7] + [" ".join(["0.5"] * 5)] * 5
+        (bad_dir / "point_0001.txt").write_text("\n".join(small) + "\n")
+        lines = (bad_dir / "point_0002.txt").read_text().splitlines()
+        lines[2] = "L nan"
+        (bad_dir / "point_0002.txt").write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", "--dir", str(bad_dir))
+        assert code == 1
+        assert "FAIL point_0001.txt" in out and "bad grid" in out
+        assert "FAIL point_0002.txt" in out and "non-finite" in out
+        assert err == ""
+
     def test_pairs_command_on_monotone_branch(self, branch_dir, capsys):
         code, out, _ = run(capsys, "pairs", "--branch", str(branch_dir))
         assert code == 0

@@ -238,6 +238,24 @@ class TestPdeWiring:
         mid = branch.point_at_arclength(a, irrot, t_mid, nu0_grid_n=256)
         assert fam.eigendata(0.0).mu == pytest.approx(mid.mu1, abs=1e-10)
 
+    def test_pde_eigendata_is_cached_per_lam(self, mini_branch, irrot, monkeypatch):
+        # one factorization of J - sigma B serves the right and the left
+        # eigenvectors, and repeated calls at one lam reuse the eigen-data
+        a, b = mini_branch[2], mini_branch[3]
+        fam = ly.family_from_branch((a, b), irrot, 0.5 * (a.t + b.t))
+        fam.base(0.0)
+        factorizations = []
+        original = branch.band_lu
+
+        def counted(A):
+            factorizations.append(A.shape)
+            return original(A)
+
+        monkeypatch.setattr(branch, "band_lu", counted)
+        eds = [fam.eigendata(0.0) for _ in range(3)]
+        assert len(factorizations) == 1
+        assert eds[0] is eds[1] is eds[2]
+
     def test_pde_eigendata_arpack_failure_is_numerical_error(
         self, mini_branch, irrot, monkeypatch
     ):

@@ -5,7 +5,7 @@ import scipy.linalg
 from wavebranch import spectrum1d as sp1
 from wavebranch import stream as st
 from wavebranch import strip
-from wavebranch.errors import BelowCriticalError, StagnationBreachError
+from wavebranch.errors import BelowCriticalError, CheckpointFormatError, StagnationBreachError
 from wavebranch.vorticity import VorticitySpec
 
 
@@ -203,6 +203,15 @@ class TestConvergenceInvariants:
         assert trunc_change < abs(xb - xa)
 
 
+def _small_checkpoint_lines(path):
+    """Write a valid checkpoint on the smallest grid (9x9) to path and return
+    its lines."""
+    g = strip.StripGrid(L=3.0, nq=9, np=9)
+    f = strip.StripField(g, np.tile(g.p, (9, 1)), 1.6, 1.2)
+    strip.write_checkpoint(str(path), f, VorticitySpec([1.0, -2.0]))
+    return path.read_text().splitlines()
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, irrot, wave153_small, tmp_path):
         path = tmp_path / "w.txt"
@@ -218,10 +227,26 @@ class TestCheckpoint:
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("not a checkpoint\n")
-        from wavebranch.errors import CheckpointFormatError
-
         with pytest.raises(CheckpointFormatError):
             strip.read_checkpoint(str(p))
+
+    def test_bad_grid_rejected(self, tmp_path):
+        # a 5x5 grid is below StripGrid's minimum of 9 nodes per direction
+        path = tmp_path / "c.txt"
+        lines = _small_checkpoint_lines(path)
+        small = lines[:3] + ["nq 5", "np 5"] + lines[5:7] + [" ".join(["0.5"] * 5)] * 5
+        path.write_text("\n".join(small) + "\n")
+        with pytest.raises(CheckpointFormatError, match="bad grid"):
+            strip.read_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ["L", "R", "theta"])
+    def test_non_finite_rejected(self, tmp_path, key):
+        path = tmp_path / "c.txt"
+        lines = [f"{key} nan" if ln.startswith(key + " ") else ln
+                 for ln in _small_checkpoint_lines(path)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            strip.read_checkpoint(str(path))
 
 
 from hypothesis import given, settings
@@ -254,3 +279,45 @@ def test_checkpoint_floats_round_trip_exactly(tmp_path_factory, vals, Rval):
     assert np.array_equal(fld.h, f.h)
     assert fld.R == f.R and fld.theta == f.theta
     assert omega.coeffs == spec.coeffs
+
+
+_TOKENS = st_h.sampled_from(
+    ["nan", "-inf", "inf", "1e999", "0", "-1", "5", "8", "9", "0.5", "", " ", "x", "1e3", "1.5"]
+) | st_h.text(st_h.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@given(
+    data=st_h.data(),
+    kind=st_h.sampled_from(["replace-token", "drop-line", "duplicate-line", "insert-text",
+                            "truncate"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_fuzz_reads_or_rejects(tmp_path_factory, data, kind):
+    """Mutated checkpoint text yields a valid field or CheckpointFormatError,
+    never another exception."""
+    lines = _small_checkpoint_lines(tmp_path_factory.mktemp("fuzz") / "valid.txt")
+    k = data.draw(st_h.integers(0, len(lines) - 1))
+    if kind == "replace-token":
+        toks = lines[k].split(" ")
+        t = data.draw(st_h.integers(0, len(toks) - 1))
+        toks[t] = data.draw(_TOKENS)
+        lines[k] = " ".join(toks)
+    elif kind == "drop-line":
+        del lines[k]
+    elif kind == "duplicate-line":
+        lines.insert(k, lines[k])
+    elif kind == "insert-text":
+        pos = data.draw(st_h.integers(0, len(lines[k])))
+        lines[k] = lines[k][:pos] + data.draw(_TOKENS) + lines[k][pos:]
+    else:
+        lines = lines[:k]
+    path = tmp_path_factory.mktemp("fuzz") / "c.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        fld, omega = strip.read_checkpoint(str(path))
+    except CheckpointFormatError:
+        return
+    grid = fld.grid
+    assert fld.h.shape == (grid.nq, grid.np) and grid.nq >= 9 and grid.np >= 9
+    assert np.isfinite(fld.h).all() and np.isfinite([grid.L, fld.R, fld.theta]).all()
+    assert grid.L > 0 and all(np.isfinite(omega.coeffs))
