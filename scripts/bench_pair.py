@@ -32,12 +32,21 @@ outputs is checked on every pair.  Each side's digest is read from its own
 `.perfbench_out/digests.json`, under the key that side's perfbench/run.py
 gives its source tree.
 
+After the pairs, every workload runs once more on each side with
+`perfbench/run.py --trace 1` (seed 101), its process tree pinned to one CPU.
+On one CPU the continuation computes its spectra inline rather than in a
+forked worker, so the spans of every layer, the spectral ones included, are
+recorded in the traced unit's own process.  The traced fold-pairs output must
+also match the digest of the untraced runs of the same seed and tree.
+
 Everything perfbench writes stays in each side's own git-ignored
 `.perfbench_out/`.  The per-pair results are also saved as
 `.perfbench_out/bench_pair.json` in the working tree, with a "summary" that
 holds, per workload: each side's failed and attempted ops and env lines, per
 end-to-end metric each side's median, q1 and q3 with the win count and the
-mark, and, seed by seed, whether the output digests match.
+mark, and, seed by seed, whether the output digests match; and a "trace"
+that holds, per workload, each side's per-layer metrics.  That file is the
+whole `BENCH_<n>.json` record of a change.
 """
 
 from __future__ import annotations
@@ -63,15 +72,22 @@ def export_commit(commit: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
-def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in the checkout at `root`; returns its
-    summary line (correct, attempted, failed, metrics) with its env line
-    (machine and library versions) under "env"."""
+def pin_to_one_cpu() -> None:
+    """Restrict the calling process, and so every process it starts, to the
+    lowest CPU it may run on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run in the checkout at `root`, untraced or (trace=1)
+    traced on one CPU; returns its summary line (correct, attempted, failed,
+    metrics) with its env line (machine and library versions) under "env"."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    pin = pin_to_one_cpu if trace and hasattr(os, "sched_setaffinity") else None
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, env=env, capture_output=True, text=True,
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, env=env, capture_output=True, text=True, preexec_fn=pin,
     )
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     env = [ln for ln in proc.stdout.splitlines() if ln.startswith("env ")]
@@ -151,6 +167,15 @@ def main(argv=None) -> int:
                     vals = {k: round(v["value"], 4) for k, v in out["metrics"].items()}
                     print(f"pair {i} {w} {side}: failed {out['failed']}/{out['attempted']} "
                           f"{json.dumps(vals)}", flush=True)
+        traces = {}
+        for w in workloads:
+            traces[w] = {"command": f"python3 perfbench/run.py --workload {w} --seed "
+                                    f"{FIRST_SEED} --seconds {seconds} --trace 1, on one CPU",
+                         "seed": FIRST_SEED}
+            for side in ("parent", "change"):
+                out = run_side(sides[side], w, FIRST_SEED, seconds, trace=1)
+                traces[w][side] = out
+                print(f"trace {w} {side}: failed {out['failed']}/{out['attempted']}", flush=True)
         # read the parent's digests before its export is deleted
         digests = {w: {side: output_digests(root, w, seeds) for side, root in sides.items()}
                    for w in workloads}
@@ -183,12 +208,17 @@ def main(argv=None) -> int:
             differ = [seed for seed, ok in zip(seeds, same) if not ok]
             print(f"  outputs  byte-identical to the parent on {sum(same)}/{len(same)} seeds"
                   + (f"; differ or missing on seeds {differ}" if differ else ""))
+        pm, cm = traces[w]["parent"]["metrics"], traces[w]["change"]["metrics"]
+        print(f"  traced seed {FIRST_SEED}, one CPU (parent -> change):")
+        for name in pm:
+            print(f"    {name:32s} {pm[name]['value']:.6g} -> {cm[name]['value']:.6g}")
 
     out_dir = os.path.join(ROOT, ".perfbench_out")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench_pair.json"), "w") as fh:
         json.dump({"parent": args.parent, "seeds": seeds, "seconds": seconds,
-                   "runs": results, "digests": digests, "summary": summary}, fh, indent=1)
+                   "runs": results, "digests": digests, "summary": summary,
+                   "trace": traces}, fh, indent=1)
     return 0
 
 

@@ -12,6 +12,8 @@ corrector one band LU factor of its Jacobian per iterate.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,10 @@ __all__ = [
 _MAX_NEWTON_ITERS = 12
 _CONSTRAINT_TOL = 1e-11
 _FAST_ITERS = 4
+# from the third iterate on, a corrector whose residual sup-norm exceeds this
+# fraction of the previous iterate's has stopped contracting and is abandoned
+# (Deuflhard 2004, ch. 5); the first iterate may still grow
+_CONTRACTION = 0.5
 # an eigenvector with this fraction of its mass in q < L/2 is localized
 _LOCALIZED = 0.99
 
@@ -207,6 +213,7 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
     """Bordered Newton iteration onto {residual = 0} cap the arclength plane."""
     weight = sys_.ip_weight
     x, lam = x0.copy(), lam0
+    sup_prev = np.inf
     for it in range(_MAX_NEWTON_ITERS + 1):
         F = sys_.residual(x, lam)
         c = _ip(weight, tan_x, x - x_prev) + tan_lam * (lam - lam_prev) - ds
@@ -223,8 +230,14 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
                 except StagnationBreachError:
                     pass
             return x, lam, it
+        if it >= 2 and sup > _CONTRACTION * sup_prev:
+            raise NonConvergenceError(
+                f"bordered Newton stopped contracting at iterate {it}: "
+                f"residual {sup:.3e} > {_CONTRACTION} x {sup_prev:.3e}"
+            )
         if it == _MAX_NEWTON_ITERS:
             break
+        sup_prev = sup
         J, Fl = sys_.linearize(x, lam)
         dx, dlam = _solve_bordered(J, Fl, weight * tan_x, tan_lam, -F, -c)
         x = x + dx
@@ -583,6 +596,45 @@ def _initial_tangent(spec: VorticitySpec, start: StripField, weight: float):
     return dx / n, 1.0 / n
 
 
+class _InlineExecutor:
+    """Executor stand-in that runs each submitted call at once, in this
+    process, and hands back a finished Future (its result or its error)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args):
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # raised where the result is read, as from a pool
+            fut.set_exception(exc)
+        return fut
+
+
+def _monitor_executor():
+    """Where continue_branch computes the spectra of its accepted points: one
+    worker process, forked at the first submission, when fork exists and this
+    process may run on more than one CPU; otherwise an inline executor.  The
+    pool modules are imported here, so only a continuation run pays for them."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return _InlineExecutor()
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _InlineExecutor()
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: the worker starts with this process's imports and
+    # caches instead of importing numpy and scipy afresh.  The executor forks
+    # before it starts its own thread, and OpenBLAS rebuilds its thread pool
+    # in the child.
+    return ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"))
+
+
 def continue_branch(
     start: BranchPoint,
     spec: VorticitySpec,
@@ -598,6 +650,20 @@ def continue_branch(
     toward the critical stream.  Returns (points, status): points includes the
     start (t = 0); status is 'completed' or 'margin-breach:<kind>' naming the
     proxied stagnation or overhang alternative that terminated the run.
+
+    The spectrum of accepted point k is computed while the corrector computes
+    point k+1: on Linux with fork available and at least two CPUs in this
+    process's affinity set, in one worker process forked once per call,
+    otherwise inline at submission.  Either way the point's mu0, mu1 and nu0
+    are filled in, and checked (mu0 < 0 and simple, nu0 > 0), at the next
+    accepted step, before the function returns, and before any exception
+    leaves it.  A point whose spectrum_at raised is dropped; a point that
+    fails a check is kept.  A NumericalError or BranchStallError carries the
+    points so far as partial_points and the last of them as last_good.  The
+    worker runs the same code on a copy of this process (ARPACK's start vector
+    is fixed, BLAS runs with the same thread count), so both paths give
+    bitwise-equal points.  The start point, the best-effort spectrum of a
+    margin-breach terminal point and point_at_arclength stay in-process.
     """
     ctrl = ctrl or StepControl()
     if start.field is None:
@@ -612,22 +678,20 @@ def continue_branch(
     init_diag = start.diag
 
     points: list[BranchPoint] = [start]
+    pending: list[Future] = []  # spectrum of points[-1], while it is computed
 
-    def on_accept(step: AcceptedStep):
-        fld = sys_.field_of(step.x, step.lam)
-        t = start.t + step.t
-        tan = (step.tangent_x, step.tangent_lam)
-        if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * ctrl.newton_tol):
-            points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
-            return "loop-closure"
-        breaches = _margin_breaches(diagnostics_of(fld), init_diag, ctrl.margin_fraction)
-        # at a breach the diagnostics already signal physical breakdown; the
-        # spectral data of the terminal point are best-effort only
-        spectrum = "best-effort" if breaches else "required"
-        pt = _branch_point(fld, spec, t, nu0_grid_n, spectrum, tan, step.ds)
-        points.append(pt)
-        if breaches:
-            return f"margin-breach:{breaches[0]}"
+    def settle():
+        """Fill in the pending spectrum of the last point and check it."""
+        if not pending:
+            return
+        fut = pending.pop()
+        try:
+            info = fut.result()
+        except BaseException:
+            points.pop()  # no spectrum, no point
+            raise
+        pt = points[-1]
+        pt.mu0, pt.mu1, pt.nu0 = info.mu0, info.mu1, info.nu0
         if pt.mu0 is None or pt.mu0 >= 0.0:
             raise NumericalError(
                 f"lowest localized eigenvalue not negative at t={pt.t}: {pt.mu0}"
@@ -636,12 +700,35 @@ def continue_branch(
             raise NumericalError(f"mu0 simplicity gap violated at t={pt.t}")
         if pt.nu0 <= 0.0:
             raise NumericalError(f"nu0 not positive at t={pt.t}")
+
+    def on_accept(step: AcceptedStep):
+        settle()
+        fld = sys_.field_of(step.x, step.lam)
+        t = start.t + step.t
+        tan = (step.tangent_x, step.tangent_lam)
+        if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * ctrl.newton_tol):
+            points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
+            return "loop-closure"
+        breaches = _margin_breaches(diagnostics_of(fld), init_diag, ctrl.margin_fraction)
+        if breaches:
+            # the diagnostics already signal physical breakdown; the spectral
+            # data of the terminal point are best-effort only
+            points.append(_branch_point(fld, spec, t, nu0_grid_n, "best-effort", tan, step.ds))
+            return f"margin-breach:{breaches[0]}"
+        points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
+        pending.append(pool.submit(spectrum_at, fld, spec, 8, nu0_grid_n))
         return None
 
+    pool = _monitor_executor()
     try:
-        _, status = arclength_continue(
-            sys_, x0, start.R, tan0, ds, steps, ctrl=ctrl, on_accept=on_accept
-        )
+        with pool:
+            try:
+                _, status = arclength_continue(
+                    sys_, x0, start.R, tan0, ds, steps, ctrl=ctrl, on_accept=on_accept
+                )
+            finally:
+                # an earlier point's spectral failure is the one the caller sees
+                settle()
     except (BranchStallError, NumericalError) as exc:
         exc.last_good = points[-1] if points else None
         exc.partial_points = points

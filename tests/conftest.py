@@ -32,13 +32,18 @@ def wave153_medium(irrot):
 
 
 @pytest.fixture(scope="session")
-def mini_branch(irrot):
-    """Short continuation run on a small grid (start + 6 accepted points)."""
+def mini_start(irrot):
+    """Spectrally tagged start point of the mini branch (R = 1.52, small grid)."""
     grid = strip.default_grid(irrot, 1.52, nq=121, npp=17, L_factor=18.0)
     sol = strip.newton_solve(strip.initial_guess(irrot, 1.52, grid), irrot, tol=1e-10)
-    start = branch.branch_point_from_field(sol, irrot, nu0_grid_n=256)
+    return branch.branch_point_from_field(sol, irrot, nu0_grid_n=256)
+
+
+@pytest.fixture(scope="session")
+def mini_branch(irrot, mini_start):
+    """Short continuation run on a small grid (start + 6 accepted points)."""
     points, status = branch.continue_branch(
-        start, irrot, steps=6, ds=0.005, nu0_grid_n=256
+        mini_start, irrot, steps=6, ds=0.005, nu0_grid_n=256
     )
     assert status == "completed"
     return points

@@ -1,8 +1,13 @@
+import itertools
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from wavebranch import branch, spectrum1d as sp1, stream as st, strip
-from wavebranch.errors import DegenerateTangentError
+from wavebranch.errors import BranchStallError, DegenerateTangentError, NumericalError
 from wavebranch.vorticity import VorticitySpec
 
 
@@ -31,6 +36,22 @@ class BrokenSystem(FoldSystem):
         raise self.exc_type("bug in linearize")
 
 
+class CubeRootSystem(FoldSystem):
+    """F(x, lam) = cbrt(x): each Newton step maps x to -2x, so the corrector
+    diverges from every predictor off the branch x = 0."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def residual(self, x, lam):
+        return np.cbrt(x)
+
+    def linearize(self, x, lam):
+        self.calls += 1
+        J = strip.BandMatrix(np.array([[np.abs(x[0]) ** (-2.0 / 3.0) / 3.0]]), 0)
+        return strip.band_lu(J), np.array([0.0])
+
+
 class TestGenericDriver:
     def test_fold_traversal(self):
         steps, status = branch.arclength_continue(
@@ -54,6 +75,28 @@ class TestGenericDriver:
                 sys_, np.array([1.0]), -1.0, (np.array([-1.0]), 2.0), ds=0.12, steps=3
             )
         assert sys_.calls == 1
+
+    def test_diverging_corrector_stops_early(self, monkeypatch):
+        sys_ = CubeRootSystem()
+        per_attempt = []
+        corrector = branch._corrector
+
+        def counted(*args):
+            before = sys_.calls
+            try:
+                return corrector(*args)
+            finally:
+                per_attempt.append(sys_.calls - before)
+
+        monkeypatch.setattr(branch, "_corrector", counted)
+        with pytest.raises(BranchStallError, match="stopped contracting"):
+            branch.arclength_continue(
+                sys_, np.array([0.0]), 0.0, (np.array([1.0]), 1.0), ds=0.1, steps=1
+            )
+        # ds, ds/2, ..., ds/64: one attempt each, every one abandoned at the
+        # third iterate instead of after the full iteration budget
+        assert len(per_attempt) == 7
+        assert max(per_attempt) <= 3
 
     def test_arclength_accumulates(self):
         steps, _ = branch.arclength_continue(
@@ -210,13 +253,129 @@ class TestFoldRun:
                 assert p.mu0 < 0.0
 
 
+_real_spectrum_at = branch.spectrum_at
+_spectrum_calls = itertools.count(1)
+_pid_log = None
+
+
+def _spectrum_failing_third(field, spec, k, nu0_grid_n):
+    """spectrum_at whose third call raises."""
+    if next(_spectrum_calls) == 3:
+        raise NumericalError("injected eigensolver failure")
+    return _real_spectrum_at(field, spec, k, nu0_grid_n)
+
+
+def _spectrum_positive_third(field, spec, k, nu0_grid_n):
+    """spectrum_at whose third call reports a positive mu0."""
+    info = _real_spectrum_at(field, spec, k, nu0_grid_n)
+    if next(_spectrum_calls) == 3:
+        info.mu0 = 1.0
+    return info
+
+
+def _spectrum_logging_pid(field, spec, k, nu0_grid_n):
+    """spectrum_at that appends the pid it runs in to the file _pid_log."""
+    with open(_pid_log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _real_spectrum_at(field, spec, k, nu0_grid_n)
+
+
+def _one_cpu(monkeypatch):
+    """Make continue_branch see one CPU, so that it monitors inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _affinity():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class TestSpectrumWorker:
+    """continue_branch computes spectra in a forked worker when it can, and
+    inline otherwise; both paths must be indistinguishable to the caller."""
+
+    def test_worker_and_inline_points_bitwise_equal(self, fold_branch, irrot, monkeypatch):
+        pts, status = fold_branch
+        _one_cpu(monkeypatch)
+        ctrl = branch.StepControl(margin_fraction=5e-2)
+        inline, inline_status = branch.continue_branch(
+            pts[0], irrot, steps=24, ds=0.01, ctrl=ctrl, nu0_grid_n=512
+        )
+        assert inline_status == status
+        assert len(inline) == len(pts)
+        for p, q in zip(pts, inline):
+            assert (p.t, p.R, p.mu0) == (q.t, q.R, q.mu0)
+            assert np.array_equal(p.field.h, q.field.h)
+            np.testing.assert_array_equal([p.mu1, p.nu0], [q.mu1, q.nu0])
+
+    @pytest.mark.parametrize(
+        "fake, steps, stall_at, n_partial",
+        [
+            # settled at the next accepted step: the point without a spectrum
+            # is dropped
+            (_spectrum_failing_third, 5, None, 3),
+            # settled before the return: the point that fails a check is kept
+            (_spectrum_positive_third, 3, None, 4),
+            # settled before the next corrector's own failure leaves
+            # continue_branch, so the earlier failure is the one raised
+            (_spectrum_failing_third, 5, 4, 3),
+        ],
+    )
+    def test_failure_reaches_caller_alike_on_both_paths(
+        self, mini_start, irrot, monkeypatch, fake, steps, stall_at, n_partial
+    ):
+        monkeypatch.setattr(branch, "spectrum_at", fake)
+        corrector = branch._corrector
+        raised = []
+        for one_cpu in (False, True):
+            attempts = itertools.count(1)
+
+            def stalling(*args):
+                if next(attempts) == stall_at:
+                    raise BranchStallError("injected stall")
+                return corrector(*args)
+
+            with monkeypatch.context() as m:
+                if one_cpu:
+                    _one_cpu(m)
+                m.setattr(sys.modules[__name__], "_spectrum_calls", itertools.count(1))
+                m.setattr(branch, "_corrector", stalling)
+                with pytest.raises(NumericalError) as info:
+                    branch.continue_branch(
+                        mini_start, irrot, steps=steps, ds=0.005, nu0_grid_n=256
+                    )
+            assert multiprocessing.active_children() == []
+            raised.append(info.value)
+        worker, inline = raised
+        assert type(worker) is type(inline)
+        assert str(worker) == str(inline)
+        assert len(worker.partial_points) == len(inline.partial_points) == n_partial
+        assert worker.last_good is worker.partial_points[-1]
+        assert inline.last_good is inline.partial_points[-1]
+        assert worker.last_good.t == inline.last_good.t
+        assert worker.last_good.mu0 == inline.last_good.mu0
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or _affinity() < 2,
+        reason="the spectral worker runs on Linux with at least two CPUs",
+    )
+    def test_spectra_computed_in_worker(self, mini_start, irrot, monkeypatch, tmp_path):
+        log = tmp_path / "pids"
+        monkeypatch.setattr(sys.modules[__name__], "_pid_log", str(log))
+        monkeypatch.setattr(branch, "spectrum_at", _spectrum_logging_pid)
+        pts, status = branch.continue_branch(mini_start, irrot, steps=6, ds=0.005, nu0_grid_n=256)
+        assert status == "completed"
+        pids = [int(line) for line in log.read_text().split()]
+        assert len(pids) == len(pts) - 1
+        assert os.getpid() not in pids
+        assert len(set(pids)) == 1  # one worker, forked once per call
+        assert multiprocessing.active_children() == []
+
+
 class TestBranchStall:
     def test_stall_reports_last_good(self, irrot):
         # walking down from just above R_c with a huge step puts every
         # predictor below R_c; the driver must stall and carry the last
         # accepted point
-        from wavebranch.errors import BranchStallError
-
         grid = strip.default_grid(irrot, 1.504, nq=61, npp=11, L_factor=12.0)
         sol = strip.newton_solve(strip.initial_guess(irrot, 1.504, grid), irrot, tol=1e-10)
         sys_ = branch.SolitarySystem(irrot, grid)
