@@ -17,8 +17,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import (
     BranchStallError,
@@ -29,6 +27,7 @@ from .errors import (
     WavebranchError,
 )
 from . import spectrum1d
+from .roots import brentq
 from .stream import moments, solve_theta_for_R, stream_at
 from .strip import (
     StripField,
@@ -484,6 +483,8 @@ def shift_invert_eigs(J, b: np.ndarray, sigma: float, k: int, left: bool = False
 def _arnoldi(matvec, b, sigma, k, solve):
     """ARPACK eigs in shift-invert mode on the pencil of the operator `matvec`
     and diag(b); `solve` applies the inverse of the shifted operator."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
+
     n = b.size
     v0 = np.random.default_rng(1234).standard_normal(n)
     v0 /= np.linalg.norm(v0)
@@ -783,6 +784,8 @@ def _refine_extremum(ts, Rs, k):
     """Refine a turning point inside [ts[k-1], ts[k+1]] on the sampled trace."""
     a, b = ts[k - 1], ts[k + 1]
     if len(ts) >= 4:
+        from scipy.interpolate import CubicSpline
+
         spl = CubicSpline(ts, Rs)
         dspl = spl.derivative()
         roots = [r for r in np.atleast_1d(dspl.roots()) if a <= r <= b and abs(r.imag) == 0]
@@ -795,33 +798,6 @@ def _refine_extremum(ts, Rs, k):
     coef = np.polyfit(t3, r3, 2)
     t_star = float(-coef[1] / (2.0 * coef[0]))
     return t_star, float(np.polyval(coef, t_star))
-
-
-def _secant_root(f, ta, tb, fa=None, fb=None, tol=1e-13, max_iter=80):
-    """Secant iteration with bracket projection; (ta, tb) must bracket a root."""
-    fa = f(ta) if fa is None else fa
-    fb = f(tb) if fb is None else fb
-    lo, hi = (ta, tb) if ta < tb else (tb, ta)
-    t0, f0, t1, f1 = ta, fa, tb, fb
-    for _ in range(max_iter):
-        if f1 == f0:
-            t2 = 0.5 * (lo + hi)
-        else:
-            t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-            if not (lo <= t2 <= hi):
-                t2 = 0.5 * (lo + hi)
-        f2 = f(t2)
-        if f2 == 0.0 or abs(t2 - t1) < tol * max(1.0, abs(t2)):
-            return t2
-        if (f2 < 0) == (f1 < 0):
-            t0, f0 = t1, f1
-        t1, f1 = t2, f2
-        # shrink the projection bracket
-        if f2 * f(lo) <= 0:
-            hi = t2
-        else:
-            lo = t2
-    return t1
 
 
 def _estimate_crossing_order(ts, mu1s, t_star):
@@ -887,8 +863,10 @@ def detect_events(points, margin_fraction: float | None = None):
             continue
         if mu1s[k + 1] == 0.0 or (mu1s[k] > 0) == (mu1s[k + 1] > 0):
             continue
+        from scipy.interpolate import CubicSpline
+
         spl = CubicSpline(ts, mu1s)
-        t_star = _secant_root(lambda t: float(spl(t)), ts[k], ts[k + 1], mu1s[k], mu1s[k + 1])
+        t_star = brentq(lambda t: float(spl(t)), ts[k], ts[k + 1], xtol=1e-13)
         m_est = _estimate_crossing_order(ts, mu1s, t_star)
         events.append(EigenCrossing(t=float(t_star), m_estimate=m_est, bracket=(pts[k], pts[k + 1])))
 

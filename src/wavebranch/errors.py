@@ -41,6 +41,10 @@ class NonConvergenceError(WavebranchError):
     """An iterative solver exhausted its iteration budget."""
 
 
+class QuadratureError(WavebranchError):
+    """Adaptive quadrature reached its subdivision depth cap unresolved."""
+
+
 class StalledError(WavebranchError):
     """Newton damping underflowed without making progress."""
 

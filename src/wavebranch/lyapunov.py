@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
+from .roots import brentq
 from .strip import assemble_jacobian, newton_solve, pack, residual_vector, unpack
 
 __all__ = [
@@ -530,7 +531,7 @@ def switch_branch(
         if not p.mu1 < p.nu0 * (1.0 - 1e-9):
             raise PreconditionError("mu1 is the sentinel nu0 on one side: not a crossing")
 
-    # refine t* by secant on mu1(t), re-solving the branch at each iterate
+    # refine t* by Brent's method on mu1(t), re-solving the branch at each iterate
     cache: dict[float, float] = {a.t: a.mu1, b.t: b.mu1}
 
     def mu1_of(t: float) -> float:
@@ -539,7 +540,7 @@ def switch_branch(
             cache[t] = pt.mu1
         return cache[t]
 
-    t_star = branch_mod._secant_root(mu1_of, a.t, b.t, a.mu1, b.mu1, tol=1e-10, max_iter=30)
+    t_star = brentq(mu1_of, a.t, b.t, xtol=1e-10, maxiter=30)
 
     fam = family_from_branch((a, b), spec, t_star, ctrl=ctrl)
     if lam_max is None:

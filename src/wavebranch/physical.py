@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
 
-from .errors import PreconditionError
+from .errors import PreconditionError, StagnationBreachError
 from .stream import depth as stream_depth, flow_force_of_R
 from .strip import StripField, cached_summary
 from .vorticity import VorticitySpec, eval_Omega
@@ -98,8 +96,6 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
     R = field.R
     hq, hp = _node_derivatives(field)
     if hp.min() <= 0.0:
-        from .errors import StagnationBreachError
-
         raise StagnationBreachError("h_p <= 0 in reconstruction")
 
     xi = h[:, -1].copy()
@@ -109,7 +105,7 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
     om1 = eval_Omega(spec, 1.0)
     om = eval_Omega(spec, grid.p)
     integrand = ((1.0 - hq**2) / (2.0 * hp**2) + om1 - om[None, :] - h + R) * hp
-    S_cols = simpson(integrand, x=grid.p, axis=1)
+    S_cols = integrand @ _simpson_weights(grid.np, grid.dp)
     flow_force = float(S_cols.mean())
     variation = float(np.abs(S_cols - flow_force).max())
 
@@ -140,6 +136,21 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
         mass_flux_defect=mass_defect,
         surface_identity_defect=surf_defect,
     )
+
+
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on n uniform nodes of spacing h.  For even n
+    the last interval takes the three-point rule (-1, 8, 5) h/12 on the last
+    three nodes, as scipy.integrate.simpson does."""
+    m = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[:m:2] = 2.0
+    w[1:m:2] = 4.0
+    w[0] = w[m - 1] = 1.0
+    w *= h / 3.0
+    if m < n:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+    return w
 
 
 def profile_csv(profile: WaveProfile) -> str:
@@ -295,6 +306,8 @@ def _monotone_inverse(ts, Rs):
         sgn = -1.0
     else:
         sgn = 1.0
+    from scipy.interpolate import PchipInterpolator
+
     order = np.argsort(ts)
     ts, Rs = ts[order], Rs[order]
     interp = PchipInterpolator(ts, Rs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 from numpy.polynomial import polynomial as npoly
@@ -56,6 +55,8 @@ def robin_problem(s: StreamSolution, spec: VorticitySpec, grid_n: int = 1024) ->
     """Build the discrete problem: integrate U'' = -omega(U) onto a uniform Y-grid."""
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
+    from scipy.integrate import solve_ivp
+
     y = np.linspace(0.0, s.depth, grid_n + 1)
 
     def rhs(_, z):

@@ -17,11 +17,13 @@ sqrt(s) + d/sqrt(s) (with int_0^1 H H_p dp = d^2/2),
     S = M_{-1}(1) + d^2/2.
 
 The kernel integrates each cell between consecutive nodes, split at the
-interior critical points of Omega, by Gauss-Legendre of orders 10 and 20.  A
-cell on which the two orders differ by more than max(epsabs, epsrel*|value|)
-(epsabs 1e-14, epsrel 1e-12) holds a near-singular integrand, theta close to
-theta0, and is integrated by adaptive Gauss-Kronrod (QUADPACK) instead.  The
-endpoint-singular depth at theta0 itself uses QUADPACK with a substitution.
+interior critical points of Omega, by Gauss-Legendre of orders 10 and 20, and
+keeps the order-20 value.  A cell on which the two orders differ by more than
+max(epsabs, epsrel*|value|) (epsabs 1e-14, epsrel 1e-12) holds a near-singular
+integrand, theta close to theta0; it is bisected, all such cells at once,
+until the same test holds on every piece.  The endpoint-singular depth at
+theta0 itself uses the same adaptive rule after a substitution.  Roots of
+R(theta) come from Brent's method (`roots.brentq`).
 """
 
 from __future__ import annotations
@@ -30,14 +32,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     BelowCriticalError,
     NoRootError,
+    QuadratureError,
     SingularIntegrandError,
     UnboundedSearchError,
 )
+from .roots import brentq
 from .vorticity import (
     VorticitySpec,
     eval_Omega,
@@ -64,9 +67,11 @@ __all__ = [
     "check_flow_force_identity",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+_EPSABS, _EPSREL = 1e-14, 1e-12
+_MAX_DEPTH = 200
 _GAUSS_LO, _GAUSS_HI = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
 _GAUSS_X = np.concatenate([_GAUSS_LO[0], _GAUSS_HI[0]])
+_N_LO = _GAUSS_LO[0].size
 
 
 @dataclass(frozen=True)
@@ -94,27 +99,46 @@ class DispersionSummary:
     theta_0: float
 
 
-def _integrand(spec: VorticitySpec, theta: float, k: float):
-    """Scalar integrand (theta^2 - 2*Omega(tau))^(-k/2) with a positivity guard."""
-
-    def f(tau: float) -> float:
-        s = theta * theta - 2.0 * eval_Omega(spec, tau)
-        if s <= 0.0:
-            raise SingularIntegrandError(
-                f"theta^2 - 2*Omega({tau}) = {s} <= 0; need theta > theta0"
-            )
-        return s ** (-0.5 * k)
-
-    return f
+def _s(spec: VorticitySpec, theta: float, tau: np.ndarray) -> np.ndarray:
+    """theta^2 - 2*Omega(tau), which must be positive: theta > theta0."""
+    s = theta * theta - 2.0 * eval_Omega(spec, tau)
+    if (s <= 0.0).any():
+        raise SingularIntegrandError(
+            f"theta^2 - 2*Omega <= 0 at theta={theta}; need theta > theta0"
+        )
+    return s
 
 
-def _quad(f, a: float, b: float, points=None) -> float:
-    if points:
-        pts = [x for x in points if a < x < b]
-        val, _ = integrate.quad(f, a, b, points=pts or None, **_QUAD_OPTS)
-    else:
-        val, _ = integrate.quad(f, a, b, **_QUAD_OPTS)
-    return val
+def _gauss_pair(f, a: np.ndarray, b: np.ndarray):
+    """Gauss-Legendre values of order 20 on the cells [a_i, b_i] (last axis),
+    and whether the order-10 values agree with them to max(epsabs,
+    epsrel*|value|).  f maps the (cells, 30) array of nodes to its values."""
+    half = 0.5 * (b - a)
+    v = f((a + half)[:, None] + half[:, None] * _GAUSS_X)
+    lo = half * (v[..., :_N_LO] @ _GAUSS_LO[1])
+    hi = half * (v[..., _N_LO:] @ _GAUSS_HI[1])
+    return hi, np.abs(hi - lo) <= np.maximum(_EPSABS, _EPSREL * np.abs(hi))
+
+
+def _adaptive(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integrals over the cells [a_i, b_i] by bisection: every piece on which
+    the Gauss pair disagrees is halved, all pieces of a level in one call of
+    f(x, i), which evaluates on row j of x the integrand of cell i[j].  A piece
+    still undecided after _MAX_DEPTH levels raises QuadratureError."""
+    out = np.zeros(a.size)
+    idx = np.arange(a.size)
+    for _ in range(_MAX_DEPTH):
+        val, ok = _gauss_pair(lambda x: f(x, idx), a, b)
+        np.add.at(out, idx[ok], val[ok])
+        if ok.all():
+            return out
+        a, b, idx = a[~ok], b[~ok], idx[~ok]
+        mid = 0.5 * (a + b)
+        a, b, idx = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(idx, 2)
+    raise QuadratureError(
+        f"{idx.size} pieces still unresolved after {_MAX_DEPTH} bisections, "
+        f"the narrowest {(b - a).min():.3e} wide"
+    )
 
 
 def _require_above_theta0(spec: VorticitySpec, theta: float) -> float:
@@ -129,7 +153,7 @@ def moments(spec: VorticitySpec, theta: float, p, powers) -> np.ndarray:
 
     One row per k in powers, one column per ascending node p_j in [0, 1].
     Omega is evaluated once, on the Gauss-Legendre nodes of every cell; see the
-    module docstring for the rule that sends a cell to QUADPACK.
+    module docstring for the rule that sends a cell to adaptive bisection.
     """
     _require_above_theta0(spec, theta)
     p = np.asarray(p, dtype=float)
@@ -137,20 +161,12 @@ def moments(spec: VorticitySpec, theta: float, p, powers) -> np.ndarray:
     crit = [c for c in omega_critical_points(spec) if c < p[-1]]
     edges = np.union1d(np.concatenate([[0.0], p]), crit)
     a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    tau = (a + half)[:, None] + half[:, None] * _GAUSS_X
-    s = theta * theta - 2.0 * eval_Omega(spec, tau)
-    if (s <= 0.0).any():
-        raise SingularIntegrandError(
-            f"theta^2 - 2*Omega <= 0 at theta={theta}; need theta > theta0"
+    cells, ok = _gauss_pair(lambda x: _s(spec, theta, x) ** (-0.5 * k)[:, None, None], a, b)
+    if not ok.all():
+        rows, cols = np.nonzero(~ok)
+        cells[rows, cols] = _adaptive(
+            lambda x, i: _s(spec, theta, x) ** (-0.5 * k[rows[i]])[:, None], a[cols], b[cols]
         )
-    f = s ** (-0.5 * k)[:, None, None]
-    n_lo = _GAUSS_LO[0].size
-    lo = half * (f[..., :n_lo] @ _GAUSS_LO[1])
-    cells = half * (f[..., n_lo:] @ _GAUSS_HI[1])
-    tol = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(cells))
-    for i, c in zip(*np.nonzero(np.abs(cells - lo) > tol)):
-        cells[i, c] = _quad(_integrand(spec, theta, k[i]), a[c], b[c])
     cum = np.concatenate([np.zeros((k.size, 1)), np.cumsum(cells, axis=1)], axis=1)
     return cum[:, np.searchsorted(edges, p)]
 
@@ -204,31 +220,25 @@ def stream_at(spec: VorticitySpec, theta: float, n_profile: int = 201) -> Stream
 def _depth_at_theta0(spec: VorticitySpec, t0: float, tau_star: float) -> float:
     """d(theta0) when the depth integral converges.
 
-    The integrand has an endpoint inverse-square-root singularity at the argmax
-    tau_star of Omega; it is removed by the substitution tau = tau_star -/+ u^2.
+    The integrand has an inverse-square-root singularity at the argmax tau_star
+    of Omega; the substitution tau = tau_star -/+ u^2 on either side removes it.
+    The critical points of Omega map to cell edges in u.
     """
-    pts = omega_critical_points(spec)
+    crit = omega_critical_points(spec)
+    d0 = 0.0
+    for sign, width in ((-1.0, tau_star), (1.0, 1.0 - tau_star)):
+        if width <= 1e-14:
+            continue
+        cuts = [sign * (c - tau_star) for c in crit]
+        edges = np.sqrt(np.union1d([0.0, width], [c for c in cuts if 0.0 < c < width]))
 
-    def raw(tau: float) -> float:
-        s = t0 * t0 - 2.0 * eval_Omega(spec, tau)
-        if s <= 0.0:
-            return math.inf
-        return 1.0 / math.sqrt(s)
+        def g(u, _, sign=sign):
+            s = t0 * t0 - 2.0 * eval_Omega(spec, np.clip(tau_star + sign * u * u, 0.0, 1.0))
+            with np.errstate(divide="ignore"):
+                return 2.0 * u / np.sqrt(np.maximum(s, 0.0))
 
-    if tau_star >= 1.0 - 1e-14:
-        # singular at tau = 1: substitute tau = 1 - u^2
-        def g(u: float) -> float:
-            return 2.0 * u * raw(1.0 - u * u)
-
-        return _quad(g, 0.0, 1.0, points=[math.sqrt(max(1.0 - x, 0.0)) for x in pts])
-    if tau_star <= 1e-14:
-        # singular at tau = 0: substitute tau = u^2
-        def g(u: float) -> float:
-            return 2.0 * u * raw(u * u)
-
-        return _quad(g, 0.0, 1.0, points=[math.sqrt(x) for x in pts])
-    # interior argmax with a convergent integral is not expected; integrate by splitting
-    return _quad(raw, 0.0, tau_star) + _quad(raw, tau_star, 1.0)
+        d0 += float(_adaptive(g, edges[:-1], edges[1:]).sum())
+    return d0
 
 
 def _classify_R0(spec: VorticitySpec) -> float:
@@ -286,7 +296,7 @@ def dispersion_summary(spec: VorticitySpec) -> DispersionSummary:
             raise UnboundedSearchError(
                 f"no interior minimum of R(theta) within theta_max={theta_max}"
             )
-    theta_c = optimize.brentq(rp, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    theta_c = brentq(rp, lo, hi, xtol=1e-14, rtol=8.9e-16)
     R_c = R_of_theta(spec, theta_c)
     R_0 = _classify_R0(spec)
     return DispersionSummary(theta_c=float(theta_c), R_c=float(R_c), R_0=float(R_0), theta_0=t0)
@@ -323,7 +333,7 @@ def solve_theta_for_R(
             b = 2.0 * b
             if b > 1e6:
                 raise NoRootError("supercritical bracket expansion failed")
-        return float(optimize.brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+        return float(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
 
     if R >= summary.R_0:
         raise NoRootError(f"subcritical root requires R < R_0={summary.R_0}, got R={R}")
@@ -338,11 +348,12 @@ def solve_theta_for_R(
             if f(t) > 0.0:
                 a = t
                 break
-        except SingularIntegrandError:
+        except (SingularIntegrandError, QuadratureError):
+            # theta too close to theta0 to evaluate R(theta)
             break
     if a is None:
         raise NoRootError(f"no subcritical root found for R={R}")
-    return float(optimize.brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+    return float(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
 
 
 def flow_force_of_R(

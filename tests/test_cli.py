@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,3 +219,21 @@ class TestContinueAndVerify:
         assert code == 1  # precondition: no mu1 sign change at desk scale
         payload = json.loads((tmp_path / "ls.json").read_text())
         assert payload["crossing_bracketed"] is False
+
+
+def test_solve_path_imports_no_heavy_scipy_subpackage():
+    # a fresh interpreter solving at fixed R, as `wavebranch solve` does,
+    # loads numpy and scipy.linalg only
+    code = """
+import sys
+from wavebranch.cli import main
+for omega, R in (("0", "1.53"), ("-0.5", "1.81")):
+    assert main(["solve", "--omega", omega, "--R", R, "--nq", "121", "--np", "17"]) == 0
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

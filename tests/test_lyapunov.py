@@ -259,6 +259,7 @@ class TestPdeWiring:
     def test_pde_eigendata_arpack_failure_is_numerical_error(
         self, mini_branch, irrot, monkeypatch
     ):
+        import scipy.sparse.linalg
         from scipy.sparse.linalg import ArpackNoConvergence
 
         def no_convergence(*args, **kwargs):
@@ -266,6 +267,7 @@ class TestPdeWiring:
 
         a, b = mini_branch[2], mini_branch[3]
         fam = ly.family_from_branch((a, b), irrot, 0.5 * (a.t + b.t))
-        monkeypatch.setattr(branch, "eigs", no_convergence)
+        # branch imports eigs when it first runs ARPACK, from scipy.sparse.linalg
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         with pytest.raises(NumericalError, match="eigensolve failed"):
             fam.eigendata(0.0)

@@ -34,6 +34,17 @@ class TestReconstructUniform:
         assert errs[0] / errs[1] > 3.0
 
 
+@pytest.mark.parametrize("n", [9, 10, 41, 42])
+def test_simpson_weights_match_scipy(n):
+    from scipy.integrate import simpson
+
+    p = np.linspace(0.0, 1.0, n)
+    w = physical._simpson_weights(n, 1.0 / (n - 1))
+    assert np.abs(w - simpson(np.eye(n), x=p, axis=1)).max() <= 1e-15
+    y = np.cos(3.0 * p) + p**3
+    assert y @ w == pytest.approx(simpson(y, x=p), abs=1e-15)
+
+
 class TestReconstructWave:
     def test_wave_profile_invariants(self, irrot, wave153_medium):
         prof = physical.reconstruct(wave153_medium, irrot)

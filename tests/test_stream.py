@@ -9,6 +9,7 @@ from wavebranch import stream as st
 from wavebranch.errors import (
     BelowCriticalError,
     NoRootError,
+    QuadratureError,
     SingularIntegrandError,
 )
 from wavebranch.vorticity import VorticitySpec, eval_Omega, omega_critical_points
@@ -204,6 +205,9 @@ class TestProfileConsistency:
             assert 1.0 / (2.0 * hp1**2) + s.depth == pytest.approx(s.R, abs=1e-10)
 
 
+_QUADPACK = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+
+
 def _quad_moment(spec, theta, p, k):
     """Scalar QUADPACK reference for the cumulative moment M_k on the nodes p,
     one adaptive quadrature per cell, split at the critical points of Omega."""
@@ -213,7 +217,7 @@ def _quad_moment(spec, theta, p, k):
 
     crit = omega_critical_points(spec)
     cells = [
-        integrate.quad(f, a, b, points=[c for c in crit if a < c < b] or None, **st._QUAD_OPTS)[0]
+        integrate.quad(f, a, b, points=[c for c in crit if a < c < b] or None, **_QUADPACK)[0]
         for a, b in zip(p[:-1], p[1:])
     ]
     return np.concatenate([[0.0], np.cumsum(cells)])
@@ -222,26 +226,43 @@ def _quad_moment(spec, theta, p, k):
 class TestMomentKernel:
     @pytest.mark.parametrize("coeffs", [[1.0, -2.0], [-0.5], [0.5]])
     @pytest.mark.parametrize("dR", [0.005, 0.04])
-    def test_matches_scalar_quadpack(self, coeffs, dR, monkeypatch):
+    def test_matches_scalar_quadpack(self, coeffs, dR):
         spec = VorticitySpec(coeffs)
         ds = st.dispersion_summary(spec)
         theta = st.solve_theta_for_R(spec, ds.R_c + dR, "supercritical", summary=ds)
         p = np.linspace(0.0, 1.0, 41)
-        ref_H = _quad_moment(spec, theta, p, 1)
-        ref_M3 = _quad_moment(spec, theta, p, 3)
-        calls = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad", lambda *a, **kw: calls.append(1) or quad(*a, **kw))
         H = st.stream_profile(spec, theta, p)
         M3 = st.moments(spec, theta, p, (3,))[0]
-        assert not calls  # away from theta0 no cell falls back to QUADPACK
-        assert np.abs(H - ref_H).max() <= 1e-13
-        assert np.abs(M3 - ref_M3).max() <= 1e-13
+        assert np.abs(H - _quad_moment(spec, theta, p, 1)).max() <= 1e-13
+        assert np.abs(M3 - _quad_moment(spec, theta, p, 3)).max() <= 1e-13
+
+    @pytest.mark.parametrize("coeffs", [[1.0, -2.0], [-0.5]])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_near_theta0_matches_quadpack(self, coeffs, eps):
+        # the integrand peaks at the argmax of Omega (p = 1/2, p = 0), so cells
+        # next to it are bisected; M_3 grows like eps^(-1/2) or eps^(-2)
+        spec = VorticitySpec(coeffs)
+        theta = vorticity.theta0(spec) + eps
+        p = np.linspace(0.0, 1.0, 41)
+        M = st.moments(spec, theta, p, (-1, 1, 3))
+        for row, k in zip(M, (-1, 1, 3)):
+            ref = _quad_moment(spec, theta, p, k)
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_R0_of_endpoint_maximum(self):
+        # Omega = -p/2 peaks at p = 0: d(theta0 = 0) = int_0^1 p^(-1/2) dp = 2
+        # and R_0 = 0 + 2 - Omega(1) = 5/2
+        assert st.dispersion_summary(VorticitySpec([-0.5])).R_0 == pytest.approx(2.5, abs=1e-12)
+
+    def test_depth_cap_raises(self):
+        # int_0^1 dx/x diverges: the piece at 0 never settles
+        with pytest.raises(QuadratureError, match="unresolved"):
+            st._adaptive(lambda x, i: 1.0 / x, np.array([0.0]), np.array([1.0]))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_near_singular_fallback(self, const_one, eps):
         # near theta0 = sqrt(2) the integrand peaks at p = 1 and Gauss-Legendre
-        # alone is far off; the QUADPACK fallback meets the closed form
+        # alone is far off; adaptive bisection meets the closed form
         theta = math.sqrt(2.0) + eps
         assert st.depth(const_one, theta) == pytest.approx(
             theta - math.sqrt(theta**2 - 2.0), abs=1e-12
