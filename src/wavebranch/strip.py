@@ -123,12 +123,11 @@ class StripField:
 
 @dataclass(frozen=True)
 class StripResidual:
-    """Interior PDE residual, surface Bernoulli residual, and their norms."""
+    """Interior PDE residual, surface Bernoulli residual, and their sup-norm."""
 
     interior: np.ndarray  # (nq-1, np-2)
     surface: np.ndarray  # (nq-1,)
     sup: float
-    l2: float
 
 
 def default_grid(spec: VorticitySpec, R: float, nq: int = 301, npp: int = 41,
@@ -203,12 +202,9 @@ def residual(field: StripField, spec: VorticitySpec) -> StripResidual:
     interior = (Gp[:, 1:] - Gp[:, :-1]) / dp - (Fq[1:, :] - Fq[:-1, :]) / dq
     surface = (1.0 + g * g) / (2.0 * m * m) + field.h[: grid.nq - 1, -1] - field.R
 
-    vec = np.concatenate([interior.ravel(), surface])
-    sup = float(np.abs(vec).max())
-    l2 = float(
-        np.sqrt(dq * dp * np.sum(interior**2) + dq * np.sum(surface**2))
-    )
-    return StripResidual(interior=interior, surface=surface, sup=sup, l2=l2)
+    # np.maximum, unlike max(), keeps a nan of either part
+    sup = float(np.maximum(np.abs(interior).max(), np.abs(surface).max()))
+    return StripResidual(interior=interior, surface=surface, sup=sup)
 
 
 def pack(field: StripField) -> np.ndarray:
@@ -514,8 +510,11 @@ def newton_solve(
     return f
 
 
-_calibration_cache: dict[tuple, tuple[float, float]] = {}
 _summary_cache: dict[tuple, DispersionSummary] = {}
+
+# the (a, k) lattice of initial_guess, as multiples of the KdV values
+_A_FACTORS = np.geomspace(0.4, 2.4, 13)
+_K_FACTORS = np.geomspace(0.45, 2.2, 9)
 
 
 def cached_summary(spec: VorticitySpec) -> DispersionSummary:
@@ -525,24 +524,83 @@ def cached_summary(spec: VorticitySpec) -> DispersionSummary:
     return _summary_cache[key]
 
 
+def _bump(grid: StripGrid, k) -> np.ndarray:
+    """sech^2(k q) on the grid's q nodes, shifted and scaled to 1 at q = 0 and
+    exactly zero at q = L; for an array k, one row per k."""
+    bump = 1.0 / np.cosh(np.multiply.outer(k, grid.q)) ** 2
+    return (bump - bump[..., -1:]) / (1.0 - bump[..., -1:])
+
+
 def _build_guess(grid: StripGrid, Hcol: np.ndarray, d: float, a: float, k: float) -> np.ndarray:
-    q = grid.q
-    bump = 1.0 / np.cosh(k * q) ** 2
-    bump = (bump - bump[-1]) / (1.0 - bump[-1])  # exactly zero at q = L
-    return Hcol[None, :] * (1.0 + a * bump[:, None] / d)
+    return Hcol[None, :] * (1.0 + a * _bump(grid, k)[:, None] / d)
+
+
+def _lattice_scores(spec: VorticitySpec, grid: StripGrid, Hcol: np.ndarray, R: float,
+                    a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The discrete L2 norm of the residual per unit amplitude of every trial
+    field _build_guess(grid, Hcol, d, a_m, k_n), shape (len(a), len(k)), and
+    +inf where the trial is not unidirectional (where residual() raises).
+
+    The trials are not built.  Each is separable, h = H(p) u(q) with
+    u = 1 + s beta, s = a/d, beta the bump and the ghost value
+    beta(-dq) = beta(dq), so every difference quotient of _flux_pieces is a
+    p-vector times a q-vector, and the interior residual is a sum of four outer
+    products sum_r P_r(p) Q_r(q):
+
+        P = (D A, D C, D Omega(p_mid), -H / H_p),   D = the p-difference / dp
+        Q = (u^-2, (s beta_q)^2 u^-2, 1, D_q Z)
+
+    with A = dp^2 / (2 dH^2) and C = Hbar^2 A on the p-faces, H_p and beta_q
+    central differences, and Z = s dbeta / (dq (1 + s betabar)) on the
+    q-faces.  So sum(interior^2) = sum((P P^T) * (Q Q^T)).  The surface
+    residual (1 + (d s beta_q)^2) / (2 (u m)^2) + d u - R, m the one-sided H_p
+    at p = 1, is a q-vector, and the trial is unidirectional exactly when dH,
+    m and u are positive.
+    """
+    dq, dp = grid.dq, grid.dp
+    d = Hcol[-1]
+    dH = np.diff(Hcol)
+    A = 0.5 * (dp / dH) ** 2
+    C = (0.5 * (Hcol[:-1] + Hcol[1:])) ** 2 * A
+    pmid = (np.arange(grid.np - 1) + 0.5) * dp
+    Hp = (Hcol[2:] - Hcol[:-2]) / (2.0 * dp)
+    Om = eval_Omega(spec, pmid)
+    P = np.stack([np.diff(A) / dp, np.diff(C) / dp, np.diff(Om) / dp, -Hcol[1:-1] / Hp])
+    m = (3.0 * Hcol[-1] - 4.0 * Hcol[-2] + Hcol[-3]) / (2.0 * dp)
+
+    # q-vectors on the axes (a, k, q); the ghost node comes first
+    s = (a / d)[:, None, None]
+    beta = _bump(grid, k)
+    be = np.concatenate([beta[:, 1:2], beta], axis=1)
+    u = 1.0 + s * be  # (na, nk, nq+1)
+    ui = u[..., 1 : grid.nq]  # the residual's rows i = 0..nq-2
+    sbq = s * (be[:, 2:] - be[:, :-2]) / (2.0 * dq)
+    Z = s * np.diff(be, axis=-1) / (dq * 0.5 * (u[..., :-1] + u[..., 1:]))
+    w = ui**-2
+    Q = np.stack([w, sbq * sbq * w, np.ones_like(w), np.diff(Z, axis=-1) / dq], axis=-2)
+    interior2 = np.sum((P @ P.T) * (Q @ Q.swapaxes(-1, -2)), axis=(-2, -1))
+    surface = (1.0 + (d * sbq) ** 2) / (2.0 * (m * ui) ** 2) + d * ui - R
+    scores = np.sqrt(dq * dp * interior2 + dq * np.sum(surface**2, axis=-1)) / a[:, None]
+    ok = (dH.min() > 0.0) & (m > 0.0) & (u[..., 1:].min(axis=-1) > 0.0) & np.isfinite(scores)
+    return np.where(ok, scores, np.inf)
 
 
 def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     """Solitary-wave seed: supercritical stream plus a sech^2 crest bump.
 
-    h(q, p) = H(p; theta_-) * (1 + a sech^2(k q) / d_-) with a = c1 (R - R_c)
-    and k = c2 sqrt(R - R_c).  The constants come from a coarse scan of the
-    bump family minimizing the initial residual per unit amplitude: the raw
-    residual is minimized trivially as a -> 0 along the uniform-stream family,
-    while the amplitude-normalized score has an interior minimum at the
-    solitary scale.  The scan is memoized per (vorticity, R, grid); reusing
-    constants across R is unreliable because the true amplitude scales like
-    sqrt(R - R_c), not linearly.
+    h(q, p) = H(p; theta_-) * (1 + a beta(q) / d_-), beta the bump of _bump.
+    (a, k) is the best point of a fixed 13 x 9 lattice, geometric in each
+    direction, around the KdV values a_0 = 2 d (F - 1) and
+    k_0 = sqrt(3 a_0 / (4 d^3)): a from 0.4 to 2.4 times a_0, k from 0.45 to
+    2.2 times k_0.  A trial's score is the discrete L2 norm of its residual per
+    unit amplitude (the raw norm falls trivially as a -> 0, along the uniform
+    streams), computed in closed form by _lattice_scores; the first strict
+    minimum in a-major order wins, and (a_0, k_0) stands in if no trial is
+    unidirectional.  The minimum often sits on the lattice's edge, at the least
+    k for omega = [0] and at the greatest a for [1, -2] and [-0.5], so the
+    lattice brackets no minimum.  It is kept as it is all the same: another
+    lattice gives Newton other starts, and trades the starts that fail for
+    others rather than curing them.
     """
     summary = cached_summary(spec)
     if R < summary.R_c - 1e-12:
@@ -555,27 +613,18 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
         h = np.tile(Hcol, (grid.nq, 1))
         return StripField(grid=grid, h=h, R=R, theta=theta)
 
-    key = (spec.coeffs, R, grid.L, grid.nq, grid.np)
-    if key not in _calibration_cache:
-        froude = froude_of_theta(spec, theta)
-        a_lore = max(2.0 * d * (froude - 1.0), 1e-3 * d)
-        k_lore = np.sqrt(3.0 * a_lore / (4.0 * d**3))
-        best = (np.inf, a_lore, k_lore)
-        for a_try in a_lore * np.geomspace(0.4, 2.4, 13):
-            for k_try in k_lore * np.geomspace(0.45, 2.2, 9):
-                h_try = _build_guess(grid, Hcol, d, a_try, k_try)
-                trial = StripField(grid=grid, h=h_try, R=R, theta=theta)
-                try:
-                    score = residual(trial, spec).l2 / a_try
-                except StagnationBreachError:
-                    continue
-                if score < best[0]:
-                    best = (score, a_try, k_try)
-        if len(_calibration_cache) > 256:
-            _calibration_cache.clear()
-        _calibration_cache[key] = (best[1] / dR, best[2] / np.sqrt(dR))
-
-    c1, c2 = _calibration_cache[key]
+    froude = froude_of_theta(spec, theta)
+    a0 = max(2.0 * d * (froude - 1.0), 1e-3 * d)
+    k0 = np.sqrt(3.0 * a0 / (4.0 * d**3))
+    a_try, k_try = a0 * _A_FACTORS, k0 * _K_FACTORS
+    scores = _lattice_scores(spec, grid, Hcol, R, a_try, k_try)
+    a_best, k_best = a0, k0
+    if scores.min() < np.inf:
+        ia, ik = np.unravel_index(np.argmin(scores), scores.shape)
+        a_best, k_best = a_try[ia], k_try[ik]
+    # through the constants of a = c1 (R - R_c), k = c2 sqrt(R - R_c), which
+    # round a and k as they always have
+    c1, c2 = a_best / dR, k_best / np.sqrt(dR)
     a = c1 * dR
     k = c2 * np.sqrt(dR)
     h = _build_guess(grid, Hcol, d, a, k)
@@ -636,7 +685,7 @@ def read_checkpoint(path: str) -> tuple[StripField, VorticitySpec]:
     checkpoint (bad text, grid or non-finite numbers) raises
     CheckpointFormatError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"{path}: not a text file: {exc}") from exc

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from wavebranch import spectrum1d as sp1
 from wavebranch import stream as st
-from wavebranch import strip
+from wavebranch import branch, strip
 from wavebranch.errors import BelowCriticalError, CheckpointFormatError, StagnationBreachError
 from wavebranch.vorticity import VorticitySpec
 
@@ -158,6 +158,39 @@ class TestNewton:
             strip.newton_solve(f, irrot)
 
 
+_GUESS_OMEGAS = ([0.0], [1.0, -2.0], [-0.5], [1.0], [0.5])
+
+
+def _guess_case(omega, dR, shape):
+    return pytest.param(omega, dR, shape, id=f"omega{omega}-dR{dR}-{shape[0]}x{shape[1]}")
+
+
+def _reference_lattice(spec, R, grid):
+    """initial_guess's (a, k) lattice scored by building each trial field and
+    evaluating its residual: the stream column, its depth, the lattice and the
+    (13, 9) scores, +inf where the residual rejects the trial."""
+    summary = strip.cached_summary(spec)
+    theta = st.solve_theta_for_R(spec, R, "supercritical", summary=summary)
+    Hcol = st.stream_profile(spec, theta, grid.p)
+    d = Hcol[-1]
+    a_lore = max(2.0 * d * (st.froude_of_theta(spec, theta) - 1.0), 1e-3 * d)
+    k_lore = np.sqrt(3.0 * a_lore / (4.0 * d**3))
+    a_try = a_lore * np.geomspace(0.4, 2.4, 13)
+    k_try = k_lore * np.geomspace(0.45, 2.2, 9)
+    scores = np.full((13, 9), np.inf)
+    for m, a in enumerate(a_try):
+        for n, k in enumerate(k_try):
+            trial = strip.StripField(grid, strip._build_guess(grid, Hcol, d, a, k), R, theta)
+            try:
+                r = strip.residual(trial, spec)
+            except StagnationBreachError:
+                continue
+            l2 = np.sqrt(grid.dq * grid.dp * np.sum(r.interior**2)
+                         + grid.dq * np.sum(r.surface**2))
+            scores[m, n] = l2 / a
+    return Hcol, d, a_try, k_try, scores
+
+
 class TestInitialGuess:
     def test_far_field_column_exact(self, irrot):
         grid = strip.default_grid(irrot, 1.53, nq=61, npp=17, L_factor=12.0)
@@ -175,6 +208,48 @@ class TestInitialGuess:
         grid = strip.StripGrid(L=12.0, nq=61, np=17)
         with pytest.raises(BelowCriticalError):
             strip.initial_guess(irrot, 1.45, grid)
+
+    @pytest.mark.parametrize(
+        "omega, dR, shape",
+        [_guess_case(om, dR, shape) for om in _GUESS_OMEGAS for dR in (0.005, 0.03, 0.3)
+         for shape in ((121, 17), (201, 31), (301, 41))]
+        # starts from which Newton is known to fail on the default grid
+        + [_guess_case([-0.5], 0.036, (301, 41)), _guess_case([0.5], 0.02, (301, 41)),
+           _guess_case([0.5], 0.04, (301, 41))],
+    )
+    def test_lattice_scores_match_residual_loop(self, omega, dR, shape):
+        spec = VorticitySpec(omega)
+        R_c = strip.cached_summary(spec).R_c
+        R = R_c + dR
+        dR = R - R_c  # as initial_guess rounds it
+        grid = strip.default_grid(spec, R, nq=shape[0], npp=shape[1])
+        Hcol, d, a_try, k_try, ref = _reference_lattice(spec, R, grid)
+        scores = strip._lattice_scores(spec, grid, Hcol, R, a_try, k_try)
+        assert np.isfinite(ref).all()
+        np.testing.assert_allclose(scores, ref, rtol=1e-10, atol=0.0)
+        ia, ik = np.unravel_index(np.argmin(ref), ref.shape)
+        assert np.argmin(scores) == np.argmin(ref)
+        # a and k through the constants c1 = a/dR, c2 = k/sqrt(dR), as initial_guess
+        a = a_try[ia] / dR * dR
+        k = k_try[ik] / np.sqrt(dR) * np.sqrt(dR)
+        guess = strip.initial_guess(spec, R, grid)
+        assert guess.h.tobytes() == strip._build_guess(grid, Hcol, d, a, k).tobytes()
+
+    def test_no_residual_evaluations(self, irrot, monkeypatch):
+        calls = []
+        full = strip.residual
+
+        def counted(field, spec):
+            calls.append(field.R)
+            return full(field, spec)
+
+        monkeypatch.setattr(strip, "residual", counted)
+        grid = strip.default_grid(irrot, 1.53, nq=121, npp=17)
+        guess = strip.initial_guess(irrot, 1.53, grid)
+        branch._initial_tangent(irrot, guess, 1.0)
+        assert calls == []
+        strip.residual_vector(guess, irrot)  # the counter does see the module's calls
+        assert calls == [1.53]
 
 
 class TestConvergenceInvariants:
@@ -284,14 +359,18 @@ def test_checkpoint_floats_round_trip_exactly(tmp_path_factory, vals, Rval):
 _TOKENS = st_h.sampled_from(
     ["nan", "-inf", "inf", "1e999", "0", "-1", "5", "8", "9", "0.5", "", " ", "x", "1e3", "1.5"]
 ) | st_h.text(st_h.characters(blacklist_categories=("Cs",)), max_size=6)
+_SIZES = st_h.sampled_from([-1, -9, 0, 8, 10, 10**9, 2**63, 10**400]) | st_h.integers(-20, 20)
+# bytes that are not UTF-8: lone continuation and lead bytes, an encoded
+# surrogate, an overlong encoding
+_NOT_UTF8 = st_h.sampled_from([b"\x80", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"])
 
 
 @given(
     data=st_h.data(),
-    kind=st_h.sampled_from(["replace-token", "drop-line", "duplicate-line", "insert-text",
-                            "truncate"]),
+    kind=st_h.sampled_from(["replace-token", "swap-tokens", "drop-line", "duplicate-line",
+                            "insert-text", "truncate", "grid-size", "not-utf8"]),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_checkpoint_fuzz_reads_or_rejects(tmp_path_factory, data, kind):
     """Mutated checkpoint text yields a valid field or CheckpointFormatError,
     never another exception."""
@@ -302,6 +381,17 @@ def test_checkpoint_fuzz_reads_or_rejects(tmp_path_factory, data, kind):
         t = data.draw(st_h.integers(0, len(toks) - 1))
         toks[t] = data.draw(_TOKENS)
         lines[k] = " ".join(toks)
+    elif kind == "swap-tokens":
+        k2 = data.draw(st_h.integers(0, len(lines) - 1))
+        toks, toks2 = lines[k].split(" "), lines[k2].split(" ")
+        t = data.draw(st_h.integers(0, len(toks) - 1))
+        t2 = data.draw(st_h.integers(0, len(toks2) - 1))
+        a, b = toks[t], toks2[t2]
+        toks[t] = b
+        lines[k] = " ".join(toks)
+        toks2 = lines[k2].split(" ")  # re-split: k2 may be k
+        toks2[t2] = a
+        lines[k2] = " ".join(toks2)
     elif kind == "drop-line":
         del lines[k]
     elif kind == "duplicate-line":
@@ -309,10 +399,18 @@ def test_checkpoint_fuzz_reads_or_rejects(tmp_path_factory, data, kind):
     elif kind == "insert-text":
         pos = data.draw(st_h.integers(0, len(lines[k])))
         lines[k] = lines[k][:pos] + data.draw(_TOKENS) + lines[k][pos:]
-    else:
+    elif kind == "grid-size":
+        key = data.draw(st_h.sampled_from(["nq", "np"]))
+        lines = [f"{key} {data.draw(_SIZES)}" if ln.startswith(key + " ") else ln
+                 for ln in lines]
+    elif kind == "truncate":
         lines = lines[:k]
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    if kind == "not-utf8":
+        pos = data.draw(st_h.integers(0, len(raw)))
+        raw = raw[:pos] + data.draw(_NOT_UTF8) + raw[pos:]
     path = tmp_path_factory.mktemp("fuzz") / "c.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(raw)
     try:
         fld, omega = strip.read_checkpoint(str(path))
     except CheckpointFormatError:
