@@ -48,7 +48,6 @@ __all__ = [
     "SpectrumInfo",
     "Turning",
     "EigenCrossing",
-    "MarginBreach",
     "AcceptedStep",
     "arclength_continue",
     "SolitarySystem",
@@ -129,12 +128,6 @@ class EigenCrossing:
     t: float
     m_estimate: int | None
     bracket: tuple
-
-
-@dataclass(frozen=True)
-class MarginBreach:
-    kind: str
-    t: float
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +810,12 @@ def _estimate_crossing_order(ts, mu1s, t_star):
     return int(round(slope))
 
 
-def detect_events(points, margin_fraction: float | None = None):
-    """Scan an accepted branch for turning points, eigenvalue crossings, and
-    margin breaches.
+def detect_events(points):
+    """Scan an accepted branch for turning points and eigenvalue crossings.
 
     points: sequence of BranchPoint (synthetic traces may use field=None).
     Refinement interpolates the sampled trace.  Returns a list of
-    Turning / EigenCrossing / MarginBreach events (possibly empty).
+    Turning / EigenCrossing events (possibly empty).
     """
     pts = list(points)
     if len(pts) < 3:
@@ -869,15 +861,4 @@ def detect_events(points, margin_fraction: float | None = None):
         t_star = brentq(lambda t: float(spl(t)), ts[k], ts[k + 1], xtol=1e-13)
         m_est = _estimate_crossing_order(ts, mu1s, t_star)
         events.append(EigenCrossing(t=float(t_star), m_estimate=m_est, bracket=(pts[k], pts[k + 1])))
-
-    if margin_fraction is not None and pts[0].diag is not None:
-        init = pts[0].diag
-        seen = set()
-        for p in pts[1:]:
-            if p.diag is None:
-                continue
-            for kind in _margin_breaches(p.diag, init, margin_fraction):
-                if kind not in seen:
-                    seen.add(kind)
-                    events.append(MarginBreach(kind=kind, t=p.t))
     return events

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ from .vorticity import VorticitySpec
 __all__ = ["RunConfig", "main"]
 
 _ENV_OUT = "WAVEBRANCH_OUT"
+
+# Layout of a branch directory: one checkpoint per accepted point in branch
+# order, the per-point table, and the same-R pairs found on the branch.
+POINT_NAME = "point_{:04d}.txt"
+BRANCH_CSV = "branch.csv"
+PAIRS_JSON = "pairs.json"
 
 
 @dataclass
@@ -67,8 +74,23 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        """Configuration from a JSON object; an unknown key or a value of the
+        wrong type raises ValueError (an integer stands for a float)."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: configuration is not a JSON object")
+        hints = typing.get_type_hints(cls)
+        for key, val in data.items():
+            if key not in hints:
+                raise ValueError(f"{path}: unknown configuration key {key!r}")
+            kinds = typing.get_args(hints[key]) or (hints[key],)
+            if float in kinds:
+                kinds += (int,)
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                raise ValueError(
+                    f"{path}: configuration key {key!r} cannot be {type(val).__name__}"
+                )
         return cls(**data)
 
     def resolved_out_dir(self) -> str:
@@ -197,6 +219,15 @@ def _branch_csv_lines(points) -> list:
     return lines
 
 
+def _point_names(dirpath: str) -> list:
+    """Names of the consecutive checkpoints of a branch directory, from
+    POINT_NAME.format(0) up to the first one missing."""
+    names = []
+    while os.path.exists(os.path.join(dirpath, POINT_NAME.format(len(names)))):
+        names.append(POINT_NAME.format(len(names)))
+    return names
+
+
 def _cmd_continue(args) -> int:
     cfg = _load_config(args)
     spec = _spec_of(cfg)
@@ -218,8 +249,8 @@ def _cmd_continue(args) -> int:
         start, spec, steps=cfg.steps, ds=cfg.ds, ctrl=ctrl, nu0_grid_n=cfg.nu0_grid_n
     )
     for idx, p in enumerate(points):
-        strip_mod.write_checkpoint(os.path.join(out_dir, f"point_{idx:04d}.txt"), p.field, spec)
-    with open(os.path.join(out_dir, "branch.csv"), "w") as fh:
+        strip_mod.write_checkpoint(os.path.join(out_dir, POINT_NAME.format(idx)), p.field, spec)
+    with open(os.path.join(out_dir, BRANCH_CSV), "w") as fh:
         fh.write("\n".join(_branch_csv_lines(points)) + "\n")
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         fh.write(cfg.to_json() + "\n")
@@ -238,14 +269,14 @@ def _read_branch_csv(csv_path: str):
 
 
 def _load_branch_dir(dirpath: str):
-    csv_path = os.path.join(dirpath, "branch.csv")
+    csv_path = os.path.join(dirpath, BRANCH_CSV)
     if not os.path.exists(csv_path):
-        raise CheckpointFormatError(f"{dirpath}: missing branch.csv")
+        raise CheckpointFormatError(f"{dirpath}: missing {BRANCH_CSV}")
     rows, cols = _read_branch_csv(csv_path)
     points = []
     spec = None
     for idx, row in enumerate(rows):
-        path = os.path.join(dirpath, f"point_{idx:04d}.txt")
+        path = os.path.join(dirpath, POINT_NAME.format(idx))
         fld, omega = strip_mod.read_checkpoint(path)
         spec = omega
         mu0 = float(row[cols["mu0"]])
@@ -275,20 +306,15 @@ def _cmd_pairs(args) -> int:
     pairs = phys.find_pairs(summary, events, n_r=args.n_r, resolve=resolve)
     payload = {
         "events": [
-            {"kind": e.__class__.__name__, "t": getattr(e, "t", None)} for e in events
+            {"kind": e.__class__.__name__, "t": e.t}
+            | ({"R": e.R} if isinstance(e, branch_mod.Turning) else {})
+            for e in events
         ],
         "pairs": [
-            {
-                "t1": p.t1,
-                "t2": p.t2,
-                "R": p.R,
-                "provenance": p.provenance,
-                "distance": p.distance,
-            }
-            for p in pairs
+            {"t1": p.t1, "t2": p.t2, "R": p.R, "distance": p.distance} for p in pairs
         ],
     }
-    out = args.out or os.path.join(args.branch, "pairs.json")
+    out = args.out or os.path.join(args.branch, PAIRS_JSON)
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"pairs {len(pairs)}")
@@ -402,9 +428,7 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     dirpath = args.dir
     failures = []
-    names = sorted(
-        n for n in os.listdir(dirpath) if n.startswith("point_") and n.endswith(".txt")
-    )
+    names = _point_names(dirpath)
     if not names:
         print(f"no checkpoints found in {dirpath}")
         return 2
@@ -452,18 +476,18 @@ def _cmd_verify(args) -> int:
             failures.append(f"{name}: Jacobian Taylor spot-check defect {defect:.2e}")
             continue
         print(f"{name}: ok (replay {move:.2e}, taylor {defect:.2e})")
-    csv_path = os.path.join(dirpath, "branch.csv")
+    csv_path = os.path.join(dirpath, BRANCH_CSV)
     if os.path.exists(csv_path):
         rows, cols = _read_branch_csv(csv_path)
         if len(rows) != len(names):
-            failures.append(f"branch.csv: {len(rows)} rows vs {len(names)} checkpoints")
+            failures.append(f"{BRANCH_CSV}: {len(rows)} rows vs {len(names)} checkpoints")
         else:
             ts = [float(r[cols["t"]]) for r in rows]
             if any(b <= a for a, b in zip(ts, ts[1:])):
-                failures.append("branch.csv: t not strictly increasing")
+                failures.append(f"{BRANCH_CSV}: t not strictly increasing")
             for idx, (row, name) in enumerate(zip(rows, names)):
                 if name in R_of and float(row[cols["R"]]) != R_of[name]:
-                    failures.append(f"branch.csv row {idx}: R mismatch with checkpoint")
+                    failures.append(f"{BRANCH_CSV} row {idx}: R mismatch with checkpoint")
                     break
     if failures:
         for f in failures:
@@ -568,7 +592,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, ValueError, TypeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except WavebranchError as exc:

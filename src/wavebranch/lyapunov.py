@@ -96,17 +96,25 @@ def finite_family(f, df, n, ip_weight=1.0) -> AnalyticFamily:
         lvals, lvecs = np.linalg.eig(A.T)
         kl = int(np.argmin(np.abs(lvals - vals[k])))
         w = lvecs[:, kl].real
-        # deterministic orientation
-        imax = int(np.argmax(np.abs(v)))
-        if v[imax] < 0:
-            v = -v
-        v = v / np.sqrt(float(np.sum(ip_weight * v * v)))
-        denom = float(np.sum(ip_weight * v * w))
-        if abs(denom) < 1e-8 * np.linalg.norm(w):
-            raise IllPosedProjectorError("eigen-normalization <v, z> degenerate")
-        return EigenData(mu=mu, v=v, w=w / denom)
+        return _normalized_eigendata(
+            mu, v, w, ip_weight, 1e-8, "eigen-normalization <v, z> degenerate"
+        )
 
     return AnalyticFamily(n=n, f=f, df=df, eigendata=eigendata, ip_weight=ip_weight)
+
+
+def _normalized_eigendata(mu, v, w, ip_weight, degenerate_tol, message) -> EigenData:
+    """EigenData with v oriented by its largest entry and normalized to
+    <v, v> = 1, and w scaled to <v, w> = 1; raises IllPosedProjectorError with
+    `message` when |<v, w>| < degenerate_tol * |w|."""
+    imax = int(np.argmax(np.abs(v)))
+    if v[imax] < 0:
+        v = -v
+    v = v / np.sqrt(float(np.sum(ip_weight * v * v)))
+    denom = float(np.sum(ip_weight * v * w))
+    if abs(denom) < degenerate_tol * np.linalg.norm(w):
+        raise IllPosedProjectorError(message)
+    return EigenData(mu=mu, v=v, w=w / denom)
 
 
 def project(family: AnalyticFamily, lam: float, x: np.ndarray):
@@ -244,6 +252,11 @@ class LocalBranches:
     certified: bool  # branch-count bounds certified only for odd m
 
 
+def _reduced_column(family, s, lam_vals, tol):
+    """B(s, lambda) at each lambda of lam_vals."""
+    return np.array([reduced_map(family, s, lam, tol=tol)[0] for lam in lam_vals])
+
+
 def _column_roots(family, s, lam_vals, B_col, tol, zero_tol):
     """Roots of lambda -> B(s, lambda) from lattice sign changes."""
     roots = []
@@ -255,21 +268,8 @@ def _column_roots(family, s, lam_vals, B_col, tol, zero_tol):
             roots.append(lam_vals[j])
             continue
         if b0 * b1 < 0:
-            lo, hi = lam_vals[j], lam_vals[j + 1]
-            flo = b0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm, _ = reduced_map(family, s, mid, tol=tol)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-                if hi - lo < 1e-13 * max(1.0, abs(mid)):
-                    break
-            roots.append(0.5 * (lo + hi))
+            roots.append(brentq(lambda lam: reduced_map(family, s, lam, tol=tol)[0],
+                                lam_vals[j], lam_vals[j + 1], xtol=1e-13))
     if abs(B_col[-1]) <= zero_tol and (len(roots) == 0 or abs(roots[-1] - lam_vals[-1]) > 1e-12):
         roots.append(lam_vals[-1])
     return roots
@@ -286,10 +286,10 @@ def local_branches(
 ) -> LocalBranches:
     """Trace zero curves of the reduced map on |s| <= s_max, |lambda| <= lam_max.
 
-    The lattice sign scan is refined by bisection in lambda per s-column; the
-    refined roots are chained across adjacent columns into curves, grouped by
-    the side of s = 0, paired index-wise in increasing-lambda order, and
-    classified.  Columns on which B vanishes identically signal a vertical
+    The lattice sign scan is refined by Brent's method in lambda per
+    s-column; the refined roots are chained across adjacent columns into
+    curves, grouped by the side of s = 0, paired index-wise in
+    increasing-lambda order, and classified.  Columns on which B vanishes identically signal a vertical
     family (lambda-independent solutions).
     """
     m, mu_m = _estimate_m(family, lam_max)
@@ -301,10 +301,7 @@ def local_branches(
         vertical_cols = 0
         for s_abs in s_side:
             s = side * s_abs
-            B_col = np.empty(nlam)
-            for j, lam in enumerate(lam_vals):
-                B_col[j], _ = reduced_map(family, s, lam, tol=tol)
-            scale = max(1.0, np.abs(B_col).max())
+            B_col = _reduced_column(family, s, lam_vals, tol)
             if np.abs(B_col).max() <= zero_tol:
                 vertical_cols += 1
                 cols.append("vertical")
@@ -420,9 +417,7 @@ def seed_from_family(
     for s_a in s_abs:
         for side in (+1, -1):
             s = side * s_a
-            B_col = np.empty(nlam)
-            for j, lam in enumerate(lam_vals):
-                B_col[j], _ = reduced_map(family, s, lam, tol=tol)
+            B_col = _reduced_column(family, s, lam_vals, tol)
             if np.abs(B_col).max() <= zero_tol:
                 candidates.append((s, 0.0))
                 continue
@@ -452,17 +447,10 @@ def _pencil_eigendata(field, J, ip_weight):
     the grid inner product."""
     b = branch_mod.pencil_weight(field)
     vals, vecs, lvecs = branch_mod.shift_invert_eigs(J, b, 1e-10, 1, left=True)
-    mu = float(vals[0])
-    v = vecs[:, 0]
-    w = lvecs[:, 0]
-    imax = int(np.argmax(np.abs(v)))
-    if v[imax] < 0:
-        v = -v
-    v = v / np.sqrt(float(np.sum(ip_weight * v * v)))
-    denom = float(np.sum(ip_weight * v * w))
-    if abs(denom) < 1e-10 * np.linalg.norm(w):
-        raise IllPosedProjectorError("PDE eigen-normalization degenerate")
-    return EigenData(mu=mu, v=v, w=w / denom)
+    return _normalized_eigendata(
+        float(vals[0]), vecs[:, 0], lvecs[:, 0], ip_weight, 1e-10,
+        "PDE eigen-normalization degenerate",
+    )
 
 
 def family_from_branch(bracket, spec, t_star, ctrl=None):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, StagnationBreachError
+from .roots import brentq
 from .stream import depth as stream_depth, flow_force_of_R
 from .strip import StripField, cached_summary
 from .vorticity import VorticitySpec, eval_Omega
@@ -29,6 +30,9 @@ __all__ = [
     "verify_flow_force_selection",
     "find_pairs",
 ]
+
+# Re-solved pair members must agree in R to this bound.
+EQUAL_R_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,6 @@ class WavePair:
     t1: float
     t2: float
     R: float
-    provenance: str  # 'TurningPoint' | 'SecondaryBranch'
     distance: float | None = None
 
     def __post_init__(self):
@@ -189,31 +192,21 @@ def _fold_epsilon(ts, Rs, k_star, t_star):
     return abs(curv) * window**2
 
 
-def find_pairs(
-    branch_summary,
-    events,
-    n_r: int = 10,
-    resolve=None,
-    secondary_summary=None,
-    equal_R_tol: float = 1e-10,
-):
+def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
     """Locate pairs of distinct solutions sharing one Bernoulli constant.
 
-    branch_summary: sequence of (t, R, checkpoint) triples along the primary
-    branch (checkpoint may be any reference object, or None for synthetic
-    traces).  events: output of detect_events.
+    branch_summary: sequence of (t, R, checkpoint) triples along the branch
+    (checkpoint may be any reference object, or None for synthetic traces).
+    events: output of detect_events.
 
-    TurningPoint mode: around each Turning event, R values are sampled on the
-    one-sided interval selected by the local increasing/decreasing pattern and
-    inverted on the pre-fold and post-fold segments by monotone interpolation.
-    With `resolve(R, checkpoint)` given, both members are re-solved at exactly
-    the shared R and the sup-norm distance of the fields is recorded.
-
-    SecondaryBranch mode: with secondary_summary given and an EigenCrossing
-    event present, R values are matched across the two branches near the
-    crossing.
+    Around each Turning event, R values are sampled on the one-sided interval
+    selected by the local increasing/decreasing pattern and inverted on the
+    pre-fold and post-fold segments by monotone interpolation.  With
+    `resolve(R, checkpoint)` given, both members are re-solved at exactly the
+    shared R (to EQUAL_R_TOL) and the sup-norm distance of the fields is
+    recorded.
     """
-    from .branch import EigenCrossing, Turning  # local import to avoid a cycle
+    from .branch import Turning  # local import to avoid a cycle
 
     summary = [(float(t), float(R), ref) for (t, R, ref) in branch_summary]
     summary.sort(key=lambda z: z[0])
@@ -222,110 +215,70 @@ def find_pairs(
     pairs: list[WavePair] = []
 
     for ev in events:
-        if isinstance(ev, Turning):
-            k_star = int(np.argmin(np.abs(ts - ev.t)))
-            R_star = ev.R
-            left = ts <= ev.t
-            right = ts >= ev.t
-            if left.sum() < 2 or right.sum() < 2:
+        if not isinstance(ev, Turning):
+            continue
+        k_star = int(np.argmin(np.abs(ts - ev.t)))
+        R_star = ev.R
+        left = ts <= ev.t
+        right = ts >= ev.t
+        if left.sum() < 2 or right.sum() < 2:
+            continue
+        increasing_first = Rs[left][-1] >= Rs[left][0]
+        eps = _fold_epsilon(ts, Rs, k_star, ev.t)
+        if eps is None or eps <= 0:
+            continue
+        seg_l_t, seg_l_R = ts[left], Rs[left]
+        seg_r_t, seg_r_R = ts[right], Rs[right]
+        # usable R range must be reachable on both segments
+        if increasing_first:
+            lo = max(seg_l_R.min(), seg_r_R.min())
+            eps = min(eps, 0.999 * (R_star - lo))
+            R_grid = R_star - np.linspace(eps, eps / n_r, n_r)
+        else:
+            hi = min(seg_l_R.max(), seg_r_R.max())
+            eps = min(eps, 0.999 * (hi - R_star))
+            R_grid = R_star + np.linspace(eps, eps / n_r, n_r)
+        if eps <= 0:
+            continue
+        inv_l = _monotone_inverse(seg_l_t, seg_l_R)
+        inv_r = _monotone_inverse(seg_r_t, seg_r_R)
+        for Rv in R_grid:
+            t1 = inv_l(Rv)
+            t2 = inv_r(Rv)
+            if t1 is None or t2 is None:
                 continue
-            increasing_first = Rs[left][-1] >= Rs[left][0]
-            eps = _fold_epsilon(ts, Rs, k_star, ev.t)
-            if eps is None or eps <= 0:
-                continue
-            seg_l_t, seg_l_R = ts[left], Rs[left]
-            seg_r_t, seg_r_R = ts[right], Rs[right]
-            # usable R range must be reachable on both segments
-            if increasing_first:
-                lo = max(seg_l_R.min(), seg_r_R.min())
-                eps = min(eps, 0.999 * (R_star - lo))
-                R_grid = R_star - np.linspace(eps, eps / n_r, n_r)
-            else:
-                hi = min(seg_l_R.max(), seg_r_R.max())
-                eps = min(eps, 0.999 * (hi - R_star))
-                R_grid = R_star + np.linspace(eps, eps / n_r, n_r)
-            if eps <= 0:
-                continue
-            inv_l = _monotone_inverse(seg_l_t, seg_l_R)
-            inv_r = _monotone_inverse(seg_r_t, seg_r_R)
-            for Rv in R_grid:
-                t1 = inv_l(Rv)
-                t2 = inv_r(Rv)
-                if t1 is None or t2 is None:
-                    continue
-                dist = None
-                if resolve is not None:
-                    ref1 = summary[int(np.argmin(np.abs(ts - t1)))][2]
-                    ref2 = summary[int(np.argmin(np.abs(ts - t2)))][2]
-                    f1 = resolve(Rv, ref1)
-                    f2 = resolve(Rv, ref2)
-                    if abs(f1.R - f2.R) > equal_R_tol:
-                        raise PreconditionError(
-                            f"re-solved pair members differ in R by {abs(f1.R - f2.R):.3e}"
-                        )
-                    dist = float(np.abs(f1.h - f2.h).max())
-                pairs.append(
-                    WavePair(t1=float(t1), t2=float(t2), R=float(Rv),
-                             provenance="TurningPoint", distance=dist)
-                )
-        elif isinstance(ev, EigenCrossing) and secondary_summary is not None:
-            sec = sorted(((float(t), float(R), ref) for (t, R, ref) in secondary_summary),
-                         key=lambda z: z[0])
-            st = np.array([z[0] for z in sec])
-            sR = np.array([z[1] for z in sec])
-            prim_win = (ts >= ev.t) & (ts <= ev.t + (st.max() - st.min()))
-            if prim_win.sum() < 2 or len(sec) < 2:
-                continue
-            inv_p = _monotone_inverse(ts[prim_win], Rs[prim_win])
-            inv_s = _monotone_inverse(st, sR)
-            lo = max(min(Rs[prim_win].min(), Rs[prim_win].max()), min(sR.min(), sR.max()))
-            hi = min(max(Rs[prim_win].min(), Rs[prim_win].max()), max(sR.min(), sR.max()))
-            if hi <= lo:
-                continue
-            for Rv in np.linspace(lo + (hi - lo) / (n_r + 1), hi - (hi - lo) / (n_r + 1), n_r):
-                t1 = inv_p(Rv)
-                t2 = inv_s(Rv)
-                if t1 is None or t2 is None:
-                    continue
-                pairs.append(
-                    WavePair(t1=float(t1), t2=float(t2), R=float(Rv),
-                             provenance="SecondaryBranch", distance=None)
-                )
+            dist = None
+            if resolve is not None:
+                ref1 = summary[int(np.argmin(np.abs(ts - t1)))][2]
+                ref2 = summary[int(np.argmin(np.abs(ts - t2)))][2]
+                f1 = resolve(Rv, ref1)
+                f2 = resolve(Rv, ref2)
+                if abs(f1.R - f2.R) > EQUAL_R_TOL:
+                    raise PreconditionError(
+                        f"re-solved pair members differ in R by {abs(f1.R - f2.R):.3e}"
+                    )
+                dist = float(np.abs(f1.h - f2.h).max())
+            pairs.append(WavePair(t1=float(t1), t2=float(t2), R=float(Rv), distance=dist))
     return pairs
 
 
 def _monotone_inverse(ts, Rs):
-    """Inverse of a sampled monotone segment R(t) via PCHIP + bisection.
+    """Inverse of a sampled monotone segment R(t): Brent's method on the PCHIP
+    interpolant.
 
     Returns a callable R -> t (or None when R is outside the segment range).
-    The returned t satisfies |R(t) - R| below 1e-12 on the interpolant.
     """
-    ts = np.asarray(ts, dtype=float)
-    Rs = np.asarray(Rs, dtype=float)
-    if Rs[-1] < Rs[0]:
-        sgn = -1.0
-    else:
-        sgn = 1.0
     from scipy.interpolate import PchipInterpolator
 
+    ts = np.asarray(ts, dtype=float)
+    Rs = np.asarray(Rs, dtype=float)
     order = np.argsort(ts)
     ts, Rs = ts[order], Rs[order]
     interp = PchipInterpolator(ts, Rs)
 
     def inv(Rv: float):
-        lo, hi = ts[0], ts[-1]
-        flo, fhi = Rs[0] - Rv, Rs[-1] - Rv
-        if flo * fhi > 0:
+        if (Rs[0] - Rv) * (Rs[-1] - Rv) > 0:
             return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = float(interp(mid)) - Rv
-            if abs(fm) < 1e-13 or hi - lo < 1e-15 * max(1.0, abs(mid)):
-                return mid
-            if (fm > 0) == (sgn > 0):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return brentq(lambda t: float(interp(t)) - Rv, ts[0], ts[-1], xtol=1e-15)
 
     return inv

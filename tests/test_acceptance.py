@@ -358,8 +358,7 @@ def test_criterion_10_pair_finder(fold_branch):
         return strip.resolve_at(ref.field, irrot, Rv, 1e-10)
 
     pde_pairs = physical.find_pairs(
-        [(p.t, p.R, p) for p in pde_pts], pde_events, n_r=4,
-        resolve=resolve, equal_R_tol=1e-10,
+        [(p.t, p.R, p) for p in pde_pts], pde_events, n_r=4, resolve=resolve
     )
     assert pde_pairs
     for p in pde_pairs:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -108,6 +109,23 @@ class TestErrors:
     def test_unknown_model_case_exits_1(self, capsys):
         code, _, err = run(capsys, "model-bifurcate", "--case", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("data", [{"nq": 61, "bogus": 1}, {"nq": "61"}, {"ds": None}])
+    def test_unknown_or_ill_typed_config_key_exits_2(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "critical", "--config", str(bad))
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_bug_in_a_command_is_not_a_configuration_error(self, capsys, monkeypatch):
+        def broken(spec):
+            raise TypeError("a bug, not a bad configuration")
+
+        monkeypatch.setattr(cli.stream_mod, "dispersion_summary", broken)
+        with pytest.raises(TypeError):
+            main(["critical", "--omega", "0"])
+        assert "configuration error" not in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +255,30 @@ print(sorted(m for m in sys.modules if m.startswith(heavy)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_fold_script_is_the_library_path(fold_branch, tmp_path, capsys):
+    # scripts/run_fold_pairs.py at its defaults writes, through `continue` and
+    # `pairs`, the checkpoints the library calls of the fold_branch fixture give
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "run_fold_pairs", os.path.join(root, "scripts", "run_fold_pairs.py")
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out", str(tmp_path)]) == 0
+
+    points, _ = fold_branch
+    for idx, p in enumerate(points):
+        fld, _ = strip.read_checkpoint(str(tmp_path / cli.POINT_NAME.format(idx)))
+        assert fld.h.tobytes() == p.field.h.tobytes()
+        assert (fld.R, fld.theta) == (p.field.R, p.field.theta)
+    assert not (tmp_path / cli.POINT_NAME.format(len(points))).exists()
+
+    payload = json.loads((tmp_path / cli.PAIRS_JSON).read_text())
+    assert set(payload) == {"events", "pairs"}
+    assert [set(e) for e in payload["events"]] == [{"kind", "t", "R"}]
+    assert payload["events"][0]["kind"] == "Turning"
+    assert all(set(p) == {"t1", "t2", "R", "distance"} for p in payload["pairs"])
+    assert sum(p["distance"] > 1e-9 for p in payload["pairs"]) >= 4
+    assert f"R* = {payload['events'][0]['R']:.7f}" in capsys.readouterr().out

@@ -113,8 +113,8 @@ class TestPairsSynthetic:
         assert physical.find_pairs([(t, r, None) for t, r in zip(ts, Rs)], events) == []
 
     def test_pair_symmetry(self):
-        a = physical.WavePair(t1=1.2, t2=0.8, R=1.9, provenance="TurningPoint")
-        b = physical.WavePair(t1=0.8, t2=1.2, R=1.9, provenance="TurningPoint")
+        a = physical.WavePair(t1=1.2, t2=0.8, R=1.9)
+        b = physical.WavePair(t1=0.8, t2=1.2, R=1.9)
         assert a == b
         assert a.t1 == 0.8 and a.t2 == 1.2
 
@@ -132,5 +132,4 @@ class TestPairsPde:
         pairs = physical.find_pairs(summary, events, n_r=4, resolve=resolve)
         assert pairs, "no PDE pairs found around the fold"
         for p in pairs:
-            assert p.provenance == "TurningPoint"
             assert p.distance > 10 * 1e-10  # genuinely distinct members
