@@ -28,7 +28,7 @@ from .errors import (
 )
 from . import spectrum1d
 from .roots import brentq
-from .stream import moments, solve_theta_for_R, stream_at
+from .stream import moments, solve_theta_for_R
 from .strip import (
     StripField,
     StripGrid,
@@ -58,6 +58,7 @@ __all__ = [
     "pencil_weight",
     "shift_invert_eigs",
     "localized_fraction",
+    "below_edge",
     "diagnostics_of",
     "loop_closure",
     "detect_events",
@@ -503,6 +504,13 @@ def _arnoldi(matvec, b, sigma, k, solve):
     return vals.real[order], vecs.real[:, order]
 
 
+def below_edge(mu, nu0):
+    """Whether mu lies below the continuous-spectrum edge nu0 by more than
+    1e-9 |nu0| (elementwise on arrays): what tells a monitored mu1 from its
+    sentinel value nu0.  A nan on either side reads False."""
+    return mu < nu0 - 1e-9 * np.abs(nu0)
+
+
 def spectrum_at(
     field: StripField,
     spec: VorticitySpec,
@@ -520,8 +528,7 @@ def spectrum_at(
     if k < 2:
         raise ValueError("k must be at least 2")
     grid = field.grid
-    s = stream_at(spec, field.theta, n_profile=65)
-    nu0 = spectrum1d.nu0(spectrum1d.robin_problem(s, spec, grid_n=nu0_grid_n))
+    nu0 = spectrum1d.nu0(spectrum1d.robin_problem(spec, field.theta, grid_n=nu0_grid_n))
 
     J = assemble_jacobian(field, spec)
     b = pencil_weight(field)
@@ -537,7 +544,7 @@ def spectrum_at(
 
     loc_vals = vals[localized]
     mu0 = float(loc_vals[0]) if loc_vals.size else None
-    below = loc_vals[1:][loc_vals[1:] < nu0 * (1.0 - 1e-9)] if loc_vals.size else np.array([])
+    below = loc_vals[1:][below_edge(loc_vals[1:], nu0)]
     mu1 = float(below[0]) if below.size else float(nu0)
     return SpectrumInfo(eigenvalues=vals, localized=localized, mu0=mu0, mu1=mu1, nu0=float(nu0))
 
@@ -839,7 +846,7 @@ def detect_events(points):
 
     mu1s = np.array([p.mu1 for p in pts], dtype=float)
     nu0s = np.array([p.nu0 for p in pts], dtype=float)
-    strict = mu1s < nu0s - 1e-12 * np.maximum(1.0, np.abs(nu0s))
+    strict = below_edge(mu1s, nu0s)
     for k in range(len(pts) - 1):
         if not (strict[k] and strict[k + 1]):
             continue

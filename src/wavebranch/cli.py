@@ -68,6 +68,10 @@ class RunConfig:
             raise ValueError("tolerances and step sizes must be positive")
         if self.nq < 9 or self.np < 9:
             raise ValueError("grid counts below minimum (9)")
+        if self.L is not None and not self.L > 0:
+            raise ValueError(f"L must be positive, got {self.L}")
+        if self.nu0_grid_n < 64:
+            raise ValueError(f"nu0_grid_n must be at least 64, got {self.nu0_grid_n}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -123,8 +127,7 @@ def _grid_of(cfg: RunConfig, spec: VorticitySpec, R: float) -> strip_mod.StripGr
     return strip_mod.default_grid(spec, R, nq=cfg.nq, npp=cfg.np)
 
 
-def _cmd_stream(args) -> int:
-    cfg = _load_config(args)
+def _cmd_stream(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     thetas = np.linspace(args.theta_min, args.theta_max, args.n)
     lines = ["theta,d,R,F,S"]
@@ -142,8 +145,7 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_critical(args) -> int:
-    cfg = _load_config(args)
+def _cmd_critical(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     ds = stream_mod.dispersion_summary(spec)
     F_c = stream_mod.froude_of_theta(spec, ds.theta_c)
@@ -154,19 +156,16 @@ def _cmd_critical(args) -> int:
     return 0
 
 
-def _cmd_spectrum1d(args) -> int:
-    cfg = _load_config(args)
+def _cmd_spectrum1d(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     theta = stream_mod.solve_theta_for_R(spec, args.R, "supercritical")
-    s = stream_mod.stream_at(spec, theta)
-    problem = sp1.robin_problem(s, spec, grid_n=args.grid_n or cfg.nu0_grid_n)
+    problem = sp1.robin_problem(spec, theta, grid_n=cfg.nu0_grid_n)
     print(f"nu0 {_fmt(sp1.nu0(problem))}")
     print(f"rho0 {_fmt(problem.rho0)}")
     return 0
 
 
-def _cmd_solve(args) -> int:
-    cfg = _load_config(args)
+def _cmd_solve(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     grid = _grid_of(cfg, spec, args.R)
     guess = strip_mod.initial_guess(spec, args.R, grid)
@@ -228,8 +227,7 @@ def _point_names(dirpath: str) -> list:
     return names
 
 
-def _cmd_continue(args) -> int:
-    cfg = _load_config(args)
+def _cmd_continue(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     R0 = args.R_start
     grid = _grid_of(cfg, spec, R0)
@@ -294,9 +292,10 @@ def _load_branch_dir(dirpath: str):
     return points, spec
 
 
-def _cmd_pairs(args) -> int:
-    cfg = _load_config(args)
+def _cmd_pairs(args, cfg: RunConfig) -> int:
     points, spec = _load_branch_dir(args.branch)
+    if len(points) < 3:
+        raise PreconditionError(f"{args.branch}: {len(points)} points, pairs need at least 3")
     events = branch_mod.detect_events(points)
     summary = [(p.t, p.R, p) for p in points]
 
@@ -322,54 +321,45 @@ def _cmd_pairs(args) -> int:
     return 0
 
 
-def _cmd_ls_reduce(args) -> int:
-    cfg = _load_config(args)
+def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
     fld_a, spec = strip_mod.read_checkpoint(args.checkpoint_a)
     fld_b, _ = strip_mod.read_checkpoint(args.checkpoint_b)
     pa = branch_mod.branch_point_from_field(fld_a, spec, t=0.0, nu0_grid_n=cfg.nu0_grid_n)
     pb = branch_mod.branch_point_from_field(
         fld_b, spec, t=float(np.abs(fld_b.h - fld_a.h).max()), nu0_grid_n=cfg.nu0_grid_n
     )
-    payload = {
-        "mu1_a": pa.mu1,
-        "mu1_b": pb.mu1,
-        "nu0_a": pa.nu0,
-        "nu0_b": pb.nu0,
-    }
-    sign_change = (
-        pa.mu1 < pa.nu0 * (1 - 1e-9)
-        and pb.mu1 < pb.nu0 * (1 - 1e-9)
+    payload = {"mu1_a": pa.mu1, "mu1_b": pb.mu1, "nu0_a": pa.nu0, "nu0_b": pb.nu0}
+    bracketed = bool(
+        branch_mod.below_edge(pa.mu1, pa.nu0)
+        and branch_mod.below_edge(pb.mu1, pb.nu0)
         and pa.mu1 * pb.mu1 < 0
     )
-    payload["crossing_bracketed"] = bool(sign_change)
-    if not sign_change:
+    payload["crossing_bracketed"] = bracketed
+    if not bracketed:
         payload["note"] = "no mu1 sign change strictly below nu0 between the checkpoints"
-        out = args.out or "ls-reduce.json"
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(json.dumps(payload))
-        raise PreconditionError(payload["note"])
-    pa.tangent_x, pa.tangent_lam = branch_mod.tangent(
-        pa, pb, weight=fld_a.grid.dq * fld_a.grid.dp
-    )
-    pa.ds = pb.t - pa.t
-    try:
-        seed = ly.switch_branch((pa, pb), spec, newton_tol=cfg.newton_tol)
-        payload["switched"] = True
-        payload["seed_R"] = seed.R
-        if args.out_checkpoint:
-            strip_mod.write_checkpoint(args.out_checkpoint, seed, spec)
-    except NoSecondaryBranchError as exc:
-        payload["switched"] = False
-        payload["note"] = str(exc)
-    out = args.out or "ls-reduce.json"
-    with open(out, "w") as fh:
+    else:
+        pa.tangent_x, pa.tangent_lam = branch_mod.tangent(
+            pa, pb, weight=fld_a.grid.dq * fld_a.grid.dp
+        )
+        pa.ds = pb.t - pa.t
+        try:
+            seed = ly.switch_branch((pa, pb), spec, newton_tol=cfg.newton_tol)
+            payload["switched"] = True
+            payload["seed_R"] = seed.R
+            if args.out_checkpoint:
+                strip_mod.write_checkpoint(args.out_checkpoint, seed, spec)
+        except NoSecondaryBranchError as exc:
+            payload["switched"] = False
+            payload["note"] = str(exc)
+    with open(args.out or "ls-reduce.json", "w") as fh:
         json.dump(payload, fh, indent=2)
     print(json.dumps(payload))
+    if not bracketed:
+        raise PreconditionError(payload["note"])
     return 0
 
 
-def _cmd_model_bifurcate(args) -> int:
+def _cmd_model_bifurcate(args, cfg: RunConfig) -> int:
     if args.case not in ly.MODEL_GALLERY:
         raise PreconditionError(f"unknown model case {args.case!r}")
     fam = ly.MODEL_GALLERY[args.case]()
@@ -424,8 +414,7 @@ def _taylor_spot_check(fld, spec, seed: int) -> float:
     return float(np.abs(cd - J @ vec).max())
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def _cmd_verify(args, cfg: RunConfig) -> int:
     dirpath = args.dir
     failures = []
     names = _point_names(dirpath)
@@ -530,7 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum1d", help="1-D Robin eigenvalue nu0 and rho0")
     common(p)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--grid-n", type=int, dest="grid_n")
     p.set_defaults(func=_cmd_spectrum1d)
 
     p = sub.add_parser("solve", help="solve one solitary wave at fixed R")
@@ -591,9 +579,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
+        cfg = _load_config(args)
     except (FileNotFoundError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return args.func(args, cfg)
+    except FileNotFoundError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except WavebranchError as exc:
         print(f"error ({exc.__class__.__name__}): {exc}", file=sys.stderr)

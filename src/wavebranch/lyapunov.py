@@ -516,7 +516,7 @@ def switch_branch(
     if a.mu1 == 0.0 or (a.mu1 > 0) == (b.mu1 > 0):
         raise PreconditionError("bracket has no sign change of mu1")
     for p in (a, b):
-        if not p.mu1 < p.nu0 * (1.0 - 1e-9):
+        if not branch_mod.below_edge(p.mu1, p.nu0):
             raise PreconditionError("mu1 is the sentinel nu0 on one side: not a crossing")
 
     # refine t* by Brent's method on mu1(t), re-solving the branch at each iterate

@@ -144,7 +144,7 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights on n uniform nodes of spacing h.  For even n
     the last interval takes the three-point rule (-1, 8, 5) h/12 on the last
-    three nodes, as scipy.integrate.simpson does."""
+    three nodes, as scipy's `simpson` does."""
     m = n if n % 2 else n - 1
     w = np.zeros(n)
     w[:m:2] = 2.0

@@ -2,9 +2,11 @@
 
     -v'' - omega'(U(Y)) v = nu v,   v(0) = 0,   v'(d) = rho0 v(d),
 
-where U is the uniform-stream velocity profile and rho0 the surface Robin
-coefficient.  nu0 marks the edge of the continuous spectrum of the linearized
-strip operator and is consumed by the branch monitor.
+where U is the velocity profile of the uniform stream with parameter theta
+and rho0 the surface Robin coefficient.  nu0 marks the edge of the continuous
+spectrum of the linearized strip operator and is consumed by the branch
+monitor.  U(Y) is the inverse of the cumulative moment Y = M_1(U) of
+`stream.moments`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from scipy.linalg import eigh_tridiagonal
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, SurfaceStagnationError
-from .stream import StreamSolution
+from .stream import moments
 from .vorticity import VorticitySpec, eval_Omega, eval_omega, eval_omega_prime
 
 __all__ = ["RobinEigenProblem", "rho0_of_stream", "robin_problem", "nu0", "nu0_eigenpair"]
+
+_N_COARSE = 65  # nodes of the M_1 profile that starts the Newton inversion
+_NEWTON_TOL, _NEWTON_MAX = 1e-12, 20
 
 
 @dataclass(frozen=True)
@@ -31,63 +36,59 @@ class RobinEigenProblem:
     ghost-node surface row.
     """
 
-    stream: StreamSolution
     rho0: float
-    grid_n: int
     y: np.ndarray
     potential: np.ndarray
     qprime_surface: float
 
 
-def rho0_of_stream(s: StreamSolution, spec: VorticitySpec) -> float:
+def rho0_of_stream(spec: VorticitySpec, theta: float) -> float:
     """Robin coefficient (1 + U_Y U_YY) / U_Y^2 at the surface Y = d.
 
     Uses U_Y(d) = sqrt(theta^2 - 2*Omega(1)) and U_YY(d) = -omega(1), both exact
     consequences of the stream ODE U'' + omega(U) = 0.
     """
-    uy2 = s.theta * s.theta - 2.0 * eval_Omega(spec, 1.0)
+    uy2 = theta * theta - 2.0 * eval_Omega(spec, 1.0)
     if uy2 <= 0.0:
         raise SurfaceStagnationError(f"theta^2 - 2*Omega(1) = {uy2} <= 0")
     return (1.0 - np.sqrt(uy2) * eval_omega(spec, 1.0)) / uy2
 
 
-def robin_problem(s: StreamSolution, spec: VorticitySpec, grid_n: int = 1024) -> RobinEigenProblem:
-    """Build the discrete problem: integrate U'' = -omega(U) onto a uniform Y-grid."""
+def _velocity_profile(spec: VorticitySpec, theta: float, grid_n: int):
+    """Uniform grid Y_j = j d / grid_n and U(Y_j), with U(0) = 0 and U(d) = 1
+    exactly: M_1(U) = Y solved at the interior nodes by Newton's method
+    (dY/dU = (theta^2 - 2*Omega(U))^(-1/2)), started by linear interpolation
+    in a coarse M_1 profile."""
+    p = np.linspace(0.0, 1.0, _N_COARSE)
+    Y = moments(spec, theta, p, (1,))[0]
+    y = np.linspace(0.0, Y[-1], grid_n + 1)
+    U = np.interp(y, Y, p)
+    U[-1] = 1.0
+    for _ in range(_NEWTON_MAX):
+        s = theta * theta - 2.0 * eval_Omega(spec, U[1:-1])
+        step = (moments(spec, theta, U, (1,))[0, 1:-1] - y[1:-1]) * np.sqrt(s)
+        U[1:-1] = np.clip(U[1:-1] - step, 0.0, 1.0)
+        if np.abs(step).max() <= _NEWTON_TOL:
+            return y, U
+    raise NumericalError(
+        f"inversion of Y = M_1(U) not converged in {_NEWTON_MAX} Newton steps "
+        f"(last step {np.abs(step).max():.3e})"
+    )
+
+
+def robin_problem(spec: VorticitySpec, theta: float, grid_n: int = 1024) -> RobinEigenProblem:
+    """Build the discrete problem of the stream theta on grid_n + 1 Y-nodes."""
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    from scipy.integrate import solve_ivp
-
-    y = np.linspace(0.0, s.depth, grid_n + 1)
-
-    def rhs(_, z):
-        return [z[1], -eval_omega(spec, min(max(z[0], 0.0), 1.0))]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, s.depth),
-        [0.0, s.theta],
-        t_eval=y,
-        rtol=1e-12,
-        atol=1e-13,
-        method="DOP853",
-    )
-    if not sol.success:
-        raise NumericalError(f"stream ODE integration failed: {sol.message}")
-    U = sol.y[0]
-    if abs(U[-1] - 1.0) > 1e-8:
-        raise NumericalError(f"U(d) = {U[-1]} deviates from 1; inconsistent stream")
-    potential = eval_omega_prime(spec, np.clip(U, 0.0, 1.0))
+    y, U = _velocity_profile(spec, theta, grid_n)
     # d/dY omega'(U) at the surface: omega''(1) * U_Y(d), with U_Y(d) exact
     cs2 = npoly.polyder(np.asarray(spec.coeffs, dtype=float), 2) if len(spec.coeffs) > 2 else [0.0]
-    uy_d = np.sqrt(s.theta**2 - 2.0 * eval_Omega(spec, 1.0))
-    qprime = float(npoly.polyval(1.0, cs2)) * uy_d
+    uy_d = np.sqrt(theta**2 - 2.0 * eval_Omega(spec, 1.0))
     return RobinEigenProblem(
-        stream=s,
-        rho0=rho0_of_stream(s, spec),
-        grid_n=grid_n,
+        rho0=rho0_of_stream(spec, theta),
         y=y,
-        potential=potential,
-        qprime_surface=qprime,
+        potential=eval_omega_prime(spec, U),
+        qprime_surface=float(npoly.polyval(1.0, cs2)) * uy_d,
     )
 
 
@@ -103,7 +104,7 @@ def _tridiagonal(problem: RobinEigenProblem, rho0: float | None = None):
     second order (interior dispersion).
     """
     r0 = problem.rho0 if rho0 is None else rho0
-    n = problem.grid_n
+    n = problem.y.size - 1
     dy = problem.y[1] - problem.y[0]
     q = problem.potential
     if abs(r0) * dy <= 0.1:
@@ -121,29 +122,27 @@ def _tridiagonal(problem: RobinEigenProblem, rho0: float | None = None):
     diag[-1] = a_nn / m_n
     off = np.full(n - 1, -1.0 / dy**2)
     off[-1] = -1.0 / (dy**2 * np.sqrt(m_n))
-    return diag, off, dy, m_n
+    return diag, off, m_n
 
 
 def nu0(problem: RobinEigenProblem, rho0: float | None = None) -> float:
-    """Smallest eigenvalue of the discrete Robin problem.
+    """Smallest eigenvalue of the discrete Robin problem (rho0 overrides the
+    problem's Robin coefficient)."""
+    return nu0_eigenpair(problem, rho0)[0]
+
+
+def nu0_eigenpair(problem: RobinEigenProblem, rho0: float | None = None) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and its eigenfunction samples v(Y_j), j = 0..grid_n.
 
     LAPACK's selected-eigenvalue path (bisection plus inverse iteration) is used
     on the symmetrized tridiagonal matrix.
     """
-    diag, off, _, _ = _tridiagonal(problem, rho0)
+    diag, off, m_n = _tridiagonal(problem, rho0)
     try:
-        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"tridiagonal eigensolve failed: {exc}") from exc
-    return float(vals[0])
-
-
-def nu0_eigenpair(problem: RobinEigenProblem) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and its eigenfunction samples v(Y_j), j = 0..grid_n."""
-    diag, off, _, m_n = _tridiagonal(problem)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    u = vecs[:, 0]
-    v = np.concatenate([[0.0], u])
+    v = np.concatenate([[0.0], vecs[:, 0]])
     v[-1] /= np.sqrt(m_n)  # undo the M^(-1/2) scaling of the surface node
     if v[1] < 0:
         v = -v

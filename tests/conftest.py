@@ -1,3 +1,9 @@
+import os
+
+# OpenBLAS's default thread count slows the small banded factorizations of
+# this suite on a machine with few cores; an explicit setting still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -165,6 +165,25 @@ class TestDetectEvents:
         events = [e for e in branch.detect_events(pts) if isinstance(e, branch.EigenCrossing)]
         assert events == []
 
+    def test_mu1_just_below_the_edge_is_not_a_crossing(self):
+        # mu1 = nu0 (1 - 1e-10) is the sentinel to switch_branch, so the
+        # monitor must not report a crossing from it either
+        ts = np.linspace(0, 1, 20)
+        nu0 = np.full_like(ts, 1.0)
+        mu1 = np.where(ts < 0.5, 1.0 - 1e-10, -0.2)
+        pts = synthetic_points(ts, 1.5 + ts, mu1=mu1, nu0=nu0)
+        events = [e for e in branch.detect_events(pts) if isinstance(e, branch.EigenCrossing)]
+        assert events == []
+
+    def test_below_edge(self):
+        assert not branch.below_edge(1.0 - 1e-10, 1.0)
+        assert branch.below_edge(1.0 - 1e-8, 1.0)
+        # a negative edge: its sentinel is not below it, a value under it is
+        assert not branch.below_edge(-2.0, -2.0)
+        assert branch.below_edge(-2.0 - 1e-8, -2.0)
+        assert not branch.below_edge(0.5, np.nan)
+        assert list(branch.below_edge(np.array([0.1, 1.0]), np.array([1.0, 1.0]))) == [True, False]
+
     def test_requires_three_points(self):
         ts = np.array([0.0, 1.0])
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ class TestBasicCommands:
 
     def test_spectrum1d(self, capsys):
         code, out, _ = run(capsys, "spectrum1d", "--omega", "0", "--R", "2.0",
-                           "--grid-n", "512")
+                           "--nu0-grid-n", "512")
         assert code == 0
         vals = dict(line.split() for line in out.strip().splitlines())
         assert float(vals["nu0"]) == pytest.approx(5.6767, abs=1e-2)
@@ -118,14 +118,29 @@ class TestErrors:
         assert code == 2
         assert "configuration error" in err
 
-    def test_bug_in_a_command_is_not_a_configuration_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("exc", [TypeError, ValueError], ids=lambda e: e.__name__)
+    def test_bug_in_a_command_is_not_a_configuration_error(self, capsys, monkeypatch, exc):
         def broken(spec):
-            raise TypeError("a bug, not a bad configuration")
+            raise exc("a bug, not a bad configuration")
 
         monkeypatch.setattr(cli.stream_mod, "dispersion_summary", broken)
-        with pytest.raises(TypeError):
+        with pytest.raises(exc):
             main(["critical", "--omega", "0"])
         assert "configuration error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--L", "-1"], ["--L", "0"], ["--nu0-grid-n", "32"]])
+    def test_bad_length_or_edge_grid_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, "spectrum1d", "--omega", "0", "--R", "2.0", *argv)
+        assert code == 2
+        assert "configuration error" in err
+
+    def test_missing_input_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "ls-reduce", "--checkpoint-a", str(tmp_path / "a.txt"),
+            "--checkpoint-b", str(tmp_path / "b.txt"),
+        )
+        assert code == 2
+        assert "configuration error" not in err
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +241,17 @@ class TestContinueAndVerify:
         payload = json.loads((branch_dir / "pairs.json").read_text())
         assert payload["pairs"] == []  # monotone run: no fold, no pairs
 
+    def test_pairs_needs_three_points(self, branch_dir, tmp_path, capsys):
+        import shutil
+
+        short = tmp_path / "short"
+        shutil.copytree(branch_dir, short)
+        lines = (short / "branch.csv").read_text().splitlines()
+        (short / "branch.csv").write_text("\n".join(lines[:3]) + "\n")
+        code, _, err = run(capsys, "pairs", "--branch", str(short))
+        assert code == 1
+        assert "PreconditionError" in err and "at least 3" in err
+
     def test_ls_reduce_reports_no_crossing(self, branch_dir, tmp_path, capsys):
         code, out, err = run(
             capsys, "ls-reduce",
@@ -239,22 +265,44 @@ class TestContinueAndVerify:
         assert payload["crossing_bracketed"] is False
 
 
-def test_solve_path_imports_no_heavy_scipy_subpackage():
-    # a fresh interpreter solving at fixed R, as `wavebranch solve` does,
-    # loads numpy and scipy.linalg only
-    code = """
-import sys
-from wavebranch.cli import main
-for omega, R in (("0", "1.53"), ("-0.5", "1.81")):
-    assert main(["solve", "--omega", omega, "--R", R, "--nq", "121", "--np", "17"]) == 0
+def _modules_loaded_by(code: str) -> list:
+    """Names of the scipy.optimize, scipy.integrate, scipy.interpolate and
+    scipy.sparse modules a fresh interpreter has loaded after running code."""
+    code += """
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
-print(sorted(m for m in sys.modules if m.startswith(heavy)))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    return json.loads(out.splitlines()[-1])
+
+
+def test_solve_path_imports_no_heavy_scipy_subpackage():
+    # a fresh interpreter solving at fixed R, as `wavebranch solve` does,
+    # loads numpy and scipy.linalg only
+    loaded = _modules_loaded_by("""
+import json, sys
+from wavebranch.cli import main
+for omega, R in (("0", "1.53"), ("-0.5", "1.81")):
+    assert main(["solve", "--omega", omega, "--R", R, "--nq", "121", "--np", "17"]) == 0
+""")
+    assert loaded == []
+
+
+def test_edge_and_continuation_import_no_integrate_or_optimize(tmp_path):
+    # the Robin edge nu0 comes from the stream kernel, so neither `spectrum1d`
+    # nor a continuation run (which computes nu0 at every point) loads
+    # scipy.integrate or scipy.optimize
+    loaded = _modules_loaded_by(f"""
+import json, sys
+from wavebranch.cli import main
+assert main(["spectrum1d", "--omega", "1", "2", "3", "--R", "6.0", "--nu0-grid-n", "128"]) == 0
+assert main(["continue", "--omega", "0", "--R-start", "1.52", "--steps", "2", "--ds", "0.004",
+             "--nq", "61", "--np", "11", "--nu0-grid-n", "128", "--out", {str(tmp_path)!r}]) == 0
+""")
+    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
 
 def test_fold_script_is_the_library_path(fold_branch, tmp_path, capsys):

@@ -6,9 +6,8 @@ from scipy.optimize import brentq
 
 from wavebranch import spectrum1d as sp1
 from wavebranch import stream as st
-from wavebranch.errors import SurfaceStagnationError
-from wavebranch.stream import StreamSolution
-from wavebranch.vorticity import VorticitySpec
+from wavebranch.errors import NumericalError, SurfaceStagnationError
+from wavebranch.vorticity import VorticitySpec, theta0
 
 
 def transcendental_nu0(theta: float, d: float) -> float:
@@ -19,74 +18,97 @@ def transcendental_nu0(theta: float, d: float) -> float:
 
 
 @pytest.fixture(scope="module")
-def super_stream_R2(irrot):
-    theta = st.solve_theta_for_R(irrot, 2.0, "supercritical")
-    return st.stream_at(irrot, theta)
+def theta_R2(irrot):
+    """Supercritical irrotational stream at R = 2."""
+    return st.solve_theta_for_R(irrot, 2.0, "supercritical")
+
+
+# omega = [1, 2, 3] (omega' = 2 + 6p, so U(Y) enters the potential) at the
+# supercritical theta of R = R_c + 0.1, and nu0 on 128/256/512 nodes as the
+# Robin problem gave them when U(Y) came from integrating U'' = -omega(U)
+# with DOP853 (rtol 1e-12, atol 1e-13) instead of inverting M_1
+CUBIC = VorticitySpec([1.0, 2.0, 3.0])
+CUBIC_THETA = 2.5249063867135475
+CUBIC_NU0 = {128: 15.498836024632965, 256: 15.499378922117621, 512: 15.499514649248649}
 
 
 class TestRho0:
     def test_irrotational(self, irrot):
-        s = st.stream_at(irrot, 2.0)
-        assert sp1.rho0_of_stream(s, irrot) == pytest.approx(0.25, abs=1e-14)
-        s1 = st.stream_at(irrot, 1.0)
-        assert sp1.rho0_of_stream(s1, irrot) == pytest.approx(1.0, abs=1e-14)
+        assert sp1.rho0_of_stream(irrot, 2.0) == pytest.approx(0.25, abs=1e-14)
+        assert sp1.rho0_of_stream(irrot, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_constant_vorticity(self, const_one):
-        s = st.stream_at(const_one, 2.0)
         expected = (1.0 - math.sqrt(2.0)) / 2.0
-        assert sp1.rho0_of_stream(s, const_one) == pytest.approx(expected, abs=1e-14)
-        assert sp1.rho0_of_stream(s, const_one) == pytest.approx(-0.2071, abs=1e-4)
+        assert sp1.rho0_of_stream(const_one, 2.0) == pytest.approx(expected, abs=1e-14)
+        assert sp1.rho0_of_stream(const_one, 2.0) == pytest.approx(-0.2071, abs=1e-4)
 
     def test_surface_stagnation_error(self, const_one):
-        bad = StreamSolution(
-            theta=1.0, depth=1.0, R=1.5, froude=1.0, flow_force=1.5,
-            p=np.linspace(0, 1, 5), profile=np.linspace(0, 1, 5),
-        )
         with pytest.raises(SurfaceStagnationError):
-            sp1.rho0_of_stream(bad, const_one)  # theta^2 - 2*Omega(1) = -1
+            sp1.rho0_of_stream(const_one, 1.0)  # theta^2 - 2*Omega(1) = -1
 
 
 class TestNu0:
-    def test_matches_transcendental_oracle(self, irrot, super_stream_R2):
-        s = super_stream_R2
-        oracle = transcendental_nu0(s.theta, s.depth)
-        problem = sp1.robin_problem(s, irrot, grid_n=1024)
+    def test_matches_transcendental_oracle(self, irrot, theta_R2):
+        oracle = transcendental_nu0(theta_R2, st.depth(irrot, theta_R2))
+        problem = sp1.robin_problem(irrot, theta_R2, grid_n=1024)
         assert abs(sp1.nu0(problem) - oracle) < 1e-6
         assert sp1.nu0(problem) == pytest.approx(5.7, abs=0.1)
 
     def test_positive_for_supercritical(self, irrot):
         for theta in (1.05, 1.4, 2.2):
-            s = st.stream_at(irrot, theta)
-            problem = sp1.robin_problem(s, irrot, grid_n=128)
+            problem = sp1.robin_problem(irrot, theta, grid_n=128)
             assert sp1.nu0(problem) > 0.0
 
     def test_second_order_convergence(self, const_one):
         theta = st.solve_theta_for_R(const_one, 1.6, "supercritical")
-        s = st.stream_at(const_one, theta)
-        vals = [sp1.nu0(sp1.robin_problem(s, const_one, grid_n=n)) for n in (128, 256, 512)]
+        vals = [sp1.nu0(sp1.robin_problem(const_one, theta, grid_n=n)) for n in (128, 256, 512)]
         incs = np.diff(vals)
         assert incs[0] / incs[1] == pytest.approx(4.0, rel=0.25)
 
-    def test_eigenfunction_has_no_interior_sign_change(self, irrot, super_stream_R2):
-        problem = sp1.robin_problem(super_stream_R2, irrot, grid_n=256)
+    def test_second_order_convergence_nonconstant_omega_prime(self):
+        vals = [sp1.nu0(sp1.robin_problem(CUBIC, CUBIC_THETA, grid_n=n)) for n in (128, 256, 512)]
+        incs = np.diff(vals)
+        assert incs[0] / incs[1] == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize("n", sorted(CUBIC_NU0))
+    def test_nonconstant_omega_prime_matches_ode_profile(self, n):
+        val = sp1.nu0(sp1.robin_problem(CUBIC, CUBIC_THETA, grid_n=n))
+        assert val == pytest.approx(CUBIC_NU0[n], rel=1e-12, abs=0.0)
+
+    def test_profile_inverts_the_depth_moment(self):
+        # U(0) = 0 and U(d) = 1 exactly, and M_1(U_j) = Y_j at every node
+        y, U = sp1._velocity_profile(CUBIC, CUBIC_THETA, 256)
+        assert (U[0], U[-1]) == (0.0, 1.0)
+        assert y[-1] == st.depth(CUBIC, CUBIC_THETA)
+        assert np.abs(st.moments(CUBIC, CUBIC_THETA, U, (1,))[0] - y).max() < 1e-14
+
+    def test_inversion_that_does_not_converge_raises(self):
+        # next to theta0 an interior maximum of Omega makes dY/dU blow up at
+        # U = 1/2; Newton's method fails there with a NumericalError
+        spec = VorticitySpec([1.0, -2.0])
+        with pytest.raises(NumericalError, match="not converged"):
+            sp1.robin_problem(spec, theta0(spec) * (1.0 + 1e-8), grid_n=512)
+
+    def test_eigenfunction_has_no_interior_sign_change(self, irrot, theta_R2):
+        problem = sp1.robin_problem(irrot, theta_R2, grid_n=256)
         _, v = sp1.nu0_eigenpair(problem)
         assert np.all(v[1:] > 0.0)
 
-    def test_quarter_wave_bracket_and_monotonicity(self, irrot, super_stream_R2):
+    def test_quarter_wave_bracket_and_monotonicity(self, irrot, theta_R2):
         # For positive rho0 the quarter-wave value (pi/(2d))^2 brackets nu0
         # from above; it is attained at rho0 = 0, and nu0 increases further as
         # rho0 decreases toward the clamped (Dirichlet) limit (pi/d)^2.
-        s = super_stream_R2
-        problem = sp1.robin_problem(s, irrot, grid_n=1024)
-        quarter = (math.pi / (2.0 * s.depth)) ** 2
+        problem = sp1.robin_problem(irrot, theta_R2, grid_n=1024)
+        d = problem.y[-1]
+        quarter = (math.pi / (2.0 * d)) ** 2
         nu_robin = sp1.nu0(problem)
         nu_neumann = sp1.nu0(problem, rho0=0.0)
         nu_clamped = sp1.nu0(problem, rho0=-1e8)
         assert nu_robin < quarter
         assert nu_neumann == pytest.approx(quarter, rel=1e-6)
         assert nu_robin < nu_neumann < nu_clamped
-        assert nu_clamped == pytest.approx((math.pi / s.depth) ** 2, rel=1e-4)
+        assert nu_clamped == pytest.approx((math.pi / d) ** 2, rel=1e-4)
 
-    def test_grid_minimum(self, irrot, super_stream_R2):
+    def test_grid_minimum(self, irrot, theta_R2):
         with pytest.raises(ValueError):
-            sp1.robin_problem(super_stream_R2, irrot, grid_n=32)
+            sp1.robin_problem(irrot, theta_R2, grid_n=32)

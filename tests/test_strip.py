@@ -127,8 +127,7 @@ class TestJacobian:
                 W[j, j] = 1.0 / hp
             vals = scipy.linalg.eig(block, W, right=False)
             vals = np.array(sorted(v.real for v in vals if np.isfinite(v.real)))
-            s = st.stream_at(irrot, theta)
-            nu0 = sp1.nu0(sp1.robin_problem(s, irrot, grid_n=2048))
+            nu0 = sp1.nu0(sp1.robin_problem(irrot, theta, grid_n=2048))
             errs.append(abs(vals[0] - nu0))
         assert errs[0] > errs[1]  # improves under p-refinement
         assert errs[1] < 5e-3
