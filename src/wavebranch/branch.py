@@ -516,14 +516,22 @@ def spectrum_at(
     spec: VorticitySpec,
     k: int = 8,
     nu0_grid_n: int = 1024,
+    sigma: float | None = None,
 ) -> SpectrumInfo:
     """k eigenvalues of the pencil of pencil_weight nearest the shift, with
     localization flags; mu0/mu1 extraction and the 1-D spectral edge nu0.
 
-    The shift starts at -1.5 nu0 and deepens until a negative localized
-    eigenvalue is found.  Eigenvectors with at least 99% of their mass in
-    q < L/2 are classified localized; mu1 falls back to the sentinel nu0 when
-    no second localized eigenvalue lies below nu0.
+    The shift starts at -1.5 nu0, or at sigma when that lies below it, and is
+    multiplied by 4, at most three times, until a negative localized
+    eigenvalue is found.  continue_branch passes sigma = 1.2 mu0 of the
+    previous point, which spares the deepening where mu0 runs off toward
+    -inf before a fold.  A shift far below mu0 blurs the localization of the
+    modes near the edge (on the 201x31 fold run, a shift of 2 mu0 loses mu1),
+    so a run from sigma that fails in ARPACK, or that ends more than twice as
+    deep as its lowest localized eigenvalue, is redone from -1.5 nu0.
+    Eigenvectors with at least 99% of their mass in q < L/2 are classified
+    localized; mu1 falls back to the sentinel nu0 when no second localized
+    eigenvalue lies below nu0.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -532,15 +540,31 @@ def spectrum_at(
 
     J = assemble_jacobian(field, spec)
     b = pencil_weight(field)
-    sigma = -1.5 * nu0
-    for _ in range(4):
-        vals, vecs = shift_invert_eigs(J, b, sigma, k)
-        frac = np.array([localized_fraction(grid, vecs[:, j]) for j in range(k)])
-        localized = frac >= _LOCALIZED
-        if np.any(localized & (vals < 0.0)):
-            break
-        # the lowest mode may sit far below the shift (steep waves): deepen
-        sigma *= 4.0
+
+    def deepen(start):
+        """Eigenvalues, localization flags and shift of the first of start,
+        4 start, 16 start and 64 start that finds a negative localized
+        eigenvalue, or of the last."""
+        for n in range(4):
+            # the lowest mode may sit far below the shift (steep waves)
+            shift = start * 4.0**n
+            vals, vecs = shift_invert_eigs(J, b, shift, k)
+            frac = np.array([localized_fraction(grid, vecs[:, j]) for j in range(k)])
+            localized = frac >= _LOCALIZED
+            if np.any(localized & (vals < 0.0)):
+                break
+        return vals, localized, shift
+
+    hinted = None
+    if sigma is not None and sigma < -1.5 * nu0:
+        try:
+            hinted = deepen(sigma)
+        except NumericalError:
+            pass
+    if hinted is not None and np.any(hinted[1] & (hinted[0] <= 0.5 * hinted[2])):
+        vals, localized, _ = hinted
+    else:
+        vals, localized, _ = deepen(-1.5 * nu0)
 
     loc_vals = vals[localized]
     mu0 = float(loc_vals[0]) if loc_vals.size else None
@@ -557,15 +581,17 @@ def _branch_point(
     spectrum: str = "required",
     tangent=(None, None),
     ds: float = 0.0,
+    sigma: float | None = None,
 ) -> BranchPoint:
     """BranchPoint of a solved field: its diagnostics, the tangent and ds of
     the step that reached it, and spectral data by `spectrum`: "required"
     (errors propagate), "best-effort" (a NumericalError leaves them unset) or
-    "none".  Unset spectral data read mu0 = None, mu1 = nu0 = nan."""
+    "none", computed from the starting shift sigma.  Unset spectral data read
+    mu0 = None, mu1 = nu0 = nan."""
     mu0, mu1, nu0 = None, np.nan, np.nan
     if spectrum != "none":
         try:
-            info = spectrum_at(field, spec, nu0_grid_n=nu0_grid_n)
+            info = spectrum_at(field, spec, nu0_grid_n=nu0_grid_n, sigma=sigma)
             mu0, mu1, nu0 = info.mu0, info.mu1, info.nu0
         except NumericalError:
             if spectrum == "required":
@@ -583,6 +609,16 @@ def branch_point_from_field(
     nu0_grid_n: int = 1024,
 ) -> BranchPoint:
     return _branch_point(field, spec, t, nu0_grid_n)
+
+
+def _shift_hint(prev: BranchPoint, tangent_lam: float) -> float | None:
+    """Starting shift for the spectrum of the point after the settled point
+    prev, reached by a step whose secant has R-component tangent_lam: 1.2 mu0
+    of prev, or None when prev has no mu0 or the step turned R; see
+    continue_branch."""
+    if prev.mu0 is None or (prev.tangent_lam is not None and prev.tangent_lam * tangent_lam < 0):
+        return None
+    return 1.2 * prev.mu0
 
 
 def _initial_tangent(spec: VorticitySpec, start: StripField, weight: float):
@@ -655,7 +691,12 @@ def continue_branch(
     The spectrum of accepted point k is computed while the corrector computes
     point k+1: on Linux with fork available and at least two CPUs in this
     process's affinity set, in one worker process forked once per call,
-    otherwise inline at submission.  Either way the point's mu0, mu1 and nu0
+    otherwise inline at submission.  Its starting ARPACK shift is fixed here,
+    before submission: min(-1.5 nu0, 1.2 mu0 of point k-1), so that the first
+    eigensolve finds a mu0 that runs off toward -inf before a fold, with no
+    shift deepening; or spectrum_at's default -1.5 nu0 when the step to point
+    k turned R, because past a fold the runaway mu0 leaves the computed set
+    and the old mu1 becomes mu0.  Either way the point's mu0, mu1 and nu0
     are filled in, and checked (mu0 < 0 and simple, nu0 > 0), at the next
     accepted step, before the function returns, and before any exception
     leaves it.  A point whose spectrum_at raised is dropped; a point that
@@ -664,7 +705,8 @@ def continue_branch(
     worker runs the same code on a copy of this process (ARPACK's start vector
     is fixed, BLAS runs with the same thread count), so both paths give
     bitwise-equal points.  The start point, the best-effort spectrum of a
-    margin-breach terminal point and point_at_arclength stay in-process.
+    margin-breach terminal point (from the same starting shift) and
+    point_at_arclength stay in-process.
     """
     ctrl = ctrl or StepControl()
     if start.field is None:
@@ -710,14 +752,17 @@ def continue_branch(
         if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * ctrl.newton_tol):
             points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
             return "loop-closure"
+        sigma = _shift_hint(points[-1], step.tangent_lam)
         breaches = _margin_breaches(diagnostics_of(fld), init_diag, ctrl.margin_fraction)
         if breaches:
             # the diagnostics already signal physical breakdown; the spectral
             # data of the terminal point are best-effort only
-            points.append(_branch_point(fld, spec, t, nu0_grid_n, "best-effort", tan, step.ds))
+            points.append(
+                _branch_point(fld, spec, t, nu0_grid_n, "best-effort", tan, step.ds, sigma)
+            )
             return f"margin-breach:{breaches[0]}"
         points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
-        pending.append(pool.submit(spectrum_at, fld, spec, 8, nu0_grid_n))
+        pending.append(pool.submit(spectrum_at, fld, spec, 8, nu0_grid_n, sigma))
         return None
 
     pool = _monitor_executor()

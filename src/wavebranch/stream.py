@@ -69,6 +69,9 @@ __all__ = [
 
 _EPSABS, _EPSREL = 1e-14, 1e-12
 _MAX_DEPTH = 200
+# pieces one bisection level may hold: 2^17 pieces of 30 nodes are 31 MB of
+# doubles per array; the test suite's deepest case peaks at about 17,000
+_MAX_PIECES = 1 << 17
 _GAUSS_LO, _GAUSS_HI = (np.polynomial.legendre.leggauss(n) for n in (10, 20))
 _GAUSS_X = np.concatenate([_GAUSS_LO[0], _GAUSS_HI[0]])
 _N_LO = _GAUSS_LO[0].size
@@ -124,10 +127,13 @@ def _adaptive(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integrals over the cells [a_i, b_i] by bisection: every piece on which
     the Gauss pair disagrees is halved, all pieces of a level in one call of
     f(x, i), which evaluates on row j of x the integrand of cell i[j].  A piece
-    still undecided after _MAX_DEPTH levels raises QuadratureError."""
+    still undecided after _MAX_DEPTH levels, or a level of more than
+    _MAX_PIECES pieces, raises QuadratureError."""
     out = np.zeros(a.size)
     idx = np.arange(a.size)
     for _ in range(_MAX_DEPTH):
+        if idx.size > _MAX_PIECES:
+            break
         val, ok = _gauss_pair(lambda x: f(x, idx), a, b)
         np.add.at(out, idx[ok], val[ok])
         if ok.all():
@@ -136,8 +142,8 @@ def _adaptive(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         mid = 0.5 * (a + b)
         a, b, idx = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(idx, 2)
     raise QuadratureError(
-        f"{idx.size} pieces still unresolved after {_MAX_DEPTH} bisections, "
-        f"the narrowest {(b - a).min():.3e} wide"
+        f"{idx.size} pieces still unresolved (at most {_MAX_DEPTH} bisections and "
+        f"{_MAX_PIECES} pieces per level), the narrowest {(b - a).min():.3e} wide"
     )
 
 

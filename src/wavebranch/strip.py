@@ -399,6 +399,22 @@ class BandLU:
             raise ValueError(f"dgbtrs: illegal value in argument {-info}")
         return x
 
+    def _u_diagonal(self) -> np.ndarray:
+        # dgbtrf keeps U's main diagonal in row kl + ku = 2 bw of the factor
+        return self.lu[2 * self.matrix.bw]
+
+    def sign_det(self) -> float:
+        """Sign of det(matrix), +1.0 or -1.0: the sign of diag(U) times the
+        parity of the row interchanges (the row scale is positive)."""
+        swaps = np.count_nonzero(self.piv != np.arange(self.piv.size))
+        negative = np.count_nonzero(self._u_diagonal() < 0.0)
+        return -1.0 if (swaps + negative) % 2 else 1.0
+
+    def log_abs_det(self) -> float:
+        """log |det(matrix)|: the log of |diag(U)|, less that of the
+        powers-of-two row scale dgbtrf factored with."""
+        return float(np.log(np.abs(self._u_diagonal())).sum() - np.log(self.row_scale).sum())
+
 
 def band_lu(A: BandMatrix) -> BandLU:
     """Factor a BandMatrix by band LU with partial pivoting (LAPACK dgbtrf).

@@ -192,6 +192,34 @@ class TestBandSolve:
         with pytest.raises(NumericalError, match="row is zero"):
             strip.band_lu(_band(A, 1))
 
+
+class TestDeterminant:
+    def test_matches_slogdet(self):
+        # a weak main diagonal makes dgbtrf pivot, and rows 1e8 apart give
+        # every row its own power-of-two scale
+        rng = np.random.default_rng(11)
+        n, bw = 12, 3
+        A = np.triu(np.tril(rng.standard_normal((n, n)), bw), -bw)
+        A[np.arange(n), np.arange(n)] *= 1e-3
+        A *= np.logspace(-4, 4, n)[:, None]
+        lu = strip.band_lu(_band(A, bw))
+        assert not np.array_equal(lu.piv, np.arange(n))
+        assert np.unique(lu.row_scale).size == n
+        sign, logdet = np.linalg.slogdet(A)
+        assert lu.sign_det() == sign
+        assert lu.log_abs_det() == pytest.approx(logdet, rel=1e-13)
+        A[0] *= -1.0
+        lu = strip.band_lu(_band(A, bw))
+        assert lu.sign_det() == -sign
+        assert lu.log_abs_det() == pytest.approx(logdet, rel=1e-13)
+
+    def test_sign_flips_at_the_turning(self, irrot, fold_branch):
+        pts, _ = fold_branch
+        turning = next(e for e in branch.detect_events(pts) if isinstance(e, branch.Turning))
+        signs = [strip.band_lu(strip.assemble_jacobian(p.field, irrot)).sign_det() for p in pts]
+        assert signs == [-1.0 if p.t < turning.t else 1.0 for p in pts]
+
+
 class TestBorderedSolve:
     def test_block_elimination_matches_bordered_spsolve(self, irrot, near_turning):
         p = near_turning

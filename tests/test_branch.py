@@ -277,26 +277,26 @@ _spectrum_calls = itertools.count(1)
 _pid_log = None
 
 
-def _spectrum_failing_third(field, spec, k, nu0_grid_n):
+def _spectrum_failing_third(field, spec, k, nu0_grid_n, sigma):
     """spectrum_at whose third call raises."""
     if next(_spectrum_calls) == 3:
         raise NumericalError("injected eigensolver failure")
-    return _real_spectrum_at(field, spec, k, nu0_grid_n)
+    return _real_spectrum_at(field, spec, k, nu0_grid_n, sigma)
 
 
-def _spectrum_positive_third(field, spec, k, nu0_grid_n):
+def _spectrum_positive_third(field, spec, k, nu0_grid_n, sigma):
     """spectrum_at whose third call reports a positive mu0."""
-    info = _real_spectrum_at(field, spec, k, nu0_grid_n)
+    info = _real_spectrum_at(field, spec, k, nu0_grid_n, sigma)
     if next(_spectrum_calls) == 3:
         info.mu0 = 1.0
     return info
 
 
-def _spectrum_logging_pid(field, spec, k, nu0_grid_n):
+def _spectrum_logging_pid(field, spec, k, nu0_grid_n, sigma):
     """spectrum_at that appends the pid it runs in to the file _pid_log."""
     with open(_pid_log, "a") as fh:
         fh.write(f"{os.getpid()}\n")
-    return _real_spectrum_at(field, spec, k, nu0_grid_n)
+    return _real_spectrum_at(field, spec, k, nu0_grid_n, sigma)
 
 
 def _one_cpu(monkeypatch):
@@ -388,6 +388,83 @@ class TestSpectrumWorker:
         assert os.getpid() not in pids
         assert len(set(pids)) == 1  # one worker, forked once per call
         assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def smoke_fold(irrot):
+    """The fold run on a coarser grid (161x25, nu0 on 256 nodes)."""
+    grid = strip.default_grid(irrot, 1.54, nq=161, npp=25, L_factor=22.0)
+    sol = strip.newton_solve(strip.initial_guess(irrot, 1.54, grid), irrot, tol=1e-10)
+    start = branch.branch_point_from_field(sol, irrot, nu0_grid_n=256)
+    ctrl = branch.StepControl(margin_fraction=5e-2)
+    points, _ = branch.continue_branch(start, irrot, steps=24, ds=0.01, ctrl=ctrl, nu0_grid_n=256)
+    return points
+
+
+class TestShiftHint:
+    """continue_branch starts each spectrum's shift at 1.2 times the previous
+    point's mu0, and at spectrum_at's default when the step turned R."""
+
+    def test_runaway_mode_kept_as_mu0_before_the_secant_turns(self, smoke_fold):
+        # this point lies just past the Turning (t* ~ 0.0242), but R still
+        # rose from the previous point, so the hinted shift applies: it finds
+        # the runaway mode that -1.5 nu0 misses, and the mode that crossed
+        # zero is mu1, so the crossing is an event within one step of t*
+        k = next(k for k, p in enumerate(smoke_fold) if abs(p.t - 0.024625) < 1e-9)
+        p = smoke_fold[k]
+        assert p.R > smoke_fold[k - 1].R
+        assert p.mu0 == pytest.approx(-101.4490223435752, rel=1e-8)
+        assert p.mu1 == pytest.approx(-0.1305961117096004, rel=1e-8)
+        events = branch.detect_events(smoke_fold)
+        (turning,) = [e for e in events if isinstance(e, branch.Turning)]
+        (crossing,) = [e for e in events if isinstance(e, branch.EigenCrossing)]
+        assert abs(crossing.t - turning.t) < p.ds
+
+    def test_hinted_spectra_match_the_default_shift(self, fold_branch, irrot):
+        pts, _ = fold_branch
+        for p in pts:
+            info = branch.spectrum_at(p.field, irrot, k=8, nu0_grid_n=512)
+            assert info.mu0 == pytest.approx(p.mu0, rel=1e-10)
+            assert info.mu1 == pytest.approx(p.mu1, rel=1e-10)
+            assert info.nu0 == p.nu0
+
+    def test_too_deep_hint_falls_back(self, fold_branch, irrot):
+        # a shift 100x too deep makes ARPACK fail or blurs the localization
+        # of the modes near the edge; either way the deepening from -1.5 nu0
+        # is redone
+        pts, _ = fold_branch
+        hinted = 0
+        for prev, p in zip(pts, pts[1:]):
+            sigma = branch._shift_hint(prev, p.tangent_lam)
+            if sigma is None or sigma >= -1.5 * p.nu0:
+                continue
+            hinted += 1
+            info = branch.spectrum_at(p.field, irrot, k=8, nu0_grid_n=512, sigma=100.0 * sigma)
+            assert info.mu0 == pytest.approx(p.mu0, rel=1e-10)
+            assert info.mu1 == pytest.approx(p.mu1, rel=1e-10)
+        assert hinted >= 4
+
+    def test_one_eigensolve_per_spectrum_on_the_fold_run(self, fold_branch, irrot, monkeypatch):
+        pts, _ = fold_branch
+        _one_cpu(monkeypatch)
+        solves = []
+        real_spectrum, real_eigs = branch.spectrum_at, branch.shift_invert_eigs
+
+        def spectrum(*args, **kwargs):
+            solves.append(0)
+            return real_spectrum(*args, **kwargs)
+
+        def eigs(*args, **kwargs):
+            solves[-1] += 1
+            return real_eigs(*args, **kwargs)
+
+        monkeypatch.setattr(branch, "spectrum_at", spectrum)
+        monkeypatch.setattr(branch, "shift_invert_eigs", eigs)
+        ctrl = branch.StepControl(margin_fraction=5e-2)
+        inline, _ = branch.continue_branch(
+            pts[0], irrot, steps=24, ds=0.01, ctrl=ctrl, nu0_grid_n=512
+        )
+        assert solves == [1] * (len(inline) - 1)
 
 
 class TestBranchStall:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -258,6 +262,31 @@ class TestMomentKernel:
         # int_0^1 dx/x diverges: the piece at 0 never settles
         with pytest.raises(QuadratureError, match="unresolved"):
             st._adaptive(lambda x, i: 1.0 / x, np.array([0.0]), np.array([1.0]))
+
+    def test_piece_cap_raises_before_memory_runs_out(self):
+        # near theta0 with an interior maximum of Omega, unbounded bisection
+        # of M_3 reaches millions of pieces at one level; under a 2 GiB
+        # address-space cap the piece cap must stop it with QuadratureError
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from wavebranch import stream
+            from wavebranch.errors import QuadratureError
+            from wavebranch.vorticity import VorticitySpec, theta0
+            spec = VorticitySpec([1, -2])
+            try:
+                stream.stream_at(spec, theta0(spec) * (1 + 1e-6), n_profile=65)
+            except QuadratureError as exc:
+                print("QuadratureError:", exc)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.startswith("QuadratureError:"), out.stdout
+        assert "pieces per level" in out.stdout
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_near_singular_fallback(self, const_one, eps):
