@@ -892,6 +892,9 @@ def detect_events(points):
     mu1s = np.array([p.mu1 for p in pts], dtype=float)
     nu0s = np.array([p.nu0 for p in pts], dtype=float)
     strict = below_edge(mu1s, nu0s)
+    # loop-closure and failed terminal points carry mu1 = nan; the spline
+    # through mu1 takes the finite samples only
+    finite = np.isfinite(mu1s)
     for k in range(len(pts) - 1):
         if not (strict[k] and strict[k + 1]):
             continue
@@ -909,7 +912,7 @@ def detect_events(points):
             continue
         from scipy.interpolate import CubicSpline
 
-        spl = CubicSpline(ts, mu1s)
+        spl = CubicSpline(ts[finite], mu1s[finite])
         t_star = brentq(lambda t: float(spl(t)), ts[k], ts[k + 1], xtol=1e-13)
         m_est = _estimate_crossing_order(ts, mu1s, t_star)
         events.append(EigenCrossing(t=float(t_star), m_estimate=m_est, bracket=(pts[k], pts[k + 1])))

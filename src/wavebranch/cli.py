@@ -107,12 +107,11 @@ def _fmt(x) -> str:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    for name in ("omega", "L", "nq", "np", "newton_tol", "ds", "steps",
-                 "ds_grow", "ds_max_factor", "margin_fraction", "nu0_grid_n",
-                 "out_dir", "seed"):
-        val = getattr(args, name.replace("-", "_"), None)
+    # a field without a command-line flag (max_newton_iters) reads None
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, name, val)
+            setattr(cfg, f.name, val)
     cfg.__post_init__()
     return cfg
 

@@ -3,14 +3,15 @@
 The reduction is implemented generically over finite-dimensional analytic
 systems F(x, lambda) = 0 with F(0, lambda) = 0: the state is split along the
 crossing eigenvector v(lambda) and its complement, the complement equation is
-solved by Newton iteration, and the scalar reduced map
+solved by bordered Newton iteration on the band factor the continuation uses
+(strip.band_lu, branch._solve_bordered), and the scalar reduced map
 
-    B(s, lambda) = s mu(lambda) + <Fhat(s v + w(s, lambda), lambda), what>
+    B(s, lambda) = <F(s v + w(s, lambda), lambda), what>,
 
-is sampled on a lattice.  Zero curves of B are traced by sign scan plus
-secant-type refinement and classified (vertical / degenerate-eigenvalue /
-regular); the same machinery seeds branch switching at a PDE eigenvalue
-crossing.
+the projection of F onto the crossing direction, is sampled on a lattice.
+Zero curves of B are traced by sign scan plus secant-type refinement and
+classified (vertical / degenerate-eigenvalue / regular); the same machinery
+seeds branch switching at a PDE eigenvalue crossing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,15 @@ from .errors import (
     ResolutionError,
 )
 from .roots import brentq
-from .strip import assemble_jacobian, newton_solve, pack, residual_vector, unpack
+from .strip import (
+    BandMatrix,
+    assemble_jacobian,
+    band_lu,
+    newton_solve,
+    pack,
+    residual_vector,
+    unpack,
+)
 
 __all__ = [
     "EigenData",
@@ -68,7 +77,7 @@ class EigenData:
 class AnalyticFamily:
     """Analytic system F: R^n x R -> R^n with the trivial solution line
     F(0, lambda) = 0 and a simple eigenvalue of D_x F(0, lambda) crossing 0 at
-    lambda = 0."""
+    lambda = 0.  df(x, lambda) returns D_x F as a strip.BandMatrix."""
 
     n: int
     f: Callable[[np.ndarray, float], np.ndarray]
@@ -81,12 +90,18 @@ class AnalyticFamily:
 
 
 def finite_family(f, df, n, ip_weight=1.0) -> AnalyticFamily:
-    """AnalyticFamily with eigen-data computed by dense eigensolves of
-    A(lambda) = D_x F(0, lambda); selects the eigenvalue nearest zero (valid on
-    the small-lambda charts used here)."""
+    """AnalyticFamily of a small system whose df returns the dense Jacobian.
+
+    The family's df is that matrix as a BandMatrix, so the reduction runs on
+    the band solver of the strip problem.  The eigen-data come from dense
+    eigensolves of A(lambda) = D_x F(0, lambda), at the eigenvalue nearest
+    zero (valid on the small-lambda charts used here)."""
+
+    def band_df(x, lam):
+        return BandMatrix.from_dense(df(x, lam))
 
     def eigendata(lam: float) -> EigenData:
-        A = np.asarray(df(np.zeros(n), lam), dtype=float)
+        A = df(np.zeros(n), lam)
         vals, vecs = np.linalg.eig(A)
         k = int(np.argmin(np.abs(vals)))
         if abs(vals[k].imag) > 1e-10 * (1 + abs(vals[k])):
@@ -100,7 +115,7 @@ def finite_family(f, df, n, ip_weight=1.0) -> AnalyticFamily:
             mu, v, w, ip_weight, 1e-8, "eigen-normalization <v, z> degenerate"
         )
 
-    return AnalyticFamily(n=n, f=f, df=df, eigendata=eigendata, ip_weight=ip_weight)
+    return AnalyticFamily(n=n, f=f, df=band_df, eigendata=eigendata, ip_weight=ip_weight)
 
 
 def _normalized_eigendata(mu, v, w, ip_weight, degenerate_tol, message) -> EigenData:
@@ -135,13 +150,16 @@ def solve_complement(
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> np.ndarray:
-    """Solve the range-complement equation (I - P)(A w + Fhat(s v + w)) = 0
-    with P w = 0, by bordered Newton iteration from w = 0."""
+    """Solve the range-complement equation (I - P) F(s v + w, lambda) = 0
+    with P w = 0, by bordered Newton iteration from w = 0.
+
+    Each step solves [[D_x F, v], [what^T, 0]] [dw; c] = [-F; -<w, what>]:
+    the border with v and the constraint regularizes the Jacobian where it is
+    singular along v.  It is branch._solve_bordered on the band LU of D_x F,
+    the corrector's solve."""
     ed = family.eigendata(lam)
     w = np.zeros(family.n)
-    wipz = np.asarray(family.ip_weight * ed.w, dtype=float)
-    if np.ndim(wipz) == 0:
-        wipz = np.full(family.n, float(wipz))
+    w_border = family.ip_weight * ed.w
     for _ in range(max_iter):
         x = s * ed.v + w
         F = family.f(x, lam)
@@ -149,30 +167,28 @@ def solve_complement(
         con = family.ip(w, ed.w)
         if max(np.abs(G).max(), abs(con)) <= tol:
             return w
-        M = np.asarray(family.df(x, lam), dtype=float)
-        # bordered regularization of the singular complement Jacobian
-        border = np.block(
-            [[M, ed.v.reshape(-1, 1)], [wipz.reshape(1, -1), np.zeros((1, 1))]]
-        )
-        rhs = np.concatenate([-F, [-con]])
         try:
-            sol = np.linalg.solve(border, rhs)
-        except np.linalg.LinAlgError as exc:
+            dw, _ = branch_mod._solve_bordered(
+                band_lu(family.df(x, lam)), ed.v, w_border, 0.0, -F, -con
+            )
+        except NumericalError as exc:
             raise OutsideChartError(f"complement solve failed: {exc}") from exc
-        w = w + sol[: family.n]
+        w = w + dw
     raise OutsideChartError(
         f"complement Newton did not converge at (s, lambda) = ({s}, {lam})"
     )
 
 
 def reduced_map(family: AnalyticFamily, s: float, lam: float, tol: float = 1e-12):
-    """Value of the scalar reduced map B(s, lambda) and the complement w."""
+    """The scalar reduced map B(s, lambda) = <F(s v + w, lambda), what> and
+    the complement w = w(s, lambda).
+
+    B is the component of F that solve_complement leaves over.  Writing it
+    as s mu + <F - A0 x, what>, A0 = D_x F(0, lambda), would need
+    A0 v = mu v, which the strip's pencil J v = mu B v does not give."""
     ed = family.eigendata(lam)
     w = solve_complement(family, s, lam, tol=tol)
-    x = s * ed.v + w
-    A0 = np.asarray(family.df(np.zeros(family.n), lam), dtype=float)
-    fhat = family.f(x, lam) - A0 @ x
-    return s * ed.mu + family.ip(fhat, ed.w), w
+    return family.ip(family.f(s * ed.v + w, lam), ed.w), w
 
 
 @dataclass
@@ -550,34 +566,30 @@ def switch_branch(
 # ---------------------------------------------------------------------------
 
 
-def pitchfork_family() -> AnalyticFamily:
-    """F = (lam*x1 - x1^3 + x1*x2^2, -x2 + x1^2): crossing order m = 1."""
+def _power_family(m: int) -> AnalyticFamily:
+    """F = (lam^m*x1 - x1^3 + x1*x2^2, -x2 + x1^2): crossing order m."""
 
     def f(x, lam):
-        return np.array([lam * x[0] - x[0] ** 3 + x[0] * x[1] ** 2, -x[1] + x[0] ** 2])
+        return np.array(
+            [lam**m * x[0] - x[0] ** 3 + x[0] * x[1] ** 2, -x[1] + x[0] ** 2]
+        )
 
     def df(x, lam):
         return np.array(
-            [[lam - 3 * x[0] ** 2 + x[1] ** 2, 2 * x[0] * x[1]], [2 * x[0], -1.0]]
+            [[lam**m - 3 * x[0] ** 2 + x[1] ** 2, 2 * x[0] * x[1]], [2 * x[0], -1.0]]
         )
 
     return finite_family(f, df, 2)
+
+
+def pitchfork_family() -> AnalyticFamily:
+    """The lam^m family with crossing order m = 1."""
+    return _power_family(1)
 
 
 def cubic_mu_family() -> AnalyticFamily:
-    """F = (lam^3*x1 - x1^3 + x1*x2^2, -x2 + x1^2): crossing order m = 3."""
-
-    def f(x, lam):
-        return np.array(
-            [lam**3 * x[0] - x[0] ** 3 + x[0] * x[1] ** 2, -x[1] + x[0] ** 2]
-        )
-
-    def df(x, lam):
-        return np.array(
-            [[lam**3 - 3 * x[0] ** 2 + x[1] ** 2, 2 * x[0] * x[1]], [2 * x[0], -1.0]]
-        )
-
-    return finite_family(f, df, 2)
+    """The lam^m family with crossing order m = 3."""
+    return _power_family(3)
 
 
 def vertical_family() -> AnalyticFamily:
@@ -594,20 +606,9 @@ def vertical_family() -> AnalyticFamily:
 
 
 def even_mu_family() -> AnalyticFamily:
-    """F = (lam^2*x1 - x1^3 + x1*x2^2, -x2 + x1^2): even crossing order m = 2,
-    for which branch counts are not certified."""
-
-    def f(x, lam):
-        return np.array(
-            [lam**2 * x[0] - x[0] ** 3 + x[0] * x[1] ** 2, -x[1] + x[0] ** 2]
-        )
-
-    def df(x, lam):
-        return np.array(
-            [[lam**2 - 3 * x[0] ** 2 + x[1] ** 2, 2 * x[0] * x[1]], [2 * x[0], -1.0]]
-        )
-
-    return finite_family(f, df, 2)
+    """The lam^m family with even crossing order m = 2, for which branch
+    counts are not certified."""
+    return _power_family(2)
 
 
 MODEL_GALLERY = {

@@ -15,12 +15,12 @@ the exact derivative of the discrete residual.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
@@ -283,11 +283,40 @@ def _stencil_slots(field: StripField, spec: VorticitySpec) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class BandMatrix:
     """Square matrix of half-bandwidth bw in LAPACK band storage: A[i, j] sits
-    at ab[bw + i - j, j], so row bw of ab is the main diagonal.  Products are
-    BLAS dgbmv."""
+    at ab[bw + i - j, j], so row bw of ab is the main diagonal.
+
+    `offsets` are the diagonals i - j that may hold an entry; left out, they
+    are read off ab once, as the diagonals with a nonzero.  Products and
+    band_lu visit only those diagonals (the strip Jacobian fills 10 of its
+    2 np + 1)."""
 
     ab: np.ndarray  # (2*bw + 1, n), Fortran order
     bw: int
+    offsets: tuple | None = None
+    # each filled diagonal as (off, its rows i, its columns j = i - off)
+    diagonals: tuple = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, bw = self.ab.shape[1], self.bw
+        if self.offsets is None:
+            filled = np.flatnonzero(self.ab.any(axis=1)) - bw
+            object.__setattr__(self, "offsets", tuple(int(off) for off in filled))
+        diagonals = tuple(
+            (off, slice(max(0, off), min(n, n + off)), slice(max(0, -off), min(n, n - off)))
+            for off in self.offsets
+        )
+        object.__setattr__(self, "diagonals", diagonals)
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> "BandMatrix":
+        """A square dense matrix in band storage of half-bandwidth n - 1."""
+        n = A.shape[0]
+        bw = n - 1
+        ab = np.zeros((2 * bw + 1, n), order="F")
+        for off in range(-bw, bw + 1):
+            j = np.arange(max(0, -off), min(n, n - off))
+            ab[bw + off, j] = A[j + off, j]
+        return cls(ab, bw)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -296,21 +325,25 @@ class BandMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for x of shape (n,)."""
-        n = self.ab.shape[1]
-        return dgbmv(n, n, self.bw, self.bw, 1.0, self.ab, x)
+        y = np.zeros(self.ab.shape[1])
+        for off, rows, cols in self.diagonals:
+            y[rows] += self.ab[self.bw + off, cols] * x[cols]
+        return y
 
     __matmul__ = matvec
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """A.T @ x for x of shape (n,)."""
-        n = self.ab.shape[1]
-        return dgbmv(n, n, self.bw, self.bw, 1.0, self.ab, x, trans=1)
+        y = np.zeros(self.ab.shape[1])
+        for off, rows, cols in self.diagonals:
+            y[cols] += self.ab[self.bw + off, cols] * x[rows]
+        return y
 
     def shift_diagonal(self, d) -> "BandMatrix":
         """A copy of the matrix with d added to its main diagonal."""
         ab = self.ab.copy(order="F")
         ab[self.bw] += d
-        return BandMatrix(ab, self.bw)
+        return BandMatrix(ab, self.bw, tuple(sorted(set(self.offsets) | {0})))
 
     def toarray(self) -> np.ndarray:
         """Dense copy (for small matrices)."""
@@ -356,6 +389,7 @@ def assemble_jacobian(
 
     bw = npp
     ab = np.zeros((2 * bw + 1, n), order="F")
+    offsets = []
     for di in (-1, 0, 1):
         for dj in (-2, -1, 0, 1) if di == 0 else (-1, 0, 1):
             off = di * (npp - 1) + dj
@@ -365,7 +399,8 @@ def assemble_jacobian(
                 ab[bw - off, off:] = vals[: n - off]
             else:
                 ab[bw - off, : n + off] = vals[-off:]
-    J = BandMatrix(ab, bw)
+            offsets.append(-off)  # the diagonal i - j = -off
+    J = BandMatrix(ab, bw, tuple(sorted(offsets)))
     if not with_boundary_cols:
         return J
     return J, far
@@ -425,21 +460,15 @@ def band_lu(A: BandMatrix) -> BandLU:
     An exactly singular matrix (a zero row or pivot) raises NumericalError.
     """
     bw, n = A.bw, A.shape[0]
-    # the diagonals i - j = off that hold an entry (10 of the 2 np + 1 of the
-    # strip Jacobian's band), each as its rows i and its columns j = i - off
-    diagonals = [
-        (off, slice(max(0, off), min(n, n + off)), slice(max(0, -off), min(n, n - off)))
-        for off in np.flatnonzero(A.ab.any(axis=1)) - bw
-    ]
     row_max = np.zeros(n)
-    for off, rows, cols in diagonals:
+    for off, rows, cols in A.diagonals:
         np.maximum(row_max[rows], np.abs(A.ab[bw + off, cols]), out=row_max[rows])
     if not row_max.all():
         raise NumericalError("band LU: matrix is singular (a row is zero)")
     row_scale = np.exp2(-np.round(np.log2(row_max)))
     # the top bw rows of the factor are room for the fill-in of row pivoting
     ab = np.zeros((3 * bw + 1, n), order="F")
-    for off, rows, cols in diagonals:
+    for off, rows, cols in A.diagonals:
         np.multiply(A.ab[bw + off, cols], row_scale[rows], out=ab[2 * bw + off, cols])
     lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
     if info > 0:

@@ -147,6 +147,29 @@ class TestBandAssembly:
         assert _rel(J.rmatvec(x), A.T @ x) <= 1e-14
         assert np.array_equal(_band(A, J.bw).ab, J.ab)
 
+    def test_recorded_diagonals_are_the_filled_ones(self, irrot, wave153_small):
+        # assembly records the 10 stencil diagonals; a BandMatrix built from
+        # the same array finds the same ones by reading it
+        J = strip.assemble_jacobian(wave153_small, irrot)
+        npp = wave153_small.grid.np
+        assert len(J.offsets) == 10
+        assert J.offsets == strip.BandMatrix(J.ab, J.bw).offsets
+        assert {-npp, 0, 2, npp} <= set(J.offsets)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_dense_products_and_solve(self, n):
+        # a dense matrix is a band matrix with bw = n - 1, which BLAS dgbmv
+        # rejected (it needs n >= 2 bw + 1)
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        J = strip.BandMatrix.from_dense(A)
+        assert J.bw == n - 1
+        assert np.array_equal(J.toarray(), A)
+        x = rng.standard_normal(n)
+        assert _rel(J @ x, A @ x) <= 1e-14
+        assert _rel(J.rmatvec(x), A.T @ x) <= 1e-14
+        assert _rel(strip.band_lu(J).solve(x), np.linalg.solve(A, x)) <= 1e-14
+
     def test_diagonal_shift_is_the_sparse_difference(self, irrot, wave153_small):
         J = strip.assemble_jacobian(wave153_small, irrot)
         b = branch.pencil_weight(wave153_small)

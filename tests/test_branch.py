@@ -151,6 +151,19 @@ class TestDetectEvents:
         assert abs(events[0].t - 0.7) < 1e-3
         assert events[0].m_estimate == 3
 
+    def test_crossing_beside_a_nan_point(self):
+        # a loop-closure or failed terminal point carries mu1 = nu0 = nan
+        ts = np.linspace(0.31, 1.1, 20)
+        mu1 = (ts - 0.7) ** 3
+        mu1[-1] = np.nan
+        nu0 = np.full_like(ts, 2.0)
+        nu0[-1] = np.nan
+        pts = synthetic_points(ts, 1.5 + ts, mu1=mu1, nu0=nu0)
+        events = [e for e in branch.detect_events(pts) if isinstance(e, branch.EigenCrossing)]
+        assert len(events) == 1
+        assert abs(events[0].t - 0.7) < 1e-3
+        assert events[0].m_estimate == 3
+
     def test_monotone_trace_empty(self):
         ts = np.linspace(0, 1, 40)
         pts = synthetic_points(ts, 1.5 + ts)

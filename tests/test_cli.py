@@ -291,6 +291,17 @@ for omega, R in (("0", "1.53"), ("-0.5", "1.81")):
     assert loaded == []
 
 
+def test_model_bifurcation_imports_no_heavy_scipy_subpackage():
+    # the reduction solves on the band factor of the continuation, so the
+    # model gallery loads numpy and scipy.linalg only
+    loaded = _modules_loaded_by("""
+import json, sys
+from wavebranch.cli import main
+assert main(["model-bifurcate", "--case", "pitchfork", "--ns", "5", "--nlam", "11"]) == 0
+""")
+    assert loaded == []
+
+
 def test_edge_and_continuation_import_no_integrate_or_optimize(tmp_path):
     # the Robin edge nu0 comes from the stream kernel, so neither `spectrum1d`
     # nor a continuation run (which computes nu0 at every point) loads

@@ -165,7 +165,7 @@ class TestBijection:
                 if np.abs(F).max() < 1e-13:
                     break
                 try:
-                    x = x - np.linalg.solve(pitchfork.df(x, lam), F)
+                    x = x - np.linalg.solve(pitchfork.df(x, lam).toarray(), F)
                 except np.linalg.LinAlgError:
                     break
             if np.abs(pitchfork.f(x, lam)).max() < 1e-12:
@@ -188,7 +188,7 @@ class TestSeeding:
             F = pitchfork.f(x, lam0)
             if np.abs(F).max() < 1e-13:
                 break
-            x = x - np.linalg.solve(pitchfork.df(x, lam0), F)
+            x = x - np.linalg.solve(pitchfork.df(x, lam0).toarray(), F)
         assert np.abs(pitchfork.f(x, lam0)).max() < 1e-12
         assert np.linalg.norm(x) > 1e-3  # genuinely off the trivial branch
 
@@ -219,6 +219,22 @@ class TestPdeWiring:
         for lam in (0.0, 0.25 * (b.t - a.t)):
             res = fam.f(np.zeros(fam.n), lam)
             assert np.abs(res).max() < 1e-9
+
+    def test_pde_reduced_map_on_the_band_factor(self, mini_branch, irrot):
+        # the complement is solved on the band LU of the strip Jacobian, and
+        # B is the projection <F(s v + w), what> of the pencil J v = mu B v
+        a, b = mini_branch[2], mini_branch[3]
+        fam = ly.family_from_branch((a, b), irrot, 0.5 * (a.t + b.t))
+        q = 0.25 * (b.t - a.t)
+        for lam in (0.0, q, -q):
+            B, _ = ly.reduced_map(fam, 0.0, lam)
+            assert abs(B) <= 1e-12
+        ed = fam.eigendata(0.0)
+        for s in (1e-4, 1e-3):
+            _, w = ly.reduced_map(fam, s, 0.0)
+            F = fam.f(s * ed.v + w, 0.0)
+            assert np.abs(F - fam.ip(F, ed.w) * ed.v).max() <= 1e-10
+            assert abs(fam.ip(w, ed.w)) <= 1e-12
 
     def test_pde_eigendata_normalization(self, mini_branch, irrot):
         a, b = mini_branch[2], mini_branch[3]
