@@ -12,11 +12,13 @@ corrector one band LU factor of its Jacobian per iterate.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve, solve_banded
 
 from .errors import (
     BranchStallError,
@@ -825,24 +827,64 @@ def point_at_arclength(
 # ---------------------------------------------------------------------------
 
 
-def _refine_extremum(ts, Rs, k):
-    """Refine a turning point inside [ts[k-1], ts[k+1]] on the sampled trace."""
-    a, b = ts[k - 1], ts[k + 1]
-    if len(ts) >= 4:
-        from scipy.interpolate import CubicSpline
+class _Spline:
+    """Not-a-knot cubic spline through (x, y), x increasing (de Boor, *A
+    Practical Guide to Splines*, ch. 4), with the arithmetic of scipy's
+    CubicSpline: its slope systems and LAPACK calls (dense for the parabola
+    through three nodes), its coefficients c[m, i] of (t - x[i])^(3-m) in the
+    PPoly layout, and PPoly's evaluation and slope roots, so that all agree
+    with scipy bitwise.
+    """
 
-        spl = CubicSpline(ts, Rs)
-        dspl = spl.derivative()
-        roots = [r for r in np.atleast_1d(dspl.roots()) if a <= r <= b and abs(r.imag) == 0]
-        if roots:
-            t_star = float(min(roots, key=lambda r: abs(r - ts[k])))
-            return t_star, float(spl(t_star))
-    # parabola vertex through the three bracketing samples
-    t3 = np.asarray(ts[k - 1 : k + 2], dtype=float)
-    r3 = np.asarray(Rs[k - 1 : k + 2], dtype=float)
-    coef = np.polyfit(t3, r3, 2)
-    t_star = float(-coef[1] / (2.0 * coef[0]))
-    return t_star, float(np.polyval(coef, t_star))
+    def __init__(self, x, y):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        n = len(x)
+        if n == 2:
+            s = np.repeat(slope, 2)
+        elif n == 3:
+            s = solve([[1, 1, 0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0, 1, 1]],
+                      [2 * slope[0], 3 * (dx[1] * slope[0] + dx[0] * slope[1]), 2 * slope[1]])
+        else:
+            ab = np.zeros((3, n))
+            ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+            ab[0, 2:] = dx[:-1]
+            ab[2, :-2] = dx[1:]
+            b = np.empty(n)
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
+            b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+            s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                             check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def __call__(self, t: float) -> float:
+        i = min(max(int(np.searchsorted(self.x, t, side="right")) - 1, 0), len(self.x) - 2)
+        u = t - self.x[i]
+        c = self.c[:, i]
+        return float(c[3] + c[2] * u + c[1] * (u * u) + c[0] * (u * u * u))
+
+    def slope_roots(self, i: int) -> list:
+        """Roots of the spline's derivative on [x[i], x[i+1]]: the stable
+        quadratic formula, polished by one Newton step."""
+        a, b, c = 3 * self.c[0, i], 2 * self.c[1, i], self.c[2, i]
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = []
+        for u in ([c / q] if q else []) + ([q / a] if a else []):
+            df = b + 2 * a * u
+            if df:
+                u -= (c + b * u + a * (u * u)) / df
+            if 0 <= u <= self.x[i + 1] - self.x[i]:
+                roots.append(float(self.x[i] + u))
+        return roots
 
 
 def _estimate_crossing_order(ts, mu1s, t_star):
@@ -856,8 +898,6 @@ def _estimate_crossing_order(ts, mu1s, t_star):
     idx = np.argsort(d[ok])[:6]
     x = np.log(d[ok][idx])
     y = np.log(np.abs(mu[ok][idx]))
-    if len(x) < 2:
-        return None
     slope = np.polyfit(x, y, 1)[0]
     return int(round(slope))
 
@@ -866,7 +906,10 @@ def detect_events(points):
     """Scan an accepted branch for turning points and eigenvalue crossings.
 
     points: sequence of BranchPoint (synthetic traces may use field=None).
-    Refinement interpolates the sampled trace.  Returns a list of
+    A sign change of the R increments marks a Turning, placed at the root of
+    the slope of the spline R(t) nearest the extreme sample.  A sign change
+    of mu1 between two samples below the edge marks an EigenCrossing, placed
+    by `brentq` on the spline of the finite mu1 samples.  Returns a list of
     Turning / EigenCrossing events (possibly empty).
     """
     pts = list(points)
@@ -886,8 +929,11 @@ def detect_events(points):
             continue
         k = (a + c + 1) // 2
         k = min(max(k, 1), len(pts) - 2)
-        t_star, R_star = _refine_extremum(ts, Rs, k)
-        events.append(Turning(t=t_star, R=R_star, bracket=(pts[a], pts[c + 1])))
+        # the extremum of the spline R(t) on [ts[k-1], ts[k+1]] nearest ts[k]
+        R_of_t = _Spline(ts, Rs)
+        roots = R_of_t.slope_roots(k - 1) + R_of_t.slope_roots(k)
+        t_star = min(roots, key=lambda r: abs(r - ts[k]))
+        events.append(Turning(t=t_star, R=R_of_t(t_star), bracket=(pts[a], pts[c + 1])))
 
     mu1s = np.array([p.mu1 for p in pts], dtype=float)
     nu0s = np.array([p.nu0 for p in pts], dtype=float)
@@ -895,6 +941,7 @@ def detect_events(points):
     # loop-closure and failed terminal points carry mu1 = nan; the spline
     # through mu1 takes the finite samples only
     finite = np.isfinite(mu1s)
+    mu1_of_t = None
     for k in range(len(pts) - 1):
         if not (strict[k] and strict[k + 1]):
             continue
@@ -910,10 +957,9 @@ def detect_events(points):
             continue
         if mu1s[k + 1] == 0.0 or (mu1s[k] > 0) == (mu1s[k + 1] > 0):
             continue
-        from scipy.interpolate import CubicSpline
-
-        spl = CubicSpline(ts[finite], mu1s[finite])
-        t_star = brentq(lambda t: float(spl(t)), ts[k], ts[k + 1], xtol=1e-13)
+        if mu1_of_t is None:
+            mu1_of_t = _Spline(ts[finite], mu1s[finite])
+        t_star = brentq(mu1_of_t, ts[k], ts[k + 1], xtol=1e-13)
         m_est = _estimate_crossing_order(ts, mu1s, t_star)
         events.append(EigenCrossing(t=float(t_star), m_estimate=m_est, bracket=(pts[k], pts[k + 1])))
     return events

@@ -429,12 +429,9 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             failures.append(f"{name}: {exc}")
             continue
         R_of[name] = fld.R
-        # byte round-trip
-        tmp = path + ".rt"
-        strip_mod.write_checkpoint(tmp, fld, spec)
-        with open(path, "rb") as fa, open(tmp, "rb") as fb:
-            identical = fa.read() == fb.read()
-        os.unlink(tmp)
+        # byte round-trip, compared in memory: verify writes nothing
+        with open(path, "rb") as fh:
+            identical = fh.read() == strip_mod._checkpoint_text(fld, spec).encode()
         if not identical:
             failures.append(f"{name}: round-trip not byte-identical")
             continue

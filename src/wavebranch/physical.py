@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .branch import Turning, _Spline
 from .errors import PreconditionError, StagnationBreachError
 from .roots import brentq
 from .stream import depth as stream_depth, flow_force_of_R
@@ -171,27 +172,6 @@ def verify_flow_force_selection(profile: WaveProfile, spec: VorticitySpec) -> fl
     return abs(profile.flow_force - S_minus)
 
 
-def _fold_epsilon(ts, Rs, k_star, t_star):
-    """One-sided R-interval width from the observed fold curvature.
-
-    A parabola R ~ R* + c (t - t*)^2 is fitted through the three samples
-    around the event; the interval covers the curvature drop over the shorter
-    one-sided segment span, so both roots t1(R), t2(R) stay within the data.
-    """
-    t3 = np.asarray(ts[max(k_star - 1, 0) : k_star + 2], dtype=float)
-    r3 = np.asarray(Rs[max(k_star - 1, 0) : k_star + 2], dtype=float)
-    if len(t3) < 3:
-        return None
-    coef = np.polyfit(t3, r3, 2)
-    curv = coef[0]
-    if curv == 0.0:
-        return None
-    window = min(t_star - ts[0], ts[-1] - t_star)
-    if window <= 0:
-        return None
-    return abs(curv) * window**2
-
-
 def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
     """Locate pairs of distinct solutions sharing one Bernoulli constant.
 
@@ -199,15 +179,16 @@ def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
     (checkpoint may be any reference object, or None for synthetic traces).
     events: output of detect_events.
 
-    Around each Turning event, R values are sampled on the one-sided interval
-    selected by the local increasing/decreasing pattern and inverted on the
-    pre-fold and post-fold segments by monotone interpolation.  With
+    Around each Turning at R*, n_r evenly spaced R values cover the side of
+    R* the branch lies on, within the R range that both the pre-fold and the
+    post-fold segment reach: at distance eps = 0.999 |R* - far end of the
+    range| from R* down to max(eps / n_r, |R* - near end|), the near end
+    being the extreme sample both segments reach.  Each R is inverted on
+    both segments by `brentq` on the segment's cubic spline.  With
     `resolve(R, checkpoint)` given, both members are re-solved at exactly the
     shared R (to EQUAL_R_TOL) and the sup-norm distance of the fields is
     recorded.
     """
-    from .branch import Turning  # local import to avoid a cycle
-
     summary = [(float(t), float(R), ref) for (t, R, ref) in branch_summary]
     summary.sort(key=lambda z: z[0])
     ts = np.array([z[0] for z in summary])
@@ -217,27 +198,22 @@ def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
     for ev in events:
         if not isinstance(ev, Turning):
             continue
-        k_star = int(np.argmin(np.abs(ts - ev.t)))
         R_star = ev.R
         left = ts <= ev.t
         right = ts >= ev.t
         if left.sum() < 2 or right.sum() < 2:
             continue
-        increasing_first = Rs[left][-1] >= Rs[left][0]
-        eps = _fold_epsilon(ts, Rs, k_star, ev.t)
-        if eps is None or eps <= 0:
-            continue
         seg_l_t, seg_l_R = ts[left], Rs[left]
         seg_r_t, seg_r_R = ts[right], Rs[right]
-        # usable R range must be reachable on both segments
-        if increasing_first:
-            lo = max(seg_l_R.min(), seg_r_R.min())
-            eps = min(eps, 0.999 * (R_star - lo))
-            R_grid = R_star - np.linspace(eps, eps / n_r, n_r)
+        # the R range [lo, hi] that both segments reach
+        lo = max(seg_l_R.min(), seg_r_R.min())
+        hi = min(seg_l_R.max(), seg_r_R.max())
+        if seg_l_R[-1] >= seg_l_R[0]:
+            eps = 0.999 * (R_star - lo)
+            R_grid = R_star - np.linspace(eps, max(eps / n_r, R_star - hi), n_r)
         else:
-            hi = min(seg_l_R.max(), seg_r_R.max())
-            eps = min(eps, 0.999 * (hi - R_star))
-            R_grid = R_star + np.linspace(eps, eps / n_r, n_r)
+            eps = 0.999 * (hi - R_star)
+            R_grid = R_star + np.linspace(eps, max(eps / n_r, lo - R_star), n_r)
         if eps <= 0:
             continue
         inv_l = _monotone_inverse(seg_l_t, seg_l_R)
@@ -263,22 +239,16 @@ def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
 
 
 def _monotone_inverse(ts, Rs):
-    """Inverse of a sampled monotone segment R(t): Brent's method on the PCHIP
-    interpolant.
+    """Inverse of a sampled monotone segment R(t), ts increasing: Brent's
+    method on the segment's spline.
 
     Returns a callable R -> t (or None when R is outside the segment range).
     """
-    from scipy.interpolate import PchipInterpolator
-
-    ts = np.asarray(ts, dtype=float)
-    Rs = np.asarray(Rs, dtype=float)
-    order = np.argsort(ts)
-    ts, Rs = ts[order], Rs[order]
-    interp = PchipInterpolator(ts, Rs)
+    R_of_t = _Spline(ts, Rs)
 
     def inv(Rv: float):
         if (Rs[0] - Rv) * (Rs[-1] - Rv) > 0:
             return None
-        return brentq(lambda t: float(interp(t)) - Rv, ts[0], ts[-1], xtol=1e-15)
+        return brentq(lambda t: R_of_t(t) - Rv, ts[0], ts[-1], xtol=1e-15)
 
     return inv

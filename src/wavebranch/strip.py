@@ -695,7 +695,8 @@ def resolve_at(field: StripField, spec: VorticitySpec, R: float, tol: float) -> 
 _MAGIC = "wavebranch-checkpoint 1"
 
 
-def write_checkpoint(path: str, field: StripField, spec: VorticitySpec) -> None:
+def _checkpoint_text(field: StripField, spec: VorticitySpec) -> str:
+    """The checkpoint file's text for field and spec."""
     grid = field.grid
 
     def fmt(x) -> str:
@@ -712,7 +713,11 @@ def write_checkpoint(path: str, field: StripField, spec: VorticitySpec) -> None:
     ]
     for i in range(grid.nq):
         lines.append(" ".join(fmt(v) for v in field.h[i]))
-    data = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def write_checkpoint(path: str, field: StripField, spec: VorticitySpec) -> None:
+    data = _checkpoint_text(field, spec)
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".ckpt-", suffix=".tmp")
     try:

@@ -363,8 +363,10 @@ def test_criterion_10_pair_finder(fold_branch):
     assert pde_pairs
     for p in pde_pairs:
         assert p.distance > 10 * 1e-10
+    R_gap = max(abs((2.0 - (p.t1 - 1.0) ** 2) - (2.0 - (p.t2 - 1.0) ** 2)) for p in pairs)
     b.done(
         10,
-        f"synthetic pairs match the exhaustive scan; {len(pde_pairs)} genuine "
-        "PDE pairs around the fold (equal R, sup-distance > 10*tol)",
+        f"synthetic pairs match the exhaustive scan, max |R(t1) - R(t2)| {R_gap:.2e} "
+        f"< 1e-10; {len(pde_pairs)} genuine PDE pairs around the fold, min sup-distance "
+        f"{min(p.distance for p in pde_pairs):.2e} > 10*tol = 1e-09",
     )

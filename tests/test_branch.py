@@ -203,6 +203,51 @@ class TestDetectEvents:
             branch.detect_events(synthetic_points(ts, 1.5 + ts))
 
 
+class TestSpline:
+    """branch._Spline against scipy's CubicSpline, the reference it ports."""
+
+    @staticmethod
+    def assert_matches_scipy(x, y):
+        from scipy.interpolate import CubicSpline
+
+        spl, ref = branch._Spline(x, y), CubicSpline(x, y)
+        assert spl.c.tobytes() == ref.c.tobytes()
+        ts = np.concatenate([x, np.linspace(x[0] - 0.1, x[-1] + 0.1, 57)])
+        assert [spl(t) for t in ts] == [float(ref(t)) for t in ts]
+
+    def test_coefficients_on_the_fold_trace(self, fold_branch):
+        pts, _ = fold_branch
+        self.assert_matches_scipy(np.array([p.t for p in pts]), np.array([p.R for p in pts]))
+
+    def test_coefficients_on_three_and_two_nodes(self):
+        self.assert_matches_scipy(np.array([0.0, 0.3, 1.1]), np.array([1.5, 1.62, 1.57]))
+        self.assert_matches_scipy(np.array([0.2, 0.7]), np.array([1.5, 1.1]))
+
+    def test_coefficients_on_random_traces(self):
+        rng = np.random.default_rng(7)
+        for n in rng.integers(3, 30, size=40):
+            self.assert_matches_scipy(np.cumsum(rng.uniform(0.01, 1.0, n)), rng.normal(size=n))
+
+    def test_slope_roots_match_scipy(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(8)
+        for n in rng.integers(4, 30, size=40):
+            x, y = np.cumsum(rng.uniform(0.01, 1.0, n)), rng.normal(size=n)
+            spl, ref = branch._Spline(x, y), CubicSpline(x, y).derivative()
+            for i in range(n - 1):
+                want = [r for r in ref.roots() if x[i] <= r <= x[i + 1]]
+                assert sorted(spl.slope_roots(i)) == sorted(want)
+
+    def test_three_point_turning_is_the_parabola_vertex(self):
+        ts = np.array([0.1, 0.45, 0.6])
+        Rs = 1.7 - 3.0 * (ts - 0.4) ** 2 + np.array([0.0, 2e-3, -1e-3])
+        a, b, c = np.polyfit(ts, Rs, 2)
+        (turn,) = branch.detect_events(synthetic_points(ts, Rs))
+        assert turn.t == pytest.approx(-b / (2 * a), abs=1e-14)
+        assert turn.R == pytest.approx(c - b * b / (4 * a), abs=1e-14)
+
+
 class TestSpectrum:
     def test_uniform_stream_no_localized_modes(self, irrot):
         theta = st.solve_theta_for_R(irrot, 2.0, "supercritical")

@@ -185,6 +185,16 @@ class TestContinueAndVerify:
         assert code == 0
         assert "verified" in out
 
+    def test_verify_writes_nothing(self, branch_dir, capsys):
+        def listing():
+            return {e.name: e.stat().st_mtime_ns for e in os.scandir(branch_dir)}
+
+        before, dir_mtime = listing(), os.stat(branch_dir).st_mtime_ns
+        code, _, _ = run(capsys, "verify", "--dir", str(branch_dir))
+        assert code == 0
+        assert listing() == before
+        assert os.stat(branch_dir).st_mtime_ns == dir_mtime
+
     def test_verify_catches_tampering(self, branch_dir, tmp_path, capsys):
         import shutil
 
@@ -314,6 +324,31 @@ assert main(["continue", "--omega", "0", "--R-start", "1.52", "--steps", "2", "-
              "--nq", "61", "--np", "11", "--nu0-grid-n", "128", "--out", {str(tmp_path)!r}]) == 0
 """)
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+
+@pytest.fixture(scope="module")
+def fold_dir(fold_branch, irrot, tmp_path_factory):
+    """The fold_branch run, which holds a Turning, as a branch directory."""
+    points, _ = fold_branch
+    out = tmp_path_factory.mktemp("fold_run")
+    for idx, p in enumerate(points):
+        strip.write_checkpoint(str(out / cli.POINT_NAME.format(idx)), p.field, irrot)
+    (out / cli.BRANCH_CSV).write_text("\n".join(cli._branch_csv_lines(points)) + "\n")
+    return out
+
+
+def test_pairs_and_verify_import_no_heavy_scipy_subpackage(fold_dir, tmp_path):
+    # the Turning, the pair inversion and the audit run on numpy and
+    # scipy.linalg only
+    loaded = _modules_loaded_by(f"""
+import json, sys
+from wavebranch.cli import main
+assert main(["pairs", "--branch", {str(fold_dir)!r}, "--n-r", "1",
+             "--out", {str(tmp_path / "pairs.json")!r}]) == 0
+assert main(["verify", "--dir", {str(fold_dir)!r}]) == 0
+""")
+    assert loaded == []
+    assert json.loads((tmp_path / "pairs.json").read_text())["events"][0]["kind"] == "Turning"
 
 
 def test_fold_script_is_the_library_path(fold_branch, tmp_path, capsys):

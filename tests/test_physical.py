@@ -96,11 +96,23 @@ class TestPairsSynthetic:
         assert len(pairs) == 10
         for p in pairs:
             # closed-form inverse of the parabola
-            assert p.t1 == pytest.approx(1.0 - np.sqrt(2.0 - p.R), abs=1e-6)
-            assert p.t2 == pytest.approx(1.0 + np.sqrt(2.0 - p.R), abs=1e-6)
+            assert p.t1 == pytest.approx(1.0 - np.sqrt(2.0 - p.R), abs=1e-12)
+            assert p.t2 == pytest.approx(1.0 + np.sqrt(2.0 - p.R), abs=1e-12)
             # brute-force scan oracle: the nearest sampled same-R pair
             k1 = int(np.argmin(np.abs(ts[ts < 1.0] - p.t1)))
             assert abs(Rs[k1] - p.R) < 2 * (ts[1] - ts[0])
+
+    def test_grid_stops_at_the_top_sample_both_segments_reach(self):
+        # R* - eps/30 lies above the samples next to the vertex; the R grid
+        # ends at the lower segment maximum instead of losing that pair
+        ts, Rs, pts = self.make_trace(n=6)
+        pairs = physical.find_pairs([(t, r, None) for t, r in zip(ts, Rs)],
+                                    branch.detect_events(pts), n_r=30)
+        assert len(pairs) == 30
+        assert pairs[-1].R == Rs[2]
+        for p in pairs:
+            assert p.t1 == pytest.approx(1.0 - np.sqrt(2.0 - p.R), abs=1e-12)
+            assert p.t2 == pytest.approx(1.0 + np.sqrt(2.0 - p.R), abs=1e-12)
 
     def test_monotone_trace_yields_no_pairs(self):
         ts = np.linspace(0.0, 1.0, 50)
