@@ -9,12 +9,12 @@ import numpy as np
 from wavebranch import lyapunov as ly
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--s-max", type=float, default=0.3, dest="s_max")
     ap.add_argument("--ns", type=int, default=13)
     ap.add_argument("--nlam", type=int, default=61)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     lam_max = {"pitchfork": 0.12, "cubic": 0.5, "vertical": 0.2, "even": 0.35}
     for name, make in ly.MODEL_GALLERY.items():

@@ -157,21 +157,9 @@ def _norm_product(weight, dx, dlam) -> float:
     return float(np.sqrt(_ip(weight, dx, dx) + dlam * dlam))
 
 
-def tangent(prev, curr, weight=1.0):
-    """Normalized secant direction between two accepted points in (x, lambda).
-
-    Accepts AcceptedStep/BranchPoint-like objects exposing packed state via
-    (x, lam) attributes or (field, R); returns (tan_x, tan_lam) with unit norm
-    in the weighted product inner product.
-    """
-
-    def state(p):
-        if hasattr(p, "x"):
-            return p.x, p.lam
-        return pack(p.field), p.R
-
-    x0, l0 = state(prev)
-    x1, l1 = state(curr)
+def tangent(x0, l0, x1, l1, weight):
+    """Normalized secant direction from the packed state (x0, l0) to (x1, l1):
+    (tan_x, tan_lam) with unit norm in the weighted product inner product."""
     dx = x1 - x0
     dlam = l1 - l0
     n = _norm_product(weight, dx, dlam)
@@ -283,9 +271,7 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
                         last_good=accepted[-1] if accepted else None,
                     ) from exc
         t += ds_cur
-        new_tan_x, new_tan_lam = tangent(
-            _XL(x_prev, lam_prev), _XL(x_new, lam_new), weight=weight
-        )
+        new_tan_x, new_tan_lam = tangent(x_prev, lam_prev, x_new, lam_new, weight)
         # keep orientation along the branch
         if _ip(weight, new_tan_x, tan_x) + new_tan_lam * tan_lam < 0:
             new_tan_x, new_tan_lam = -new_tan_x, -new_tan_lam
@@ -303,12 +289,6 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
             if reason:
                 return accepted, reason
     return accepted, "completed"
-
-
-@dataclass
-class _XL:
-    x: np.ndarray
-    lam: float
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +778,6 @@ def point_at_arclength(
     from_point: BranchPoint,
     spec: VorticitySpec,
     t_target: float,
-    ctrl: StepControl | None = None,
     with_spectrum: bool = True,
     nu0_grid_n: int = 1024,
 ) -> BranchPoint:
@@ -806,7 +785,6 @@ def point_at_arclength(
     an accepted point, using its stored tangent."""
     if from_point.field is None or from_point.tangent_x is None:
         raise ValueError("from_point must carry a field and a stored tangent")
-    ctrl = ctrl or StepControl()
     sys_ = SolitarySystem(spec, from_point.field.grid)
     ds = t_target - from_point.t
     x_prev = pack(from_point.field)
@@ -814,7 +792,7 @@ def point_at_arclength(
     x_pred = x_prev + ds * tan_x
     lam_pred = from_point.R + ds * tan_lam
     x_new, lam_new, _ = _corrector(
-        sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds, ctrl
+        sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds, StepControl()
     )
     spectrum = "required" if with_spectrum else "none"
     return _branch_point(

@@ -338,9 +338,9 @@ def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
         payload["note"] = "no mu1 sign change strictly below nu0 between the checkpoints"
     else:
         pa.tangent_x, pa.tangent_lam = branch_mod.tangent(
-            pa, pb, weight=fld_a.grid.dq * fld_a.grid.dp
+            strip_mod.pack(fld_a), pa.R, strip_mod.pack(fld_b), pb.R,
+            fld_a.grid.dq * fld_a.grid.dp,
         )
-        pa.ds = pb.t - pa.t
         try:
             seed = ly.switch_branch((pa, pb), spec, newton_tol=cfg.newton_tol)
             payload["switched"] = True

@@ -9,7 +9,7 @@ solved by bordered Newton iteration on the band factor the continuation uses
     B(s, lambda) = <F(s v + w(s, lambda), lambda), what>,
 
 the projection of F onto the crossing direction, is sampled on a lattice.
-Zero curves of B are traced by sign scan plus secant-type refinement and
+Zero curves of B are traced by sign scan plus Brent refinement and
 classified (vertical / degenerate-eigenvalue / regular); the same machinery
 seeds branch switching at a PDE eigenvalue crossing.
 """
@@ -48,8 +48,6 @@ __all__ = [
     "project",
     "solve_complement",
     "reduced_map",
-    "ReducedProblem",
-    "reduced_problem",
     "BranchCurve",
     "LocalBranches",
     "local_branches",
@@ -139,19 +137,9 @@ def project(family: AnalyticFamily, lam: float, x: np.ndarray):
     return s, x - s * ed.v
 
 
-def _phat(family: AnalyticFamily, ed: EigenData, y: np.ndarray) -> np.ndarray:
-    return family.ip(y, ed.w) * ed.v
-
-
-def solve_complement(
-    family: AnalyticFamily,
-    s: float,
-    lam: float,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> np.ndarray:
+def solve_complement(family: AnalyticFamily, s: float, lam: float) -> np.ndarray:
     """Solve the range-complement equation (I - P) F(s v + w, lambda) = 0
-    with P w = 0, by bordered Newton iteration from w = 0.
+    with P w = 0 to 1e-12, by at most 60 bordered Newton steps from w = 0.
 
     Each step solves [[D_x F, v], [what^T, 0]] [dw; c] = [-F; -<w, what>]:
     the border with v and the constraint regularizes the Jacobian where it is
@@ -160,12 +148,12 @@ def solve_complement(
     ed = family.eigendata(lam)
     w = np.zeros(family.n)
     w_border = family.ip_weight * ed.w
-    for _ in range(max_iter):
+    for _ in range(60):
         x = s * ed.v + w
         F = family.f(x, lam)
-        G = F - _phat(family, ed, F)
+        G = F - family.ip(F, ed.w) * ed.v
         con = family.ip(w, ed.w)
-        if max(np.abs(G).max(), abs(con)) <= tol:
+        if max(np.abs(G).max(), abs(con)) <= 1e-12:
             return w
         try:
             dw, _ = branch_mod._solve_bordered(
@@ -179,7 +167,7 @@ def solve_complement(
     )
 
 
-def reduced_map(family: AnalyticFamily, s: float, lam: float, tol: float = 1e-12):
+def reduced_map(family: AnalyticFamily, s: float, lam: float):
     """The scalar reduced map B(s, lambda) = <F(s v + w, lambda), what> and
     the complement w = w(s, lambda).
 
@@ -187,21 +175,8 @@ def reduced_map(family: AnalyticFamily, s: float, lam: float, tol: float = 1e-12
     as s mu + <F - A0 x, what>, A0 = D_x F(0, lambda), would need
     A0 v = mu v, which the strip's pencil J v = mu B v does not give."""
     ed = family.eigendata(lam)
-    w = solve_complement(family, s, lam, tol=tol)
+    w = solve_complement(family, s, lam)
     return family.ip(family.f(s * ed.v + w, lam), ed.w), w
-
-
-@dataclass
-class ReducedProblem:
-    """Sampled reduction on |s| <= s_max, |lambda| <= lam_max."""
-
-    s_vals: np.ndarray
-    lam_vals: np.ndarray
-    B: np.ndarray  # (ns, nlam)
-    w_norms: np.ndarray  # (ns, nlam)
-    w_scaling_exponent: float
-    m: int | None
-    mu_m: float | None
 
 
 def _estimate_m(family: AnalyticFamily, lam_max: float):
@@ -218,35 +193,6 @@ def _estimate_m(family: AnalyticFamily, lam_max: float):
     m = int(round(slope))
     mu_m = float(mus[-1] / lams[-1] ** m)
     return m, mu_m
-
-
-def reduced_problem(
-    family: AnalyticFamily,
-    s_max: float,
-    lam_max: float,
-    ns: int = 11,
-    nlam: int = 11,
-    tol: float = 1e-12,
-) -> ReducedProblem:
-    s_vals = np.linspace(-s_max, s_max, ns)
-    lam_vals = np.linspace(-lam_max, lam_max, nlam)
-    B = np.empty((ns, nlam))
-    w_norms = np.empty((ns, nlam))
-    for i, s in enumerate(s_vals):
-        for j, lam in enumerate(lam_vals):
-            b, w = reduced_map(family, s, lam, tol=tol)
-            B[i, j] = b
-            w_norms[i, j] = np.linalg.norm(w)
-    # w = O(s^2): fitted exponent over two decades of s at lambda = 0
-    svals = s_max * np.geomspace(0.01, 1.0, 7)
-    norms = np.array([np.linalg.norm(solve_complement(family, s, 0.0, tol=tol)) for s in svals])
-    ok = norms > 1e-300
-    expo = float(np.polyfit(np.log(svals[ok]), np.log(norms[ok]), 1)[0]) if ok.sum() >= 2 else np.nan
-    m, mu_m = _estimate_m(family, lam_max)
-    return ReducedProblem(
-        s_vals=s_vals, lam_vals=lam_vals, B=B, w_norms=w_norms,
-        w_scaling_exponent=expo, m=m, mu_m=mu_m,
-    )
 
 
 @dataclass
@@ -268,23 +214,24 @@ class LocalBranches:
     certified: bool  # branch-count bounds certified only for odd m
 
 
-def _reduced_column(family, s, lam_vals, tol):
-    """B(s, lambda) at each lambda of lam_vals."""
-    return np.array([reduced_map(family, s, lam, tol=tol)[0] for lam in lam_vals])
-
-
-def _column_roots(family, s, lam_vals, B_col, tol, zero_tol):
-    """Roots of lambda -> B(s, lambda) from lattice sign changes."""
+def _column_zeros(family, s, lam_vals, zero_tol):
+    """Zeros of lambda -> B(s, lambda) on the lattice lam_vals, ascending:
+    lattice values with |B| <= zero_tol, and Brent-refined roots between
+    sign changes.  None when |B| <= zero_tol on the whole column (a vertical
+    family: solutions at every lambda)."""
+    B_col = np.array([reduced_map(family, s, lam)[0] for lam in lam_vals])
+    if np.abs(B_col).max() <= zero_tol:
+        return None
     roots = []
     for j in range(len(lam_vals) - 1):
         b0, b1 = B_col[j], B_col[j + 1]
         if abs(b0) <= zero_tol and abs(b1) <= zero_tol:
-            continue  # handled by the identically-zero column test
+            continue  # inside a run of lattice zeros: its last one counts
         if abs(b0) <= zero_tol:
             roots.append(lam_vals[j])
             continue
         if b0 * b1 < 0:
-            roots.append(brentq(lambda lam: reduced_map(family, s, lam, tol=tol)[0],
+            roots.append(brentq(lambda lam: reduced_map(family, s, lam)[0],
                                 lam_vals[j], lam_vals[j + 1], xtol=1e-13))
     if abs(B_col[-1]) <= zero_tol and (len(roots) == 0 or abs(roots[-1] - lam_vals[-1]) > 1e-12):
         roots.append(lam_vals[-1])
@@ -297,33 +244,23 @@ def local_branches(
     lam_max: float,
     ns: int = 17,
     nlam: int = 41,
-    tol: float = 1e-12,
-    zero_tol: float = 1e-10,
 ) -> LocalBranches:
     """Trace zero curves of the reduced map on |s| <= s_max, |lambda| <= lam_max.
 
     The lattice sign scan is refined by Brent's method in lambda per
     s-column; the refined roots are chained across adjacent columns into
     curves, grouped by the side of s = 0, paired index-wise in
-    increasing-lambda order, and classified.  Columns on which B vanishes identically signal a vertical
-    family (lambda-independent solutions).
+    increasing-lambda order, and classified.  Lattice zeros are |B| <= 1e-10;
+    columns on which B vanishes identically signal a vertical family
+    (lambda-independent solutions).
     """
     m, mu_m = _estimate_m(family, lam_max)
     s_side = np.linspace(s_max / ns, s_max, ns)
     lam_vals = np.linspace(-lam_max, lam_max, nlam)
 
     def trace_side(side: int):
-        cols = []
-        vertical_cols = 0
-        for s_abs in s_side:
-            s = side * s_abs
-            B_col = _reduced_column(family, s, lam_vals, tol)
-            if np.abs(B_col).max() <= zero_tol:
-                vertical_cols += 1
-                cols.append("vertical")
-                continue
-            cols.append(sorted(_column_roots(family, s, lam_vals, B_col, tol, zero_tol)))
-        if vertical_cols == len(s_side):
+        cols = [_column_zeros(family, side * s_abs, lam_vals, 1e-10) for s_abs in s_side]
+        if all(roots is None for roots in cols):
             return [
                 BranchCurve(
                     side=side,
@@ -339,7 +276,7 @@ def local_branches(
         curves: list[list[tuple[float, float]]] = []
         open_curves: list[list[tuple[float, float]]] = []
         for idx, roots in enumerate(cols):
-            if roots == "vertical":
+            if roots is None:
                 continue
             s = side * s_side[idx]
             new_open = []
@@ -411,35 +348,24 @@ def local_branches(
     return LocalBranches(curves=curves, m_estimate=m, mu_m=mu_m, certified=certified)
 
 
-def seed_from_family(
-    family: AnalyticFamily,
-    s_max: float,
-    lam_max: float,
-    ns: int = 7,
-    nlam: int = 9,
-    s_min_frac: float = 0.2,
-    tol: float = 1e-12,
-    zero_tol: float = 1e-9,
-):
+def seed_from_family(family: AnalyticFamily, s_max: float, lam_max: float):
     """Pick a non-trivial zero (s0, lambda0) of the reduced map on a coarse
     lattice and assemble the corresponding state s0*v + w(s0, lambda0).
+
+    The lattice is 9 lambda values on [-lam_max, lam_max] by 7 values of |s|
+    on [0.2 s_max, s_max], scanned outward from the smallest |s| until a
+    column has a zero (|B| <= 1e-9); a vertical column gives lambda = 0.
 
     Raises NoSecondaryBranchError when every lattice zero lies on the trivial
     branch s = 0.
     """
-    lam_vals = np.linspace(-lam_max, lam_max, nlam)
-    s_abs = np.linspace(s_min_frac * s_max, s_max, ns)
+    lam_vals = np.linspace(-lam_max, lam_max, 9)
     candidates = []
-    for s_a in s_abs:
+    for s_a in np.linspace(0.2 * s_max, s_max, 7):
         for side in (+1, -1):
             s = side * s_a
-            B_col = _reduced_column(family, s, lam_vals, tol)
-            if np.abs(B_col).max() <= zero_tol:
-                candidates.append((s, 0.0))
-                continue
-            roots = _column_roots(family, s, lam_vals, B_col, tol, zero_tol)
-            for r in roots:
-                candidates.append((s, r))
+            roots = _column_zeros(family, s, lam_vals, 1e-9)
+            candidates += [(s, 0.0)] if roots is None else [(s, r) for r in roots]
         if candidates:
             break
     if not candidates:
@@ -448,7 +374,7 @@ def seed_from_family(
         )
     s0, lam0 = min(candidates, key=lambda c: (abs(c[0]), abs(c[1])))
     ed = family.eigendata(lam0)
-    w0 = solve_complement(family, s0, lam0, tol=tol)
+    w0 = solve_complement(family, s0, lam0)
     return s0, lam0, s0 * ed.v + w0
 
 
@@ -469,7 +395,7 @@ def _pencil_eigendata(field, J, ip_weight):
     )
 
 
-def family_from_branch(bracket, spec, t_star, ctrl=None):
+def family_from_branch(bracket, spec, t_star):
     """AnalyticFamily for the strip problem around the refined crossing t_star:
     x = deviation from the primary branch state h(t_star + lambda), so that
     F(0, lambda) = 0 along the branch."""
@@ -482,7 +408,7 @@ def family_from_branch(bracket, spec, t_star, ctrl=None):
     def base(lam: float):
         if lam not in base_cache:
             base_cache[lam] = branch_mod.point_at_arclength(
-                a, spec, t_star + lam, ctrl=ctrl, with_spectrum=False
+                a, spec, t_star + lam, with_spectrum=False
             )
         return base_cache[lam]
 
@@ -508,21 +434,15 @@ def family_from_branch(bracket, spec, t_star, ctrl=None):
     return fam
 
 
-def switch_branch(
-    bracket,
-    spec,
-    s_max: float = 1e-2,
-    lam_max: float | None = None,
-    newton_tol: float = 1e-10,
-    ctrl=None,
-):
+def switch_branch(bracket, spec, newton_tol: float = 1e-10):
     """Construct a converged off-branch seed at an eigenvalue crossing.
 
     bracket: pair of BranchPoint with a sign change of mu1, both values
     strictly below nu0, and stored tangents.  Returns the seed StripField after
     it re-converges under the plain Newton solver at the selected R; raises
     NoSecondaryBranchError when the reduced map shows only trivial zeros at
-    lattice resolution.
+    lattice resolution (seed_from_family on |s| <= 1e-2 and |lambda| up to
+    half the bracket's arclength).
     """
     a, b = bracket
     if a.field is None or b.field is None or a.tangent_x is None:
@@ -540,16 +460,14 @@ def switch_branch(
 
     def mu1_of(t: float) -> float:
         if t not in cache:
-            pt = branch_mod.point_at_arclength(a, spec, t, ctrl=ctrl, with_spectrum=True)
+            pt = branch_mod.point_at_arclength(a, spec, t, with_spectrum=True)
             cache[t] = pt.mu1
         return cache[t]
 
     t_star = brentq(mu1_of, a.t, b.t, xtol=1e-10, maxiter=30)
 
-    fam = family_from_branch((a, b), spec, t_star, ctrl=ctrl)
-    if lam_max is None:
-        lam_max = 0.5 * (b.t - a.t)
-    s0, lam0, x0 = seed_from_family(fam, s_max=s_max, lam_max=lam_max)
+    fam = family_from_branch((a, b), spec, t_star)
+    s0, lam0, x0 = seed_from_family(fam, s_max=1e-2, lam_max=0.5 * (b.t - a.t))
     base_pt = fam.base(lam0)
     seed = unpack(base_pt.field, pack(base_pt.field) + x0)
     converged = newton_solve(seed, spec, tol=newton_tol)

@@ -181,7 +181,7 @@ def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
 
     Around each Turning at R*, n_r evenly spaced R values cover the side of
     R* the branch lies on, within the R range that both the pre-fold and the
-    post-fold segment reach: at distance eps = 0.999 |R* - far end of the
+    post-fold segment reach (each segment ends at the neighbouring Turning): at distance eps = 0.999 |R* - far end of the
     range| from R* down to max(eps / n_r, |R* - near end|), the near end
     being the extreme sample both segments reach.  Each R is inverted on
     both segments by `brentq` on the segment's cubic spline.  With
@@ -195,12 +195,12 @@ def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):
     Rs = np.array([z[1] for z in summary])
     pairs: list[WavePair] = []
 
-    for ev in events:
-        if not isinstance(ev, Turning):
-            continue
+    turnings = sorted((ev for ev in events if isinstance(ev, Turning)), key=lambda ev: ev.t)
+    bounds = [-np.inf] + [ev.t for ev in turnings] + [np.inf]
+    for k, ev in enumerate(turnings):
         R_star = ev.R
-        left = ts <= ev.t
-        right = ts >= ev.t
+        left = (ts >= bounds[k]) & (ts <= ev.t)
+        right = (ts >= ev.t) & (ts <= bounds[k + 2])
         if left.sum() < 2 or right.sum() < 2:
             continue
         seg_l_t, seg_l_R = ts[left], Rs[left]

@@ -482,7 +482,6 @@ def band_lu(A: BandMatrix) -> BandLU:
 class NewtonInfo:
     iterations: int
     residual_sup: float
-    step_sups: list
 
 
 def newton_solve(
@@ -502,7 +501,7 @@ def newton_solve(
         raise ValueError("tol must be positive")
     f = f0.copy()
     res = residual(f, spec)
-    info = NewtonInfo(iterations=0, residual_sup=res.sup, step_sups=[])
+    info = NewtonInfo(iterations=0, residual_sup=res.sup)
 
     for it in range(max_iter):
         if res.sup <= tol:
@@ -529,7 +528,6 @@ def newton_solve(
                 f"Newton damping underflowed below 2^-20 at residual {res.sup:.3e}"
             )
         info.iterations += 1
-        info.step_sups.append(float(np.abs(alpha * dx).max()))
         info.residual_sup = res.sup
     else:
         raise NonConvergenceError(

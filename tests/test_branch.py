@@ -108,14 +108,16 @@ class TestGenericDriver:
 class TestTangent:
     def test_unit_norm(self, mini_branch):
         w = mini_branch[1].field.grid.dq * mini_branch[1].field.grid.dp
-        tx, tl = branch.tangent(mini_branch[0], mini_branch[1], weight=w)
+        a, b = mini_branch[0], mini_branch[1]
+        tx, tl = branch.tangent(strip.pack(a.field), a.R, strip.pack(b.field), b.R, w)
         norm = np.sqrt(w * np.sum(tx**2) + tl**2)
         assert norm == pytest.approx(1.0, abs=1e-14)
         assert tl > 0.0  # R increases along the early branch
 
     def test_degenerate(self, mini_branch):
         with pytest.raises(DegenerateTangentError):
-            branch.tangent(mini_branch[0], mini_branch[0], weight=1.0)
+            x = strip.pack(mini_branch[0].field)
+            branch.tangent(x, mini_branch[0].R, x, mini_branch[0].R, 1.0)
 
 
 def synthetic_points(ts, Rs, mu1=None, nu0=None):

@@ -351,16 +351,21 @@ assert main(["verify", "--dir", {str(fold_dir)!r}]) == 0
     assert json.loads((tmp_path / "pairs.json").read_text())["events"][0]["kind"] == "Turning"
 
 
-def test_fold_script_is_the_library_path(fold_branch, tmp_path, capsys):
-    # scripts/run_fold_pairs.py at its defaults writes, through `continue` and
-    # `pairs`, the checkpoints the library calls of the fold_branch fixture give
+def _script(name: str):
+    """The module scripts/<name>.py, loaded from its file."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "run_fold_pairs", os.path.join(root, "scripts", "run_fold_pairs.py")
+        name, os.path.join(root, "scripts", name + ".py")
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--out", str(tmp_path)]) == 0
+    return script
+
+
+def test_fold_script_is_the_library_path(fold_branch, tmp_path, capsys):
+    # scripts/run_fold_pairs.py at its defaults writes, through `continue` and
+    # `pairs`, the checkpoints the library calls of the fold_branch fixture give
+    assert _script("run_fold_pairs").main(["--out", str(tmp_path)]) == 0
 
     points, _ = fold_branch
     for idx, p in enumerate(points):
@@ -376,3 +381,16 @@ def test_fold_script_is_the_library_path(fold_branch, tmp_path, capsys):
     assert all(set(p) == {"t1", "t2", "R", "distance"} for p in payload["pairs"])
     assert sum(p["distance"] > 1e-9 for p in payload["pairs"]) >= 4
     assert f"R* = {payload['events'][0]['R']:.7f}" in capsys.readouterr().out
+
+
+def test_model_gallery_script(capsys):
+    _script("run_model_gallery").main([])
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if not ln.startswith(" ")] == [
+        "pitchfork: m = 1, certified = True, curve pairs = 1",
+        "cubic: m = 3, certified = True, curve pairs = 1",
+        "vertical: m = None, certified = False, curve pairs = 1",
+        "even: m = 2, certified = False, curve pairs = 2",
+    ]
+    # the pitchfork branch lambda = s^2 - s^4 at the outermost column s = 0.3
+    assert lines[1] == f"  side +1: regular, lambda(+0.30) = {0.3**2 - 0.3**4:+.4f}"

@@ -80,13 +80,6 @@ class TestReducedMap:
         assert found[0] == pytest.approx(-expected, abs=2 * (s_grid[1] - s_grid[0]))
         assert found[1] == pytest.approx(expected, abs=2 * (s_grid[1] - s_grid[0]))
 
-    def test_reduced_problem_summary(self, pitchfork):
-        rp = ly.reduced_problem(pitchfork, s_max=0.1, lam_max=0.1, ns=7, nlam=7)
-        assert 1.9 <= rp.w_scaling_exponent <= 2.1
-        assert rp.m == 1
-        mid = len(rp.s_vals) // 2
-        assert np.abs(rp.B[mid]).max() == 0.0  # B(0, lam) = 0
-
 
 class TestLocalBranches:
     def test_pitchfork_zero_set(self, pitchfork):
@@ -202,6 +195,15 @@ class TestSeeding:
         fam = ly.finite_family(f, df, 2)
         with pytest.raises(NoSecondaryBranchError):
             ly.seed_from_family(fam, s_max=0.2, lam_max=0.1)
+
+    def test_vertical_column_seeds_at_lambda_zero(self):
+        # B vanishes on every lattice column of the vertical family, so the
+        # first column scanned (|s| = 0.2 s_max) gives the candidate lambda = 0
+        fam = ly.vertical_family()
+        s0, lam0, x0 = ly.seed_from_family(fam, s_max=0.2, lam_max=0.1)
+        assert lam0 == 0.0
+        assert s0 == 0.2 * 0.2
+        assert np.abs(fam.f(x0, 0.0)).max() <= 1e-14
 
 
 class TestPdeWiring:

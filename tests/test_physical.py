@@ -114,6 +114,26 @@ class TestPairsSynthetic:
             assert p.t1 == pytest.approx(1.0 - np.sqrt(2.0 - p.R), abs=1e-12)
             assert p.t2 == pytest.approx(1.0 + np.sqrt(2.0 - p.R), abs=1e-12)
 
+    def test_each_turning_pairs_within_its_own_segments(self):
+        # R = 1.5 + t^2 (1 - t)^2: a maximum at t = 1/2 and a minimum at t = 1;
+        # each segment ends at the neighbouring Turning
+        ts = np.linspace(0.01, 1.2, 120)
+        Rs = 1.5 + ts**2 * (1 - ts) ** 2
+        pts = [
+            branch.BranchPoint(field=None, t=float(t), R=float(r), mu0=None, mu1=1.0, nu0=1.0)
+            for t, r in zip(ts, Rs)
+        ]
+        pairs = physical.find_pairs([(t, r, None) for t, r in zip(ts, Rs)],
+                                    branch.detect_events(pts), n_r=10)
+        assert len(pairs) == 20
+        for p in pairs[:10]:
+            assert p.t1 < 0.5 < p.t2 < 1.0
+        for p in pairs[10:]:
+            assert 0.5 < p.t1 < 1.0 < p.t2
+        for p in pairs:
+            for t in (p.t1, p.t2):
+                assert abs(1.5 + t**2 * (1 - t) ** 2 - p.R) <= 1e-7
+
     def test_monotone_trace_yields_no_pairs(self):
         ts = np.linspace(0.0, 1.0, 50)
         Rs = 1.5 + ts
