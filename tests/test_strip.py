@@ -5,6 +5,7 @@ import scipy.linalg
 from wavebranch import spectrum1d as sp1
 from wavebranch import stream as st
 from wavebranch import branch, strip
+from wavebranch import physical as phys
 from wavebranch.errors import BelowCriticalError, CheckpointFormatError, StagnationBreachError
 from wavebranch.vorticity import VorticitySpec
 
@@ -164,30 +165,26 @@ def _guess_case(omega, dR, shape):
     return pytest.param(omega, dR, shape, id=f"omega{omega}-dR{dR}-{shape[0]}x{shape[1]}")
 
 
-def _reference_lattice(spec, R, grid):
-    """initial_guess's (a, k) lattice scored by building each trial field and
-    evaluating its residual: the stream column, its depth, the lattice and the
-    (13, 9) scores, +inf where the residual rejects the trial."""
-    summary = strip.cached_summary(spec)
-    theta = st.solve_theta_for_R(spec, R, "supercritical", summary=summary)
+def _kdv_seed(spec, R, grid):
+    """The supercritical stream column at R, its depth d, and the KdV
+    amplitude a0 = 2 d (F - 1) and wavenumber k0 = sqrt(3 a0 / (4 d^3))."""
+    theta = st.solve_theta_for_R(spec, R, "supercritical", summary=strip.cached_summary(spec))
     Hcol = st.stream_profile(spec, theta, grid.p)
     d = Hcol[-1]
-    a_lore = max(2.0 * d * (st.froude_of_theta(spec, theta) - 1.0), 1e-3 * d)
-    k_lore = np.sqrt(3.0 * a_lore / (4.0 * d**3))
-    a_try = a_lore * np.geomspace(0.4, 2.4, 13)
-    k_try = k_lore * np.geomspace(0.45, 2.2, 9)
-    scores = np.full((13, 9), np.inf)
-    for m, a in enumerate(a_try):
-        for n, k in enumerate(k_try):
-            trial = strip.StripField(grid, strip._build_guess(grid, Hcol, d, a, k), R, theta)
-            try:
-                r = strip.residual(trial, spec)
-            except StagnationBreachError:
-                continue
-            l2 = np.sqrt(grid.dq * grid.dp * np.sum(r.interior**2)
-                         + grid.dq * np.sum(r.surface**2))
-            scores[m, n] = l2 / a
-    return Hcol, d, a_try, k_try, scores
+    a0 = max(2.0 * d * (st.froude_of_theta(spec, theta) - 1.0), 1e-3 * d)
+    return Hcol, d, a0, np.sqrt(3.0 * a0 / (4.0 * d**3))
+
+
+def _solve_from_seed(omega, dR, shape):
+    """Newton from initial_guess at R_c + dR: the solution, its NewtonInfo,
+    its flow-force selection defect and the seed's KdV amplitude a0."""
+    spec = VorticitySpec(omega)
+    R = strip.cached_summary(spec).R_c + dR
+    grid = strip.default_grid(spec, R, nq=shape[0], npp=shape[1])
+    sol, info = strip.newton_solve(strip.initial_guess(spec, R, grid), spec, tol=1e-10,
+                                   return_info=True)
+    defect = phys.verify_flow_force_selection(phys.reconstruct(sol, spec), spec)
+    return sol, info, defect, _kdv_seed(spec, R, grid)[2]
 
 
 class TestInitialGuess:
@@ -212,27 +209,41 @@ class TestInitialGuess:
         "omega, dR, shape",
         [_guess_case(om, dR, shape) for om in _GUESS_OMEGAS for dR in (0.005, 0.03, 0.3)
          for shape in ((121, 17), (201, 31), (301, 41))]
-        # starts from which Newton is known to fail on the default grid
         + [_guess_case([-0.5], 0.036, (301, 41)), _guess_case([0.5], 0.02, (301, 41)),
            _guess_case([0.5], 0.04, (301, 41))],
     )
-    def test_lattice_scores_match_residual_loop(self, omega, dR, shape):
+    def test_guess_is_the_kdv_seed(self, omega, dR, shape):
         spec = VorticitySpec(omega)
-        R_c = strip.cached_summary(spec).R_c
-        R = R_c + dR
-        dR = R - R_c  # as initial_guess rounds it
+        R = strip.cached_summary(spec).R_c + dR
         grid = strip.default_grid(spec, R, nq=shape[0], npp=shape[1])
-        Hcol, d, a_try, k_try, ref = _reference_lattice(spec, R, grid)
-        scores = strip._lattice_scores(spec, grid, Hcol, R, a_try, k_try)
-        assert np.isfinite(ref).all()
-        np.testing.assert_allclose(scores, ref, rtol=1e-10, atol=0.0)
-        ia, ik = np.unravel_index(np.argmin(ref), ref.shape)
-        assert np.argmin(scores) == np.argmin(ref)
-        # a and k through the constants c1 = a/dR, c2 = k/sqrt(dR), as initial_guess
-        a = a_try[ia] / dR * dR
-        k = k_try[ik] / np.sqrt(dR) * np.sqrt(dR)
+        Hcol, d, a0, k0 = _kdv_seed(spec, R, grid)
         guess = strip.initial_guess(spec, R, grid)
-        assert guess.h.tobytes() == strip._build_guess(grid, Hcol, d, a, k).tobytes()
+        assert guess.h.tobytes() == strip._build_guess(grid, Hcol, d, a0, k0).tobytes()
+
+    @pytest.mark.parametrize(
+        "omega, dR",
+        [([0.0], 0.005), ([0.0], 0.04), ([1.0, -2.0], 0.005), ([1.0, -2.0], 0.04),
+         ([-0.5], 0.005), ([-0.5], 0.03),
+         # Newton from the best point of the former (a, k) lattice did not
+         # converge for [-0.5] at dR in about [0.035, 0.038]
+         ([-0.5], 0.036)],
+        ids=str,
+    )
+    def test_newton_converges_from_the_seed(self, omega, dR):
+        sol, info, defect, _ = _solve_from_seed(omega, dR, (301, 41))
+        assert info.residual_sup <= 1e-10
+        assert info.iterations <= 6
+        assert np.argmax(sol.xi) == 0  # the crest on the axis
+        assert defect < 1e-3
+
+    def test_small_wave_is_not_the_stream(self):
+        # the former lattice start converged here to a near-trivial stream of
+        # crest amplitude 1e-4, with its residual and selection defect at the
+        # floor all the same
+        sol, _, defect, a0 = _solve_from_seed([0.1], 0.002, (201, 31))
+        assert defect < 1e-3
+        assert np.argmax(sol.xi) == 0
+        assert sol.xi[0] - sol.xi[-1] == pytest.approx(a0, rel=0.05)
 
     def test_no_residual_evaluations(self, irrot, monkeypatch):
         calls = []
