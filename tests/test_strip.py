@@ -212,13 +212,18 @@ class TestInitialGuess:
         + [_guess_case([-0.5], 0.036, (301, 41)), _guess_case([0.5], 0.02, (301, 41)),
            _guess_case([0.5], 0.04, (301, 41))],
     )
-    def test_guess_is_the_kdv_seed(self, omega, dR, shape):
+    def test_lattice_scores_match_residual_loop(self, omega, dR, shape):
+        # the former (a, k) lattice is now its one KdV point (a0, k0):
+        # initial_guess is bitwise that field, and the residual loop admits
+        # it (no stagnation breach, a finite nonzero score)
         spec = VorticitySpec(omega)
         R = strip.cached_summary(spec).R_c + dR
         grid = strip.default_grid(spec, R, nq=shape[0], npp=shape[1])
         Hcol, d, a0, k0 = _kdv_seed(spec, R, grid)
         guess = strip.initial_guess(spec, R, grid)
         assert guess.h.tobytes() == strip._build_guess(grid, Hcol, d, a0, k0).tobytes()
+        r = strip.residual(guess, spec)
+        assert np.isfinite(r.sup) and r.sup > 0.0
 
     @pytest.mark.parametrize(
         "omega, dR",
