@@ -32,6 +32,7 @@ from . import spectrum1d
 from .roots import brentq
 from .stream import moments, solve_theta_for_R
 from .strip import (
+    _CONTRACTION,
     StripField,
     StripGrid,
     assemble_jacobian,
@@ -74,10 +75,9 @@ __all__ = [
 _MAX_NEWTON_ITERS = 12
 _CONSTRAINT_TOL = 1e-11
 _FAST_ITERS = 4
-# from the third iterate on, a corrector whose residual sup-norm exceeds this
-# fraction of the previous iterate's has stopped contracting and is abandoned
-# (Deuflhard 2004, ch. 5); the first iterate may still grow
-_CONTRACTION = 0.5
+# from the third iterate on, a corrector whose residual sup-norm exceeds
+# strip._CONTRACTION times the previous iterate's is abandoned; the first
+# iterate may still grow
 # an eigenvector with this fraction of its mass in q < L/2 is localized
 _LOCALIZED = 0.99
 

@@ -174,6 +174,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     profile = phys.reconstruct(sol, spec)
     defect = phys.verify_flow_force_selection(profile, spec)
     print(f"iterations {info.iterations}")
+    print(f"chord_steps {info.chord_steps}")
     print(f"residual_sup {_fmt(info.residual_sup)}")
     print(f"xi0 {_fmt(sol.xi[0])}")
     print(f"d_far {_fmt(profile.depth_far)}")

@@ -64,6 +64,10 @@ __all__ = [
 ]
 
 _DAMPING_FLOOR = 2.0 ** -20
+# a Newton-type step that does not shrink the residual sup-norm below this
+# fraction of the last one has stopped contracting (Deuflhard 2004, ch. 2 and
+# 5): newton_solve then refactors, and the bordered corrector gives up
+_CONTRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -480,8 +484,28 @@ def band_lu(A: BandMatrix) -> BandLU:
 
 @dataclass
 class NewtonInfo:
+    """What newton_solve did: its Newton iterates (one fresh factorization
+    each, the polish aside), the chord steps it kept, and the final residual
+    sup-norm."""
+
     iterations: int
     residual_sup: float
+    chord_steps: int = 0
+
+
+def _chord_step(f: StripField, res: StripResidual, lu: BandLU, spec: VorticitySpec,
+                tol: float):
+    """One step x - J_k^-1 F(x) on the factor of an earlier iterate: the new
+    field and residual when it meets tol or at least halves the residual
+    sup-norm, else None."""
+    trial = unpack(f, pack(f) + lu.solve(-_packed(res)))
+    try:
+        trial_res = residual(trial, spec)
+    except StagnationBreachError:
+        return None
+    if trial_res.sup <= _CONTRACTION * res.sup or trial_res.sup <= tol:
+        return trial, trial_res
+    return None
 
 
 def newton_solve(
@@ -491,23 +515,39 @@ def newton_solve(
     max_iter: int = 40,
     return_info: bool = False,
 ):
-    """Damped Newton iteration at fixed R and far-field column.
+    """Damped Newton iteration at fixed R and far-field column, with chord steps.
 
-    Backtracks on the residual sup-norm; positivity h_p > 0 is enforced by step
-    damping.  After reaching tol, one undamped polish step is taken so the
-    converged residual sits at the rounding floor (checkpoint-replay contract).
+    `iterations` counts Newton iterates, each with a fresh assembly and band
+    LU of J, and max_iter bounds them.  Between iterates, chord steps reuse
+    the last iterate's factor: one is kept when it meets tol or at least
+    halves the residual sup-norm (ratio _CONTRACTION), and counted in
+    `chord_steps`; otherwise it is thrown away and the next iterate refactors.
+    So at most log2(r0 / tol) chord steps run, with r0 the start's residual.
+    An iterate backtracks on the residual sup-norm; positivity h_p > 0 is
+    enforced by step damping.  After reaching tol, one undamped polish step
+    on a fresh factor is taken so the converged residual sits at the
+    rounding floor (checkpoint-replay contract).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     f = f0.copy()
     res = residual(f, spec)
     info = NewtonInfo(iterations=0, residual_sup=res.sup)
+    lu = None  # the band LU of the last Newton iterate
 
-    for it in range(max_iter):
-        if res.sup <= tol:
-            break
-        J = assemble_jacobian(f, spec)
-        dx = band_lu(J).solve(-_packed(res))
+    while res.sup > tol:
+        chord = None if lu is None else _chord_step(f, res, lu, spec, tol)
+        if chord is not None:
+            f, res = chord
+            info.chord_steps += 1
+            continue
+        if info.iterations == max_iter:
+            raise NonConvergenceError(
+                f"Newton did not reach tol={tol} in {max_iter} iterations "
+                f"(residual {res.sup:.3e})"
+            )
+        lu = band_lu(assemble_jacobian(f, spec))
+        dx = lu.solve(-_packed(res))
         x = pack(f)
         alpha = 1.0
         accepted = False
@@ -528,15 +568,10 @@ def newton_solve(
                 f"Newton damping underflowed below 2^-20 at residual {res.sup:.3e}"
             )
         info.iterations += 1
-        info.residual_sup = res.sup
-    else:
-        raise NonConvergenceError(
-            f"Newton did not reach tol={tol} in {max_iter} iterations "
-            f"(residual {res.sup:.3e})"
-        )
 
     if 1e-14 < res.sup <= tol:
-        # polish: one undamped step to push the residual to the rounding floor
+        # polish: one undamped step on a fresh factor, to push the residual
+        # to the rounding floor
         J = assemble_jacobian(f, spec)
         dx = band_lu(J).solve(-_packed(res))
         trial = unpack(f, pack(f) + dx)
@@ -546,9 +581,9 @@ def newton_solve(
                 f, res = trial, trial_res
         except StagnationBreachError:
             pass
-        info.residual_sup = res.sup
 
     if return_info:
+        info.residual_sup = res.sup
         return f, info
     return f
 

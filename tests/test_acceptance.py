@@ -236,11 +236,14 @@ def test_criterion_07_continuation_run(tmp_path):
     assert np.all(np.diff(Rs) > 0), "R(t) not monotone"
     assert np.all(np.diff(xis) > 0), "xi(0; t) not monotone"
 
-    # checkpoint replay invariant on a sample of the written checkpoints
-    for idx in (1, 20, 40):
+    # checkpoint replay invariant on a sample of the written checkpoints;
+    # point 0 is the fixed-R Newton solve the run starts from
+    moves = []
+    for idx in (0, 1, 20, 40):
         fld, spec = strip.read_checkpoint(str(out1 / f"point_{idx:04d}.txt"))
         move = branch.replay_checkpoint(fld, spec)
         assert move < 1e-12, f"replay moved {move} at point {idx}"
+        moves.append(move)
 
     # deterministic re-run: byte-identical outputs
     assert (out1 / "branch.csv").read_bytes() == (out2 / "branch.csv").read_bytes()
@@ -248,7 +251,8 @@ def test_criterion_07_continuation_run(tmp_path):
         a = (out1 / f"point_{idx:04d}.txt").read_bytes()
         c = (out2 / f"point_{idx:04d}.txt").read_bytes()
         assert a == c
-    b.done(7, "40 accepted steps, monotone R and xi0, replay < 1e-12, byte-identical rerun")
+    b.done(7, f"40 accepted steps, monotone R and xi0, largest replay movement "
+              f"{max(moves):.1e} < 1e-12 (points 0, 1, 20, 40), byte-identical rerun")
 
 
 def test_criterion_08_lyapunov_schmidt_model_and_gallery():

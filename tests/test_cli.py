@@ -75,6 +75,8 @@ class TestBasicCommands:
             "--nq", "61", "--np", "11", "--out", str(ck),
         )
         assert code == 0
+        keys = [line.split()[0] for line in out.splitlines()]
+        assert keys[:3] == ["iterations", "chord_steps", "residual_sup"]
         fld, omega = strip.read_checkpoint(str(ck))
         assert fld.R == 1.53
 

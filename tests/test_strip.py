@@ -158,6 +158,98 @@ class TestNewton:
             strip.newton_solve(f, irrot)
 
 
+def _plain_newton(f0, spec, tol=1e-10):
+    """Reference solve with a fresh assembly and band LU on every step: the
+    damped iteration and polish of newton_solve without chord steps.  Returns
+    the field and the number of factorizations."""
+    f, res, factors = f0.copy(), strip.residual(f0, spec), 0
+
+    def step(field):
+        nonlocal factors
+        factors += 1
+        lu = strip.band_lu(strip.assemble_jacobian(field, spec))
+        return lu.solve(-strip.residual_vector(field, spec))
+
+    while res.sup > tol:
+        dx, alpha = step(f), 1.0
+        while True:
+            assert alpha >= 2.0 ** -20, "reference Newton stalled"
+            try:
+                trial = strip.unpack(f, strip.pack(f) + alpha * dx)
+                trial_res = strip.residual(trial, spec)
+            except StagnationBreachError:
+                alpha *= 0.5
+                continue
+            if trial_res.sup < res.sup or trial_res.sup <= tol:
+                f, res = trial, trial_res
+                break
+            alpha *= 0.5
+    if res.sup > 1e-14:
+        trial = strip.unpack(f, strip.pack(f) + step(f))
+        if strip.residual(trial, spec).sup < res.sup:
+            f = trial
+    return f, factors
+
+
+def _seeded(omega, dR, shape=(301, 41)):
+    """The vorticity and the initial_guess field at R_c + dR on a default_grid
+    of that shape."""
+    spec = VorticitySpec(omega)
+    R = strip.cached_summary(spec).R_c + dR
+    grid = strip.default_grid(spec, R, nq=shape[0], npp=shape[1])
+    return spec, strip.initial_guess(spec, R, grid)
+
+
+def _counting_band_lu(monkeypatch, log):
+    full = strip.band_lu
+
+    def counted(A):
+        log.append("lu")
+        return full(A)
+
+    monkeypatch.setattr(strip, "band_lu", counted)
+
+
+class TestChordSteps:
+    @pytest.mark.parametrize("omega", [[0.0], [1.0, -2.0], [-0.5]], ids=str)
+    @pytest.mark.parametrize("dR", [0.005, 0.04])
+    def test_matches_plain_newton(self, omega, dR, monkeypatch):
+        spec, guess = _seeded(omega, dR)
+        ref, ref_factors = _plain_newton(guess, spec)
+        log = []
+        _counting_band_lu(monkeypatch, log)
+        sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
+        assert np.abs(sol.h - ref.h).max() < 1e-12
+        assert branch.replay_checkpoint(sol, spec) < 1e-12
+        # one factorization per Newton iterate, plus the polish
+        assert len(log) == info.iterations + 1
+        assert info.chord_steps > 0
+        if omega == [0.0] and dR == 0.04:
+            assert len(log) < ref_factors
+
+    def test_rejected_chord_step_refactors(self, monkeypatch):
+        # on [0] at R_c + 0.04 the first chord step after the seed's iterate
+        # shrinks the residual by less than half: it is thrown away, and the
+        # next Newton iterate factors afresh
+        spec, guess = _seeded([0.0], 0.04)
+        log = []
+        _counting_band_lu(monkeypatch, log)
+        chord = strip._chord_step
+
+        def traced(f, res, lu, spec_, tol):
+            out = chord(f, res, lu, spec_, tol)
+            log.append("chord" if out is not None else "rejected")
+            return out
+
+        monkeypatch.setattr(strip, "_chord_step", traced)
+        sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
+        assert "rejected" in log
+        assert log[log.index("rejected") + 1] == "lu"
+        assert info.chord_steps == log.count("chord")
+        assert info.residual_sup <= 1e-10
+        assert strip.residual(sol, spec).sup == info.residual_sup
+
+
 _GUESS_OMEGAS = ([0.0], [1.0, -2.0], [-0.5], [1.0], [0.5])
 
 
@@ -178,13 +270,10 @@ def _kdv_seed(spec, R, grid):
 def _solve_from_seed(omega, dR, shape):
     """Newton from initial_guess at R_c + dR: the solution, its NewtonInfo,
     its flow-force selection defect and the seed's KdV amplitude a0."""
-    spec = VorticitySpec(omega)
-    R = strip.cached_summary(spec).R_c + dR
-    grid = strip.default_grid(spec, R, nq=shape[0], npp=shape[1])
-    sol, info = strip.newton_solve(strip.initial_guess(spec, R, grid), spec, tol=1e-10,
-                                   return_info=True)
+    spec, guess = _seeded(omega, dR, shape)
+    sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
     defect = phys.verify_flow_force_selection(phys.reconstruct(sol, spec), spec)
-    return sol, info, defect, _kdv_seed(spec, R, grid)[2]
+    return sol, info, defect, _kdv_seed(spec, guess.R, guess.grid)[2]
 
 
 class TestInitialGuess:
