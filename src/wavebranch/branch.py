@@ -30,14 +30,13 @@ from .errors import (
 )
 from . import spectrum1d
 from .roots import brentq
-from .stream import moments, solve_theta_for_R
+from .stream import dispersion_summary, moments, solve_theta_for_R
 from .strip import (
     _CONTRACTION,
     StripField,
     StripGrid,
     assemble_jacobian,
     band_lu,
-    cached_summary,
     initial_guess,
     pack,
     residual_vector,
@@ -75,9 +74,6 @@ __all__ = [
 _MAX_NEWTON_ITERS = 12
 _CONSTRAINT_TOL = 1e-11
 _FAST_ITERS = 4
-# from the third iterate on, a corrector whose residual sup-norm exceeds
-# strip._CONTRACTION times the previous iterate's is abandoned; the first
-# iterate may still grow
 # an eigenvector with this fraction of its mass in q < L/2 is localized
 _LOCALIZED = 0.99
 
@@ -213,6 +209,8 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
                 except StagnationBreachError:
                     pass
             return x, lam, it
+        # from the third iterate on, a residual sup-norm above strip._CONTRACTION
+        # times the previous iterate's gives up; the first iterate may still grow
         if it >= 2 and sup > _CONTRACTION * sup_prev:
             raise NonConvergenceError(
                 f"bordered Newton stopped contracting at iterate {it}: "
@@ -302,7 +300,6 @@ class SolitarySystem:
     def __init__(self, spec: VorticitySpec, grid: StripGrid):
         self.spec = spec
         self.grid = grid
-        self.summary = cached_summary(spec)
         self.ip_weight = grid.dq * grid.dp
         self._col_cache: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
         npp = grid.np
@@ -317,7 +314,7 @@ class SolitarySystem:
         if R not in self._col_cache:
             if len(self._col_cache) > 512:
                 self._col_cache.clear()
-            theta = solve_theta_for_R(self.spec, R, "supercritical", summary=self.summary)
+            theta = solve_theta_for_R(self.spec, R, "supercritical")
             H, m3 = moments(self.spec, theta, self.grid.p, (1, 3))
             dH = -theta * m3
             self._col_cache[R] = (theta, H, dH / (theta + dH[-1]))
@@ -609,8 +606,7 @@ def _initial_tangent(spec: VorticitySpec, start: StripField, weight: float):
     difference of initial_guess's KdV family in R, which no residual
     evaluates."""
     R = start.R
-    summary = cached_summary(spec)
-    delta = max(1e-7, 1e-6 * (R - summary.R_c))
+    delta = max(1e-7, 1e-6 * (R - dispersion_summary(spec).R_c))
     gp = initial_guess(spec, R + delta, start.grid)
     gm = initial_guess(spec, R - delta, start.grid)
     dx = (pack(gp) - pack(gm)) / (2.0 * delta)

@@ -53,7 +53,6 @@ class RunConfig:
     nq: int = 301
     np: int = 41
     newton_tol: float = 1e-10
-    max_newton_iters: int = 40
     ds: float = 0.002
     steps: int = 40
     ds_grow: float = 1.3
@@ -107,7 +106,6 @@ def _fmt(x) -> str:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    # a field without a command-line flag (max_newton_iters) reads None
     for f in dataclasses.fields(RunConfig):
         val = getattr(args, f.name, None)
         if val is not None:
@@ -168,9 +166,7 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     grid = _grid_of(cfg, spec, args.R)
     guess = strip_mod.initial_guess(spec, args.R, grid)
-    sol, info = strip_mod.newton_solve(
-        guess, spec, tol=cfg.newton_tol, max_iter=cfg.max_newton_iters, return_info=True
-    )
+    sol, info = strip_mod.newton_solve(guess, spec, tol=cfg.newton_tol, return_info=True)
     profile = phys.reconstruct(sol, spec)
     defect = phys.verify_flow_force_selection(profile, spec)
     print(f"iterations {info.iterations}")
@@ -235,7 +231,7 @@ def _cmd_continue(args, cfg: RunConfig) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     guess = strip_mod.initial_guess(spec, R0, grid)
-    sol = strip_mod.newton_solve(guess, spec, tol=cfg.newton_tol, max_iter=cfg.max_newton_iters)
+    sol = strip_mod.newton_solve(guess, spec, tol=cfg.newton_tol)
     start = branch_mod.branch_point_from_field(sol, spec, nu0_grid_n=cfg.nu0_grid_n)
     ctrl = branch_mod.StepControl(
         newton_tol=cfg.newton_tol,

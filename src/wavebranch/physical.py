@@ -19,8 +19,8 @@ import numpy as np
 from .branch import Turning, _Spline
 from .errors import PreconditionError, StagnationBreachError
 from .roots import brentq
-from .stream import depth as stream_depth, flow_force_of_R
-from .strip import StripField, cached_summary
+from .stream import depth as stream_depth, flow_force_of_theta
+from .strip import StripField
 from .vorticity import VorticitySpec, eval_Omega
 
 __all__ = [
@@ -46,6 +46,7 @@ class WaveProfile:
     psi_y_bottom: np.ndarray
     depth_far: float
     R: float
+    theta: float  # the far stream's parameter, StripField.theta
     flow_force: float
     flow_force_variation: float
     flow_force_columns: np.ndarray
@@ -134,6 +135,7 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
         psi_y_bottom=psi_y_bottom,
         depth_far=float(d_far),
         R=R,
+        theta=theta,
         flow_force=flow_force,
         flow_force_variation=variation,
         flow_force_columns=S_cols,
@@ -167,9 +169,10 @@ def profile_csv(profile: WaveProfile) -> str:
 
 def verify_flow_force_selection(profile: WaveProfile, spec: VorticitySpec) -> float:
     """|S(profile) - S_-(R)|: the solitary wave must carry the supercritical
-    stream's flow force at its own Bernoulli constant."""
-    S_minus = flow_force_of_R(spec, profile.R, "supercritical", summary=cached_summary(spec))
-    return abs(profile.flow_force - S_minus)
+    stream's flow force at its own Bernoulli constant.  S_- is taken at the
+    field's own far stream, whose theta is the supercritical root of
+    R(theta) = R."""
+    return abs(profile.flow_force - flow_force_of_theta(spec, profile.theta))
 
 
 def find_pairs(branch_summary, events, n_r: int = 10, resolve=None):

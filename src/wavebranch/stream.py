@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -271,11 +272,13 @@ def _classify_R0(spec: VorticitySpec) -> float:
     return 0.5 * t0 * t0 + d0 - eval_Omega(spec, 1.0)
 
 
+@lru_cache(maxsize=256)
 def dispersion_summary(spec: VorticitySpec) -> DispersionSummary:
     """Locate the critical stream: theta_c = argmin R(theta), R_c, and R_0.
 
     The minimum is found as the root of R'(theta) = theta + d'(theta), which is
-    negative just above theta0 and positive for large theta.
+    negative just above theta0 and positive for large theta.  Memoized per
+    spec, as theta0 is: every fixed-R solve and far-field column needs it.
     """
     t0 = theta0(spec)
     theta_max = max(10.0, 3.0 * t0 + 10.0)

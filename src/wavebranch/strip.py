@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
-    BelowCriticalError,
     CheckpointFormatError,
     DomainError,
     NonConvergenceError,
@@ -33,7 +32,6 @@ from .errors import (
     StalledError,
 )
 from .stream import (
-    DispersionSummary,
     depth as stream_depth,
     dispersion_summary,
     froude_of_theta,
@@ -63,7 +61,6 @@ __all__ = [
     "read_checkpoint",
 ]
 
-_DAMPING_FLOOR = 2.0 ** -20
 # a Newton-type step that does not shrink the residual sup-norm below this
 # fraction of the last one has stopped contracting (Deuflhard 2004, ch. 2 and
 # 5): newton_solve then refactors, and the bordered corrector gives up
@@ -135,12 +132,9 @@ class StripResidual:
 
 
 def default_grid(spec: VorticitySpec, R: float, nq: int = 301, npp: int = 41,
-                 L_factor: float = 30.0,
-                 summary: DispersionSummary | None = None) -> StripGrid:
+                 L_factor: float = 30.0) -> StripGrid:
     """Default truncation: L = L_factor * d_-(R) with the standard node counts."""
-    if summary is None:
-        summary = cached_summary(spec)
-    theta = solve_theta_for_R(spec, R, "supercritical", summary=summary)
+    theta = solve_theta_for_R(spec, R, "supercritical")
     d = stream_depth(spec, theta)
     return StripGrid(L=L_factor * d, nq=nq, np=npp)
 
@@ -493,21 +487,6 @@ class NewtonInfo:
     chord_steps: int = 0
 
 
-def _chord_step(f: StripField, res: StripResidual, lu: BandLU, spec: VorticitySpec,
-                tol: float):
-    """One step x - J_k^-1 F(x) on the factor of an earlier iterate: the new
-    field and residual when it meets tol or at least halves the residual
-    sup-norm, else None."""
-    trial = unpack(f, pack(f) + lu.solve(-_packed(res)))
-    try:
-        trial_res = residual(trial, spec)
-    except StagnationBreachError:
-        return None
-    if trial_res.sup <= _CONTRACTION * res.sup or trial_res.sup <= tol:
-        return trial, trial_res
-    return None
-
-
 def newton_solve(
     f0: StripField,
     spec: VorticitySpec,
@@ -530,17 +509,32 @@ def newton_solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+
+    # a closure, not a module-level function: perfbench's tracer spans every
+    # module-level function of strip and reads newton_solve's backtracks off
+    # the residuals that newton_solve itself calls
+    def trial(x: np.ndarray):
+        """f0 with unknowns x and its residual, or None on a stagnation breach."""
+        f = unpack(f0, x)
+        try:
+            return f, residual(f, spec)
+        except StagnationBreachError:
+            return None
+
     f = f0.copy()
     res = residual(f, spec)
     info = NewtonInfo(iterations=0, residual_sup=res.sup)
     lu = None  # the band LU of the last Newton iterate
 
     while res.sup > tol:
-        chord = None if lu is None else _chord_step(f, res, lu, spec, tol)
-        if chord is not None:
-            f, res = chord
-            info.chord_steps += 1
-            continue
+        if lu is not None:
+            step = trial(pack(f) + lu.solve(-_packed(res)))
+            if step is not None and (
+                step[1].sup <= _CONTRACTION * res.sup or step[1].sup <= tol
+            ):
+                f, res = step
+                info.chord_steps += 1
+                continue
         if info.iterations == max_iter:
             raise NonConvergenceError(
                 f"Newton did not reach tol={tol} in {max_iter} iterations "
@@ -549,38 +543,23 @@ def newton_solve(
         lu = band_lu(assemble_jacobian(f, spec))
         dx = lu.solve(-_packed(res))
         x = pack(f)
-        alpha = 1.0
-        accepted = False
-        while alpha >= _DAMPING_FLOOR:
-            trial = unpack(f, x + alpha * dx)
-            try:
-                trial_res = residual(trial, spec)
-            except StagnationBreachError:
-                alpha *= 0.5
-                continue
-            if trial_res.sup < res.sup or trial_res.sup <= tol:
-                f, res = trial, trial_res
-                accepted = True
+        for k in range(21):  # step lengths 1, 1/2, ..., 2^-20
+            step = trial(x + 0.5**k * dx)
+            if step is not None and (step[1].sup < res.sup or step[1].sup <= tol):
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             raise StalledError(
                 f"Newton damping underflowed below 2^-20 at residual {res.sup:.3e}"
             )
+        f, res = step
         info.iterations += 1
 
     if 1e-14 < res.sup <= tol:
         # polish: one undamped step on a fresh factor, to push the residual
         # to the rounding floor
-        J = assemble_jacobian(f, spec)
-        dx = band_lu(J).solve(-_packed(res))
-        trial = unpack(f, pack(f) + dx)
-        try:
-            trial_res = residual(trial, spec)
-            if trial_res.sup < res.sup:
-                f, res = trial, trial_res
-        except StagnationBreachError:
-            pass
+        step = trial(pack(f) + band_lu(assemble_jacobian(f, spec)).solve(-_packed(res)))
+        if step is not None and step[1].sup < res.sup:
+            f, res = step
 
     if return_info:
         info.residual_sup = res.sup
@@ -588,14 +567,8 @@ def newton_solve(
     return f
 
 
-_summary_cache: dict[tuple, DispersionSummary] = {}
-
-
-def cached_summary(spec: VorticitySpec) -> DispersionSummary:
-    key = spec.coeffs
-    if key not in _summary_cache:
-        _summary_cache[key] = dispersion_summary(spec)
-    return _summary_cache[key]
+# the memoized stream.dispersion_summary, under the name callers of strip use
+cached_summary = dispersion_summary
 
 
 def _bump(grid: StripGrid, k: float) -> np.ndarray:
@@ -620,13 +593,10 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     in 3-6 iterates.  At R_c the seed is the critical stream itself.  No
     residual is evaluated.
     """
-    summary = cached_summary(spec)
-    if R < summary.R_c - 1e-12:
-        raise BelowCriticalError(f"R={R} below R_c={summary.R_c}")
-    theta = solve_theta_for_R(spec, R, "supercritical", summary=summary)
+    theta = solve_theta_for_R(spec, R, "supercritical")
     Hcol = stream_profile(spec, theta, grid.p)
     d = Hcol[-1]
-    if R - summary.R_c <= 1e-13:
+    if R - dispersion_summary(spec).R_c <= 1e-13:
         h = np.tile(Hcol, (grid.nq, 1))
         return StripField(grid=grid, h=h, R=R, theta=theta)
 
@@ -639,7 +609,7 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
 def resolve_at(field: StripField, spec: VorticitySpec, R: float, tol: float) -> StripField:
     """Newton solve at R from field, with the far-field column re-pinned to the
     supercritical stream of R."""
-    theta = solve_theta_for_R(spec, R, "supercritical", summary=cached_summary(spec))
+    theta = solve_theta_for_R(spec, R, "supercritical")
     f = field.copy()
     f.h[-1, :] = stream_profile(spec, theta, f.grid.p)
     f.R = R

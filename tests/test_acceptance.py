@@ -131,7 +131,7 @@ def test_criterion_05_irrotational_solitary_wave_at_R_1_55():
     assert F_R > F_FOLD
 
     # fold on the default grid, with the fold_branch fixture's step settings
-    grid = strip.default_grid(IRROT, 1.54, summary=summ)
+    grid = strip.default_grid(IRROT, 1.54)
     sol = strip.newton_solve(strip.initial_guess(IRROT, 1.54, grid), IRROT, tol=1e-10)
     start = branch.branch_point_from_field(sol, IRROT, nu0_grid_n=512)
     ctrl = branch.StepControl(margin_fraction=5e-2)
@@ -152,7 +152,7 @@ def test_criterion_05_irrotational_solitary_wave_at_R_1_55():
     assert abs(F_star - F_FOLD) < 0.01, f"F(R*) = {F_star} is not the classical fold"
 
     # beyond the fold Newton must fail by name, not return a wave
-    guess = strip.initial_guess(IRROT, R, strip.default_grid(IRROT, R, summary=summ))
+    guess = strip.initial_guess(IRROT, R, strip.default_grid(IRROT, R))
     with pytest.raises((StalledError, NonConvergenceError)) as failure:
         strip.newton_solve(guess, IRROT, tol=1e-10, max_iter=60)
     b.done(

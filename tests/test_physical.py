@@ -59,6 +59,21 @@ class TestReconstructWave:
         rel = physical.verify_flow_force_selection(prof, irrot) / prof.flow_force
         assert rel < 1e-3
 
+    @pytest.mark.parametrize("omega", [[0.0], [1.0, -2.0]], ids=str)
+    def test_selection_is_the_flow_force_of_R(self, omega, tmp_path):
+        # the check reads S_- off the field's own far stream; that is bitwise
+        # S_-(R) from a fresh root solve, also after a checkpoint round trip
+        spec = VorticitySpec(omega)
+        R = strip.cached_summary(spec).R_c + 0.01
+        grid = strip.default_grid(spec, R, nq=121, npp=17, L_factor=16.0)
+        sol = strip.newton_solve(strip.initial_guess(spec, R, grid), spec, tol=1e-10)
+        path = tmp_path / "wave.txt"
+        strip.write_checkpoint(str(path), sol, spec)
+        for field in (sol, strip.read_checkpoint(str(path))[0]):
+            prof = physical.reconstruct(field, spec)
+            expected = abs(prof.flow_force - st.flow_force_of_R(spec, R, "supercritical"))
+            assert physical.verify_flow_force_selection(prof, spec) == expected
+
     def test_selection_defect_shrinks_with_refinement(self, irrot, wave153_small, wave153_medium):
         d_small = physical.verify_flow_force_selection(
             physical.reconstruct(wave153_small, irrot), irrot

@@ -18,7 +18,7 @@ def test_rotational_solitary_wave(coeffs, dR):
     spec = VorticitySpec(coeffs)
     summ = strip.cached_summary(spec)
     R = summ.R_c + dR
-    grid = strip.default_grid(spec, R, nq=151, npp=21, L_factor=20.0, summary=summ)
+    grid = strip.default_grid(spec, R, nq=151, npp=21, L_factor=20.0)
     sol = strip.newton_solve(strip.initial_guess(spec, R, grid), spec, tol=1e-10)
     assert strip.residual(sol, spec).sup < 1e-10
     d = st.depth(spec, sol.theta)
@@ -47,7 +47,7 @@ def test_rotational_short_continuation():
     spec = VorticitySpec([1.0, -2.0])
     summ = strip.cached_summary(spec)
     R0 = summ.R_c + 0.01
-    grid = strip.default_grid(spec, R0, nq=121, npp=17, L_factor=16.0, summary=summ)
+    grid = strip.default_grid(spec, R0, nq=121, npp=17, L_factor=16.0)
     sol = strip.newton_solve(strip.initial_guess(spec, R0, grid), spec, tol=1e-10)
     start = branch.branch_point_from_field(sol, spec, nu0_grid_n=256)
     points, status = branch.continue_branch(start, spec, steps=5, ds=0.004, nu0_grid_n=256)

@@ -234,20 +234,31 @@ class TestChordSteps:
         spec, guess = _seeded([0.0], 0.04)
         log = []
         _counting_band_lu(monkeypatch, log)
-        chord = strip._chord_step
+        full_residual, full_solve = strip.residual, strip.BandLU.solve
 
-        def traced(f, res, lu, spec_, tol):
-            out = chord(f, res, lu, spec_, tol)
-            log.append("chord" if out is not None else "rejected")
-            return out
+        def residual(field, spec_):
+            r = full_residual(field, spec_)
+            log.append(r.sup)
+            return r
 
-        monkeypatch.setattr(strip, "_chord_step", traced)
+        def solve(lu, rhs, trans=False):
+            log.append("solve")
+            return full_solve(lu, rhs, trans)
+
+        monkeypatch.setattr(strip, "residual", residual)
+        monkeypatch.setattr(strip.BandLU, "solve", solve)
         sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
-        assert "rejected" in log
-        assert log[log.index("rejected") + 1] == "lu"
-        assert info.chord_steps == log.count("chord")
+        # a chord step is a solve on an earlier factor (not right after its
+        # band_lu) and the residual of its trial; the residual before that
+        # solve is the one the step must halve
+        chords = [(k + 1, log[k - 1], log[k + 1]) for k, e in enumerate(log)
+                  if e == "solve" and log[k - 1] != "lu"]
+        kept = [r <= 0.5 * before or r <= 1e-10 for _, before, r in chords]
+        assert not kept[0]
+        assert log[chords[0][0] + 1] == "lu"
+        assert info.chord_steps == sum(kept)
         assert info.residual_sup <= 1e-10
-        assert strip.residual(sol, spec).sup == info.residual_sup
+        assert full_residual(sol, spec).sup == info.residual_sup
 
 
 _GUESS_OMEGAS = ([0.0], [1.0, -2.0], [-0.5], [1.0], [0.5])
