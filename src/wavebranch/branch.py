@@ -18,7 +18,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 from .errors import (
     BranchStallError,
@@ -814,6 +813,8 @@ class _Spline:
     """
 
     def __init__(self, x, y):
+        from scipy.linalg import solve, solve_banded
+
         dx = np.diff(x)
         slope = np.diff(y) / dx
         n = len(x)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, SurfaceStagnationError
@@ -137,6 +135,8 @@ def nu0_eigenpair(problem: RobinEigenProblem, rho0: float | None = None) -> tupl
     LAPACK's selected-eigenvalue path (bisection plus inverse iteration) is used
     on the symmetrized tridiagonal matrix.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off, m_n = _tridiagonal(problem, rho0)
     try:
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))

@@ -47,6 +47,7 @@ from .vorticity import (
     eval_Omega,
     max_Omega,
     omega_critical_points,
+    sorted_unique,
     theta0,
 )
 
@@ -166,7 +167,7 @@ def moments(spec: VorticitySpec, theta: float, p, powers) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     k = np.asarray(powers, dtype=float)
     crit = [c for c in omega_critical_points(spec) if c < p[-1]]
-    edges = np.union1d(np.concatenate([[0.0], p]), crit)
+    edges = sorted_unique(np.concatenate([[0.0], p, crit]))
     a, b = edges[:-1], edges[1:]
     cells, ok = _gauss_pair(lambda x: _s(spec, theta, x) ** (-0.5 * k)[:, None, None], a, b)
     if not ok.all():
@@ -237,7 +238,7 @@ def _depth_at_theta0(spec: VorticitySpec, t0: float, tau_star: float) -> float:
         if width <= 1e-14:
             continue
         cuts = [sign * (c - tau_star) for c in crit]
-        edges = np.sqrt(np.union1d([0.0, width], [c for c in cuts if 0.0 < c < width]))
+        edges = np.sqrt(sorted_unique([0.0, width] + [c for c in cuts if 0.0 < c < width]))
 
         def g(u, _, sign=sign):
             s = t0 * t0 - 2.0 * eval_Omega(spec, np.clip(tau_star + sign * u * u, 0.0, 1.0))

@@ -16,12 +16,15 @@ the exact derivative of the discrete residual.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+import scipy
 
 from .errors import (
     CheckpointFormatError,
@@ -60,6 +63,31 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
 ]
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file next to scipy's
+    package without running `scipy.linalg.__init__`, whose array-API set-up
+    imports numpy.f2py, numpy.testing, numpy.random and numpy.ma (about 0.25 s
+    of a fresh interpreter).  It is registered under its own name, so a later
+    `import scipy.linalg` reuses it and binds the same routine objects."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no {name} extension in {folder}")
+
+
+_flapack = _load_flapack()
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 # a Newton-type step that does not shrink the residual sup-norm below this
 # fraction of the last one has stopped contracting (Deuflhard 2004, ch. 2 and

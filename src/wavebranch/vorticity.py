@@ -74,6 +74,16 @@ def eval_Omega(spec: VorticitySpec, p):
     return float(val) if np.isscalar(p) or arr.ndim == 0 else val
 
 
+def sorted_unique(x) -> np.ndarray:
+    """The distinct values of x, ascending: np.unique's sort and first-of-equal
+    mask, without its masked-array check, whose first call imports numpy.ma."""
+    x = np.sort(np.asarray(x, dtype=float), axis=None)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def omega_critical_points(spec: VorticitySpec) -> list[float]:
     """Real roots of omega in (0, 1): interior critical points of Omega.
 
@@ -111,7 +121,7 @@ def max_Omega(spec: VorticitySpec) -> tuple[float, float]:
     guard sample grid.
     """
     cand = [0.0, 1.0] + omega_critical_points(spec)
-    cand = np.unique(np.concatenate([np.asarray(cand), np.linspace(0.0, 1.0, 257)]))
+    cand = sorted_unique(np.concatenate([cand, np.linspace(0.0, 1.0, 257)]))
     vals = eval_Omega(spec, cand)
     k = int(np.argmax(vals))
     # polish with the exact candidates only (sampling is a guard, roots are exact)

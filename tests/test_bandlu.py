@@ -1,6 +1,10 @@
 """The band assembly (strip.assemble_jacobian) and the band LU core
 (strip.band_lu) against sparse and SuperLU references kept here only."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -302,3 +306,43 @@ def test_one_dispersion_summary_per_spec_across_a_solve(capsys):
     capsys.readouterr()
     assert code == 0
     assert stream.dispersion_summary.cache_info().misses == 1
+
+
+_FRESH_STRIP_FIRST = """
+from wavebranch import branch, strip
+import numpy as np
+n = 40
+A = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+J = strip.BandMatrix.from_dense(A)
+x = np.linspace(-1.0, 1.0, n)
+assert np.abs(strip.band_lu(J).solve(x) - np.linalg.solve(A, x)).max() <= 1e-12
+vals, _ = branch.shift_invert_eigs(J, np.ones(n), 0.0, 3)
+exact = 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / (n + 1))
+assert np.abs(vals - exact).max() <= 1e-10
+import scipy.linalg.lapack as lapack
+"""
+
+_FRESH_SCIPY_FIRST = """
+import scipy.linalg.lapack as lapack
+from wavebranch import strip
+"""
+
+
+@pytest.mark.parametrize("code", [_FRESH_STRIP_FIRST, _FRESH_SCIPY_FIRST],
+                         ids=["strip-first", "scipy-first"])
+def test_band_lu_binds_scipys_lapack_routines(code):
+    # strip loads scipy's LAPACK extension without scipy.linalg's package and
+    # registers it under its own name, so whichever of the two a fresh
+    # interpreter imports first, there is one module and both bind the same
+    # routine objects; with strip first, the band LU and the ARPACK path on
+    # its factor still work
+    code += """
+import sys
+print(strip.dgbtrf is lapack.dgbtrf, strip.dgbtrs is lapack.dgbtrs,
+      sys.modules["scipy.linalg._flapack"] is strip._flapack)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strip.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["True", "True", "True"]

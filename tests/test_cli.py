@@ -277,12 +277,16 @@ class TestContinueAndVerify:
         assert payload["crossing_bracketed"] is False
 
 
-def _modules_loaded_by(code: str) -> list:
-    """Names of the scipy.optimize, scipy.integrate, scipy.interpolate and
-    scipy.sparse modules a fresh interpreter has loaded after running code."""
-    code += """
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
-print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
+_HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
+
+
+def _modules_loaded_by(code: str, prefixes: tuple = _HEAVY) -> list:
+    """Names of the modules under the given prefixes (by default scipy.optimize,
+    scipy.integrate, scipy.interpolate and scipy.sparse) that a fresh
+    interpreter has loaded after running code.  A prefix that ends in a dot,
+    such as "numpy.ma.", names a package and its submodules only."""
+    code += f"""
+print(json.dumps(sorted(m for m in sys.modules if (m + ".").startswith({prefixes!r}))))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -291,27 +295,33 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
     return json.loads(out.splitlines()[-1])
 
 
+# scipy.linalg's package, whose array-API set-up loads numpy.ma among others
+_LINALG = _HEAVY + ("scipy.linalg", "scipy._lib._array_api", "numpy.ma.")
+
+
 def test_solve_path_imports_no_heavy_scipy_subpackage():
-    # a fresh interpreter solving at fixed R, as `wavebranch solve` does,
-    # loads numpy and scipy.linalg only
+    # a fresh interpreter solving at fixed R, as `wavebranch solve` does, and
+    # reporting the critical stream loads numpy and scipy's LAPACK extension
+    # only
     loaded = _modules_loaded_by("""
 import json, sys
 from wavebranch.cli import main
 for omega, R in (("0", "1.53"), ("-0.5", "1.81")):
     assert main(["solve", "--omega", omega, "--R", R, "--nq", "121", "--np", "17"]) == 0
-""")
-    assert loaded == []
+assert main(["critical", "--omega", "1", "-2"]) == 0
+""", _LINALG)
+    assert loaded == ["scipy.linalg._flapack"]
 
 
 def test_model_bifurcation_imports_no_heavy_scipy_subpackage():
     # the reduction solves on the band factor of the continuation, so the
-    # model gallery loads numpy and scipy.linalg only
+    # model gallery loads numpy and scipy's LAPACK extension only
     loaded = _modules_loaded_by("""
 import json, sys
 from wavebranch.cli import main
 assert main(["model-bifurcate", "--case", "pitchfork", "--ns", "5", "--nlam", "11"]) == 0
-""")
-    assert loaded == []
+""", _LINALG)
+    assert loaded == ["scipy.linalg._flapack"]
 
 
 def test_edge_and_continuation_import_no_integrate_or_optimize(tmp_path):

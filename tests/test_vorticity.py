@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from wavebranch import vorticity
 from wavebranch.errors import DomainError
 from wavebranch.vorticity import (
     VorticitySpec,
     eval_Omega,
     eval_omega,
     eval_omega_prime,
+    max_Omega,
+    sorted_unique,
     theta0,
 )
 
@@ -90,3 +93,34 @@ def test_omega_prime():
     spec = VorticitySpec([1.0, 2.0, 3.0])
     assert eval_omega_prime(spec, 0.5) == pytest.approx(2.0 + 6.0 * 0.5, abs=1e-14)
     assert eval_omega_prime(VorticitySpec([4.0]), 0.3) == 0.0
+
+
+# min_value=0.0 excludes -0.0, which compares equal to 0.0 and which neither
+# kernel input holds: nodes and cell edges lie in [0, 1]
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(st.lists(unit_floats, min_size=1, max_size=30), st.lists(unit_floats, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sorted_unique_is_numpys_union_and_unique(nodes, extra, data):
+    # the stream kernel's cell edges: duplicated nodes, critical points that
+    # coincide with nodes or not, and no critical point at all
+    p = np.sort(np.asarray(nodes + nodes[: len(nodes) // 2]))
+    crit = sorted(set(data.draw(st.lists(st.sampled_from(nodes), max_size=3)) + extra))
+    for cuts in (crit, []):
+        edges = sorted_unique(np.concatenate([[0.0], p, cuts]))
+        assert edges.tobytes() == np.union1d(np.concatenate([[0.0], p]), cuts).tobytes()
+        assert sorted_unique([0.0, 1.0] + cuts).tobytes() == np.union1d([0.0, 1.0], cuts).tobytes()
+    x = np.concatenate([p[::-1], crit, p])
+    assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.0], [1.0], [-1.0], [4.0], [-0.5], [0.5], [0.2], [0.0, 2.0], [1.0, -2.0],
+    [1.0, 2.0, 3.0], [0.3125, -0.21875], [0.3, -1.2, 2.0, 0.7],
+])
+def test_max_Omega_and_theta0_as_with_np_unique(coeffs, monkeypatch):
+    spec = VorticitySpec(coeffs)
+    got = max_Omega(spec), theta0.__wrapped__(spec)
+    monkeypatch.setattr(vorticity, "sorted_unique", np.unique)
+    assert got == (max_Omega(spec), theta0.__wrapped__(spec))
