@@ -32,6 +32,7 @@ from .roots import brentq
 from .stream import dispersion_summary, moments, solve_theta_for_R
 from .strip import (
     _CONTRACTION,
+    NEWTON_TOL,
     StripField,
     StripGrid,
     assemble_jacobian,
@@ -75,13 +76,14 @@ _CONSTRAINT_TOL = 1e-11
 _FAST_ITERS = 4
 # an eigenvector with this fraction of its mass in q < L/2 is localized
 _LOCALIZED = 0.99
+# eigenvalues spectrum_at computes at each shift
+_SPECTRUM_K = 8
 
 
 @dataclass
 class StepControl:
     """Adaptive step-control parameters for the continuation driver."""
 
-    newton_tol: float = 1e-10
     ds_min_factor: float = 1.0 / 64.0
     ds_max_factor: float = 8.0
     grow: float = 1.3
@@ -187,7 +189,7 @@ def _solve_bordered(J, F_lam, w_tan_x, tan_lam, rhs_top, rhs_bot):
     return dx + ex, float(dlam + elam)
 
 
-def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
+def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds):
     """Bordered Newton iteration onto {residual = 0} cap the arclength plane."""
     weight = sys_.ip_weight
     x, lam = x0.copy(), lam0
@@ -196,7 +198,7 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds, ctrl):
         F = sys_.residual(x, lam)
         c = _ip(weight, tan_x, x - x_prev) + tan_lam * (lam - lam_prev) - ds
         sup = float(np.abs(F).max())
-        if sup <= ctrl.newton_tol and abs(c) <= _CONSTRAINT_TOL:
+        if sup <= NEWTON_TOL and abs(c) <= _CONSTRAINT_TOL:
             if sup > 1e-14:
                 # polish: one more full step to push the residual to rounding level
                 J, Fl = sys_.linearize(x, lam)
@@ -254,7 +256,7 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
             lam_pred = lam_prev + ds_cur * tan_lam
             try:
                 x_new, lam_new, iters = _corrector(
-                    sys_, x_pred, lam_pred, x_prev, lam_prev, tan_x, tan_lam, ds_cur, ctrl
+                    sys_, x_pred, lam_pred, x_prev, lam_prev, tan_x, tan_lam, ds_cur
                 )
                 break
             except WavebranchError as exc:
@@ -492,12 +494,12 @@ def below_edge(mu, nu0):
 def spectrum_at(
     field: StripField,
     spec: VorticitySpec,
-    k: int = 8,
     nu0_grid_n: int = 1024,
     sigma: float | None = None,
 ) -> SpectrumInfo:
-    """k eigenvalues of the pencil of pencil_weight nearest the shift, with
-    localization flags; mu0/mu1 extraction and the 1-D spectral edge nu0.
+    """The _SPECTRUM_K (8) eigenvalues of the pencil of pencil_weight nearest
+    the shift, with localization flags; mu0/mu1 extraction and the 1-D
+    spectral edge nu0.
 
     The shift starts at -1.5 nu0, or at sigma when that lies below it, and is
     multiplied by 4, at most three times: from -1.5 nu0 until a negative
@@ -514,8 +516,6 @@ def spectrum_at(
     localized; mu1 falls back to the sentinel nu0 when no second localized
     eigenvalue lies below nu0.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
     grid = field.grid
     nu0 = spectrum1d.nu0(spectrum1d.robin_problem(spec, field.theta, grid_n=nu0_grid_n))
 
@@ -529,8 +529,8 @@ def spectrum_at(
         for n in range(4):
             # the lowest mode may sit far below the shift (steep waves)
             shift = start * 4.0**n
-            vals, vecs = shift_invert_eigs(J, b, shift, k)
-            frac = np.array([localized_fraction(grid, vecs[:, j]) for j in range(k)])
+            vals, vecs = shift_invert_eigs(J, b, shift, _SPECTRUM_K)
+            frac = np.array([localized_fraction(grid, v) for v in vecs.T])
             localized = frac >= _LOCALIZED
             if np.any(localized & stop(vals, shift)):
                 return vals, localized, True
@@ -729,7 +729,7 @@ def continue_branch(
         fld = sys_.field_of(step.x, step.lam)
         t = start.t + step.t
         tan = (step.tangent_x, step.tangent_lam)
-        if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * ctrl.newton_tol):
+        if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * NEWTON_TOL):
             points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
             return "loop-closure"
         sigma = _shift_hint(points[-1], step.tangent_lam)
@@ -742,7 +742,7 @@ def continue_branch(
             )
             return f"margin-breach:{breaches[0]}"
         points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
-        pending.append(pool.submit(spectrum_at, fld, spec, 8, nu0_grid_n, sigma))
+        pending.append(pool.submit(spectrum_at, fld, spec, nu0_grid_n, sigma))
         return None
 
     pool = _monitor_executor()
@@ -790,7 +790,7 @@ def point_at_arclength(
     x_pred = x_prev + ds * tan_x
     lam_pred = from_point.R + ds * tan_lam
     x_new, lam_new, _ = _corrector(
-        sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds, StepControl()
+        sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds
     )
     spectrum = "required" if with_spectrum else "none"
     return _branch_point(

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .roots import brentq
 from .strip import (
+    NEWTON_TOL,
     BandMatrix,
     assemble_jacobian,
     band_lu,
@@ -434,7 +435,7 @@ def family_from_branch(bracket, spec, t_star):
     return fam
 
 
-def switch_branch(bracket, spec, newton_tol: float = 1e-10):
+def switch_branch(bracket, spec):
     """Construct a converged off-branch seed at an eigenvalue crossing.
 
     bracket: pair of BranchPoint with a sign change of mu1, both values
@@ -470,9 +471,9 @@ def switch_branch(bracket, spec, newton_tol: float = 1e-10):
     s0, lam0, x0 = seed_from_family(fam, s_max=1e-2, lam_max=0.5 * (b.t - a.t))
     base_pt = fam.base(lam0)
     seed = unpack(base_pt.field, pack(base_pt.field) + x0)
-    converged = newton_solve(seed, spec, tol=newton_tol)
+    converged = newton_solve(seed, spec)
     dist = float(np.abs(converged.h - base_pt.field.h).max())
-    if dist <= 10.0 * newton_tol:
+    if dist <= 10.0 * NEWTON_TOL:
         raise NoSecondaryBranchError(
             f"seed re-converged onto the primary branch (distance {dist:.3e})"
         )

@@ -90,7 +90,7 @@ def robin_problem(spec: VorticitySpec, theta: float, grid_n: int = 1024) -> Robi
     )
 
 
-def _tridiagonal(problem: RobinEigenProblem, rho0: float | None = None):
+def _tridiagonal(problem: RobinEigenProblem):
     """Symmetrized tridiagonal (diag, off) for the ghost-node discretization.
 
     The surface row eliminates the ghost node with the Robin condition plus the
@@ -101,7 +101,7 @@ def _tridiagonal(problem: RobinEigenProblem, rho0: float | None = None):
     M^(-1/2) keeps the matrix symmetric tridiagonal.  Overall accuracy stays
     second order (interior dispersion).
     """
-    r0 = problem.rho0 if rho0 is None else rho0
+    r0 = problem.rho0
     n = problem.y.size - 1
     dy = problem.y[1] - problem.y[0]
     q = problem.potential
@@ -123,13 +123,12 @@ def _tridiagonal(problem: RobinEigenProblem, rho0: float | None = None):
     return diag, off, m_n
 
 
-def nu0(problem: RobinEigenProblem, rho0: float | None = None) -> float:
-    """Smallest eigenvalue of the discrete Robin problem (rho0 overrides the
-    problem's Robin coefficient)."""
-    return nu0_eigenpair(problem, rho0)[0]
+def nu0(problem: RobinEigenProblem) -> float:
+    """Smallest eigenvalue of the discrete Robin problem."""
+    return nu0_eigenpair(problem)[0]
 
 
-def nu0_eigenpair(problem: RobinEigenProblem, rho0: float | None = None) -> tuple[float, np.ndarray]:
+def nu0_eigenpair(problem: RobinEigenProblem) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue and its eigenfunction samples v(Y_j), j = 0..grid_n.
 
     LAPACK's selected-eigenvalue path (bisection plus inverse iteration) is used
@@ -137,7 +136,7 @@ def nu0_eigenpair(problem: RobinEigenProblem, rho0: float | None = None) -> tupl
     """
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off, m_n = _tridiagonal(problem, rho0)
+    diag, off, m_n = _tridiagonal(problem)
     try:
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -366,15 +366,9 @@ def solve_theta_for_R(
     return float(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
 
 
-def flow_force_of_R(
-    spec: VorticitySpec,
-    R: float,
-    regime: str,
-    summary: DispersionSummary | None = None,
-) -> float:
+def flow_force_of_R(spec: VorticitySpec, R: float, regime: str) -> float:
     """S_-(R) or S_+(R): flow force of the stream solving R(theta) = R in the regime."""
-    theta = solve_theta_for_R(spec, R, regime, summary=summary)
-    return flow_force_of_theta(spec, theta)
+    return flow_force_of_theta(spec, solve_theta_for_R(spec, R, regime))
 
 
 def check_flow_force_identity(spec: VorticitySpec, theta: float, h: float) -> float:

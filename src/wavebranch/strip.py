@@ -94,6 +94,9 @@ dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 # 5): newton_solve then refactors, and the bordered corrector gives up
 _CONTRACTION = 0.5
 
+# residual sup-norm at which a Newton solve, fixed-R or bordered, has converged
+NEWTON_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class StripGrid:
@@ -518,7 +521,7 @@ class NewtonInfo:
 def newton_solve(
     f0: StripField,
     spec: VorticitySpec,
-    tol: float = 1e-10,
+    tol: float = NEWTON_TOL,
     max_iter: int = 40,
     return_info: bool = False,
 ):
@@ -634,7 +637,7 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     return StripField(grid=grid, h=_build_guess(grid, Hcol, d, a0, k0), R=R, theta=theta)
 
 
-def resolve_at(field: StripField, spec: VorticitySpec, R: float, tol: float) -> StripField:
+def resolve_at(field: StripField, spec: VorticitySpec, R: float) -> StripField:
     """Newton solve at R from field, with the far-field column re-pinned to the
     supercritical stream of R."""
     theta = solve_theta_for_R(spec, R, "supercritical")
@@ -642,7 +645,7 @@ def resolve_at(field: StripField, spec: VorticitySpec, R: float, tol: float) -> 
     f.h[-1, :] = stream_profile(spec, theta, f.grid.p)
     f.R = R
     f.theta = theta
-    return newton_solve(f, spec, tol=tol)
+    return newton_solve(f, spec)
 
 
 # ---------------------------------------------------------------------------

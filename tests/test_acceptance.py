@@ -59,7 +59,7 @@ def test_criterion_03_supercritical_flow_force_monotone():
     for spec in (IRROT, CONST1):
         summ = st.dispersion_summary(spec)
         Rgrid = np.linspace(summ.R_c + 0.01, summ.R_c + 1.0, 50)
-        S = [st.flow_force_of_R(spec, float(R), "supercritical", summary=summ) for R in Rgrid]
+        S = [st.flow_force_of_R(spec, float(R), "supercritical") for R in Rgrid]
         assert np.all(np.diff(S) > 0)
     b.done(3, "S_-(R) strictly increasing on 50-point grids, both vorticities")
 
@@ -194,7 +194,7 @@ def test_criterion_06_small_amplitude_spectrum_structure():
     for p in small:
         a_over_d = p.field.xi[0] * p.field.theta - 1.0
         assert a_over_d < 0.15, "point is not small-amplitude"
-        info = branch.spectrum_at(p.field, IRROT, k=8, nu0_grid_n=2048)
+        info = branch.spectrum_at(p.field, IRROT, nu0_grid_n=2048)
         assert info.nu0 > 0.0
         # exactly one localized eigenvalue below nu0, and it is negative
         n_loc_below = int(
@@ -359,7 +359,7 @@ def test_criterion_10_pair_finder(fold_branch):
     irrot = VorticitySpec([0.0])
 
     def resolve(Rv, ref):
-        return strip.resolve_at(ref.field, irrot, Rv, 1e-10)
+        return strip.resolve_at(ref.field, irrot, Rv)
 
     pde_pairs = physical.find_pairs(
         [(p.t, p.R, p) for p in pde_pts], pde_events, n_r=4, resolve=resolve

@@ -274,7 +274,7 @@ class TestSpectrum:
     def test_shift_invert_matches_superlu(self, irrot, near_turning):
         fld = near_turning.field
         grid = fld.grid
-        info = branch.spectrum_at(fld, irrot, k=8, nu0_grid_n=512)
+        info = branch.spectrum_at(fld, irrot, nu0_grid_n=512)
 
         # SuperLU shift-invert of the same pencil, with the same shift deepening
         J = _csc(strip.assemble_jacobian(fld, irrot))

@@ -258,7 +258,7 @@ class TestSpectrum:
             grid = strip.StripGrid(L=L, nq=int(8 * L) + 1, np=21)
             H = st.stream_profile(irrot, theta, grid.p)
             fld = strip.StripField(grid, np.tile(H, (grid.nq, 1)), st.R_of_theta(irrot, theta), theta)
-            info = branch.spectrum_at(fld, irrot, k=6, nu0_grid_n=512)
+            info = branch.spectrum_at(fld, irrot, nu0_grid_n=512)
             assert not info.localized.any()
             assert info.mu0 is None
             assert info.mu1 == info.nu0  # sentinel
@@ -266,7 +266,7 @@ class TestSpectrum:
         assert errs[1] < errs[0]  # smallest extended mode approaches nu0 as L grows
 
     def test_wave_has_negative_localized_mode(self, irrot, wave153_medium):
-        info = branch.spectrum_at(wave153_medium, irrot, k=8, nu0_grid_n=512)
+        info = branch.spectrum_at(wave153_medium, irrot, nu0_grid_n=512)
         assert info.mu0 is not None and info.mu0 < 0.0
         assert info.nu0 > 0.0
         assert info.mu1 <= info.nu0
@@ -337,26 +337,26 @@ _spectrum_calls = itertools.count(1)
 _pid_log = None
 
 
-def _spectrum_failing_third(field, spec, k, nu0_grid_n, sigma):
+def _spectrum_failing_third(field, spec, nu0_grid_n, sigma):
     """spectrum_at whose third call raises."""
     if next(_spectrum_calls) == 3:
         raise NumericalError("injected eigensolver failure")
-    return _real_spectrum_at(field, spec, k, nu0_grid_n, sigma)
+    return _real_spectrum_at(field, spec, nu0_grid_n, sigma)
 
 
-def _spectrum_positive_third(field, spec, k, nu0_grid_n, sigma):
+def _spectrum_positive_third(field, spec, nu0_grid_n, sigma):
     """spectrum_at whose third call reports a positive mu0."""
-    info = _real_spectrum_at(field, spec, k, nu0_grid_n, sigma)
+    info = _real_spectrum_at(field, spec, nu0_grid_n, sigma)
     if next(_spectrum_calls) == 3:
         info.mu0 = 1.0
     return info
 
 
-def _spectrum_logging_pid(field, spec, k, nu0_grid_n, sigma):
+def _spectrum_logging_pid(field, spec, nu0_grid_n, sigma):
     """spectrum_at that appends the pid it runs in to the file _pid_log."""
     with open(_pid_log, "a") as fh:
         fh.write(f"{os.getpid()}\n")
-    return _real_spectrum_at(field, spec, k, nu0_grid_n, sigma)
+    return _real_spectrum_at(field, spec, nu0_grid_n, sigma)
 
 
 def _one_cpu(monkeypatch):
@@ -495,7 +495,7 @@ class TestShiftHint:
     def test_hinted_spectra_match_the_default_shift(self, fold_branch, irrot):
         pts, _ = fold_branch
         for p in pts:
-            info = branch.spectrum_at(p.field, irrot, k=8, nu0_grid_n=512)
+            info = branch.spectrum_at(p.field, irrot, nu0_grid_n=512)
             assert info.mu0 == pytest.approx(p.mu0, rel=1e-10)
             assert info.mu1 == pytest.approx(p.mu1, rel=1e-10)
             assert info.nu0 == p.nu0
@@ -511,7 +511,7 @@ class TestShiftHint:
             if sigma is None or sigma >= -1.5 * p.nu0:
                 continue
             hinted += 1
-            info = branch.spectrum_at(p.field, irrot, k=8, nu0_grid_n=512, sigma=100.0 * sigma)
+            info = branch.spectrum_at(p.field, irrot, nu0_grid_n=512, sigma=100.0 * sigma)
             assert info.mu0 == pytest.approx(p.mu0, rel=1e-10)
             assert info.mu1 == pytest.approx(p.mu1, rel=1e-10)
         assert hinted >= 4

@@ -1,14 +1,22 @@
+import argparse
+import ast
+import dataclasses
 import importlib.util
+import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from wavebranch import cli, strip
+from wavebranch import branch, cli, strip
+from wavebranch import physical as phys
 from wavebranch.cli import RunConfig, main
+from wavebranch.errors import BranchStallError, NumericalError
 
 
 def run(capsys, *argv):
@@ -28,7 +36,9 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(newton_tol=-1.0)
+            RunConfig(ds=-1.0)
+        with pytest.raises(ValueError):
+            RunConfig(margin_fraction=0.0)
         with pytest.raises(ValueError):
             RunConfig(nq=4)
 
@@ -80,6 +90,26 @@ class TestBasicCommands:
         fld, omega = strip.read_checkpoint(str(ck))
         assert fld.R == 1.53
 
+    def test_solve_writes_profile_csv(self, capsys, tmp_path):
+        ck = tmp_path / "w.txt"
+        csvs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in csvs:
+            code, out, _ = run(
+                capsys, "solve", "--omega", "0", "--R", "1.53", "--nq", "61", "--np", "11",
+                "--out", str(ck), "--profile-out", str(path),
+            )
+            assert code == 0
+            assert f"profile {path}" in out.splitlines()
+        lines = csvs[0].read_text().splitlines()
+        assert lines[0] == "X,xi,psi_y_surface"
+        fld, spec = strip.read_checkpoint(str(ck))
+        profile = phys.reconstruct(fld, spec)
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert table.shape == (fld.grid.nq, 3)
+        for j, column in enumerate((profile.X, profile.xi, profile.psi_y_surface)):
+            assert table[:, j].tobytes() == np.asarray(column, dtype=float).tobytes()
+        assert csvs[1].read_bytes() == csvs[0].read_bytes()
+
     def test_model_bifurcate_json(self, capsys):
         code, out, _ = run(capsys, "model-bifurcate", "--case", "pitchfork",
                            "--ns", "7", "--nlam", "21")
@@ -112,7 +142,11 @@ class TestErrors:
         code, _, err = run(capsys, "model-bifurcate", "--case", "nope")
         assert code == 1
 
-    @pytest.mark.parametrize("data", [{"nq": 61, "bogus": 1}, {"nq": "61"}, {"ds": None}])
+    @pytest.mark.parametrize("data", [
+        {"nq": 61, "bogus": 1}, {"nq": "61"}, {"ds": None},
+        # keys of options that became constants
+        {"newton_tol": 1e-10}, {"seed": 0}, {"ds_max_factor": 8.0},
+    ])
     def test_unknown_or_ill_typed_config_key_exits_2(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -130,9 +164,13 @@ class TestErrors:
             main(["critical", "--omega", "0"])
         assert "configuration error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--L", "-1"], ["--L", "0"], ["--nu0-grid-n", "32"]])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--omega", "0", "--R", "1.53", "--L", "-1"],
+        ["solve", "--omega", "0", "--R", "1.53", "--L", "0"],
+        ["spectrum1d", "--omega", "0", "--R", "2.0", "--nu0-grid-n", "32"],
+    ])
     def test_bad_length_or_edge_grid_exits_2(self, capsys, argv):
-        code, _, err = run(capsys, "spectrum1d", "--omega", "0", "--R", "2.0", *argv)
+        code, _, err = run(capsys, *argv)
         assert code == 2
         assert "configuration error" in err
 
@@ -145,16 +183,125 @@ class TestErrors:
         assert "configuration error" not in err
 
 
+# flags that some command does not take: the shared option groups, and the
+# flags of the constants (Newton tolerance, Taylor seed, step cap)
+_OLD_FLAGS = ("--config", "--omega", "--L", "--nq", "--np", "--newton-tol",
+              "--nu0-grid-n", "--seed", "--ds-max-factor")
+# each command's required arguments, so that parsing reaches the flag under test
+_REQUIRED = {
+    "stream": ["--theta-min", "1.1", "--theta-max", "2.0"],
+    "critical": [],
+    "spectrum1d": ["--R", "2.0"],
+    "solve": ["--R", "1.53"],
+    "continue": ["--R-start", "1.52"],
+    "pairs": ["--branch", "b"],
+    "ls-reduce": ["--checkpoint-a", "a", "--checkpoint-b", "b"],
+    "model-bifurcate": ["--case", "pitchfork"],
+    "verify": ["--dir", "d"],
+}
+
+
+def _subparsers() -> dict:
+    ap = cli._build_parser()
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _reads(fn) -> tuple:
+    """Attribute names that fn's source reads off `args` and off `cfg`,
+    following the cli functions it hands `cfg` to."""
+    args_reads, cfg_reads = set(), set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                args_reads.add(node.attr)
+            elif node.value.id == "cfg":
+                cfg_reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "cfg" for a in node.args)):
+            more = _reads(getattr(cli, node.func.id))
+            args_reads |= more[0]
+            cfg_reads |= more[1]
+    return args_reads, cfg_reads
+
+
+class TestOptions:
+    def test_every_command_is_covered(self):
+        assert set(_subparsers()) == set(_REQUIRED)
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_parser_holds_the_options_its_command_reads(self, command):
+        # an option is held exactly when the command function reads it, off
+        # args or off the configuration; --config only where some
+        # configuration field is read
+        parser = _subparsers()[command]
+        args_reads, cfg_reads = _reads(parser.get_default("func"))
+        fields = cfg_reads & {f.name for f in dataclasses.fields(RunConfig)}
+        held = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert held == args_reads | fields | ({"config"} if fields else set())
+
+    def test_value_flag_slots(self):
+        shared = set(_OLD_FLAGS) - {"--config", "--ds-max-factor"}
+        held = [shared & set(p._option_string_actions) for p in _subparsers().values()]
+        assert sum(map(len, held)) == 14  # 7 flags on 8 commands before: 56
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_removed_flags_are_usage_errors(self, capsys, command):
+        removed = [f for f in _OLD_FLAGS if f not in _subparsers()[command]._option_string_actions]
+        assert removed
+        for flag in removed:
+            code, out, err = run(capsys, command, *_REQUIRED[command], flag, "1")
+            assert code == 2, flag
+            assert f"unrecognized arguments: {flag} 1" in err
+            assert out == ""
+
+
+_CONTINUE = ["continue", "--omega", "0", "--R-start", "1.52", "--steps", "4",
+             "--ds", "0.004", "--nq", "61", "--np", "11", "--nu0-grid-n", "128"]
+
+
 @pytest.fixture(scope="module")
 def branch_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("branch_run")
-    code = main([
-        "continue", "--omega", "0", "--R-start", "1.52", "--steps", "4",
-        "--ds", "0.004", "--nq", "61", "--np", "11", "--nu0-grid-n", "128",
-        "--out", str(out),
-    ])
+    code = main([*_CONTINUE, "--out", str(out)])
     assert code == 0
     return out
+
+
+def _shifted(lines, row, col, delta, sep):
+    """lines with the number at (row, col) moved by delta and written with
+    repr, as the writers do, so that the byte round trip still holds."""
+    vals = lines[row].split(sep)
+    vals[col] = repr(float(vals[col]) + delta)
+    lines[row] = sep.join(vals)
+
+
+def _flat_hp(lines):
+    """h[3, 5] = h[3, 4] in a checkpoint: one h_p of zero."""
+    vals = lines[7 + 3].split()
+    vals[5] = vals[4]
+    lines[7 + 3] = " ".join(vals)
+
+
+def _tied_t(lines):
+    """branch.csv row 2 gets row 1's t."""
+    vals = lines[3].split(",")
+    vals[0] = lines[2].split(",")[0]
+    lines[3] = ",".join(vals)
+
+
+# one tampering per failure branch of verify after the replay bound, and the
+# start of the FAIL line it must print
+_TAMPERINGS = {
+    "far-column": ("point_0001.txt", lambda ls: _shifted(ls, -1, 3, 1e-6, " "),
+                   "point_0001.txt: far-field column mismatch"),
+    "theta": ("point_0002.txt", lambda ls: _shifted(ls, 6, 1, 1e-6, " "),
+              "point_0002.txt: far-field theta inconsistent with R"),
+    "h_p": ("point_0003.txt", _flat_hp, "point_0003.txt: h_p <= 0"),
+    "row-count": ("branch.csv", lambda ls: ls.pop(), "branch.csv: 4 rows vs 5 checkpoints"),
+    "t-order": ("branch.csv", _tied_t, "branch.csv: t not strictly increasing"),
+    "R": ("branch.csv", lambda ls: _shifted(ls, 3, 1, 1e-9, ","),
+          "branch.csv row 2: R mismatch with checkpoint"),
+}
 
 
 class TestContinueAndVerify:
@@ -173,11 +320,7 @@ class TestContinueAndVerify:
 
     def test_deterministic_rerun_byte_identical(self, branch_dir, tmp_path, capsys):
         out2 = tmp_path / "rerun"
-        code = main([
-            "continue", "--omega", "0", "--R-start", "1.52", "--steps", "4",
-            "--ds", "0.004", "--nq", "61", "--np", "11", "--nu0-grid-n", "128",
-            "--out", str(out2),
-        ])
+        code = main([*_CONTINUE, "--out", str(out2)])
         assert code == 0
         assert (branch_dir / "branch.csv").read_bytes() == (out2 / "branch.csv").read_bytes()
         assert (branch_dir / "point_0003.txt").read_bytes() == (out2 / "point_0003.txt").read_bytes()
@@ -211,6 +354,48 @@ class TestContinueAndVerify:
         code, out, _ = run(capsys, "verify", "--dir", str(bad_dir))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("case", sorted(_TAMPERINGS))
+    def test_verify_reports_each_failure(self, branch_dir, tmp_path, capsys, case):
+        name, tamper, expected = _TAMPERINGS[case]
+        bad_dir = tmp_path / "tampered"
+        shutil.copytree(branch_dir, bad_dir)
+        lines = (bad_dir / name).read_text().splitlines()
+        tamper(lines)
+        (bad_dir / name).write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", "--dir", str(bad_dir))
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith(f"FAIL {expected}"), out
+
+    @pytest.mark.parametrize("error", [BranchStallError, NumericalError],
+                             ids=lambda e: e.__name__)
+    def test_failed_continue_keeps_its_points(
+        self, branch_dir, tmp_path, capsys, monkeypatch, error
+    ):
+        real = branch.continue_branch
+
+        def fails_after_two_steps(start, spec, steps, ds, **kwargs):
+            points, _ = real(start, spec, 2, ds, **kwargs)
+            exc = error("injected failure")
+            exc.partial_points = points
+            raise exc
+
+        monkeypatch.setattr(branch, "continue_branch", fails_after_two_steps)
+        out = tmp_path / "failed"
+        code, _, err = run(capsys, *_CONTINUE, "--out", str(out))
+        assert code == 1
+        assert f"({error.__name__}): injected failure" in err
+        names = cli._point_names(str(out))
+        assert names == [cli.POINT_NAME.format(i) for i in range(3)]
+        # the points a completed run of the same settings writes first
+        for name in names + ["config.json"]:
+            assert (out / name).read_bytes() == (branch_dir / name).read_bytes()
+        rows = (branch_dir / cli.BRANCH_CSV).read_text().splitlines()[:4]
+        assert (out / cli.BRANCH_CSV).read_text().splitlines() == rows
+        code, text, _ = run(capsys, "verify", "--dir", str(out))
+        assert code == 0
+        assert "verified 3 checkpoints" in text
 
     def test_verify_reports_unreadable_checkpoint(self, branch_dir, tmp_path, capsys):
         # the branch.csv check must not re-read the checkpoint that failed
@@ -406,3 +591,39 @@ def test_model_gallery_script(capsys):
     ]
     # the pitchfork branch lambda = s^2 - s^4 at the outermost column s = 0.3
     assert lines[1] == f"  side +1: regular, lambda(+0.30) = {0.3**2 - 0.3**4:+.4f}"
+
+
+
+_PARENT = [1.0 + 0.01 * i for i in range(10)]  # quartiles 1.0225, 1.045, 1.0675
+_WIDE = [1.0, 2.0] * 5  # interquartile range 1.0, above 0.25 x its median 1.5
+
+
+def _moved(runs, delta, lost=0):
+    """runs moved by delta, the first `lost` of them by -delta / 20 instead,
+    so that they lose their pair."""
+    return [r - delta / 20 if i < lost else r + delta for i, r in enumerate(runs)]
+
+
+# (parent runs, change runs, better, failed ops (parent, change), mark, wins)
+_VERDICTS = {
+    "gain": (_PARENT, _moved(_PARENT, -0.2), "lower", (0, 0), "GAIN", 10),
+    "gain-9-of-10": (_PARENT, _moved(_PARENT, -0.2, lost=1), "lower", (0, 0), "GAIN", 9),
+    "8-of-10": (_PARENT, _moved(_PARENT, -0.2, lost=2), "lower", (0, 0), "-", 8),
+    "9-pairs": (_PARENT[:9], _moved(_PARENT, -0.2)[:9], "lower", (0, 0), "-", 9),
+    "gap-within-iqr": (_PARENT, _moved(_PARENT, -0.03), "lower", (0, 0), "-", 10),
+    "more-failed-ops": (_PARENT, _moved(_PARENT, -0.2), "lower", (0, 1), "-", 10),
+    "regression": (_PARENT, _moved(_PARENT, 0.3), "lower", (0, 0), "REGRESSION", 0),
+    "within-bound": (_PARENT, _moved(_PARENT, 0.2), "lower", (0, 0), "-", 0),
+    "unresolved": (_WIDE, [1.1, 1.9] * 5, "lower", (0, 0), "UNRESOLVED", 5),
+    "wide-but-separated": (_WIDE, [0.1, 0.2] * 5, "lower", (0, 0), "GAIN", 10),
+    "higher-gain": (_PARENT, _moved(_PARENT, 0.3), "higher", (0, 0), "GAIN", 10),
+    "higher-regression": (_PARENT, _moved(_PARENT, -0.3), "higher", (0, 0), "REGRESSION", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICTS))
+def test_bench_pair_verdict(case):
+    # the mark scripts/bench_pair.py gives one end-to-end metric (bound 0.25)
+    parent, change, better, failed, mark, wins = _VERDICTS[case]
+    result = _script("bench_pair").verdict(parent, change, better, 0.25, failed)
+    assert (result["mark"], result["wins"], result["pairs"]) == (mark, wins, len(parent))

@@ -174,7 +174,7 @@ class TestPairsPde:
         summary = [(p.t, p.R, p) for p in pts]
 
         def resolve(Rv, ref):
-            return strip.resolve_at(ref.field, irrot, Rv, 1e-10)
+            return strip.resolve_at(ref.field, irrot, Rv)
 
         pairs = physical.find_pairs(summary, events, n_r=4, resolve=resolve)
         assert pairs, "no PDE pairs found around the fold"

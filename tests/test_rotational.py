@@ -37,7 +37,7 @@ def test_rotational_solitary_wave(coeffs, dR):
     rel = physical.verify_flow_force_selection(prof, spec) / prof.flow_force
     assert rel < 1e-3
 
-    info = branch.spectrum_at(sol, spec, k=8, nu0_grid_n=512)
+    info = branch.spectrum_at(sol, spec, nu0_grid_n=512)
     assert info.mu0 is not None and info.mu0 < 0.0
     assert info.nu0 > 0.0
     assert info.mu1 <= info.nu0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,8 +103,8 @@ class TestNu0:
         d = problem.y[-1]
         quarter = (math.pi / (2.0 * d)) ** 2
         nu_robin = sp1.nu0(problem)
-        nu_neumann = sp1.nu0(problem, rho0=0.0)
-        nu_clamped = sp1.nu0(problem, rho0=-1e8)
+        nu_neumann = sp1.nu0(dataclasses.replace(problem, rho0=0.0))
+        nu_clamped = sp1.nu0(dataclasses.replace(problem, rho0=-1e8))
         assert nu_robin < quarter
         assert nu_neumann == pytest.approx(quarter, rel=1e-6)
         assert nu_robin < nu_neumann < nu_clamped

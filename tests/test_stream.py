@@ -169,7 +169,7 @@ class TestMonotonicity:
         for spec in (irrot, const_one):
             ds = st.dispersion_summary(spec)
             Rgrid = np.linspace(ds.R_c + 0.01, ds.R_c + 1.0, 20)
-            Sv = [st.flow_force_of_R(spec, R, "supercritical", summary=ds) for R in Rgrid]
+            Sv = [st.flow_force_of_R(spec, R, "supercritical") for R in Rgrid]
             assert np.all(np.diff(Sv) > 0)
 
     def test_depth_decreasing_sampled(self, const_one):
