@@ -22,16 +22,13 @@ import numpy as np
 from .errors import (
     BranchStallError,
     DegenerateTangentError,
-    NonConvergenceError,
     NumericalError,
-    StagnationBreachError,
     WavebranchError,
 )
 from . import spectrum1d
-from .roots import brentq
+from .roots import brentq, newton, solve_bordered
 from .stream import dispersion_summary, moments, solve_theta_for_R
 from .strip import (
-    _CONTRACTION,
     NEWTON_TOL,
     StripField,
     StripGrid,
@@ -70,10 +67,12 @@ __all__ = [
 
 
 # bordered Newton: iteration budget, and the tolerance on the arclength
-# constraint; a step converged in at most _FAST_ITERS iterations lets ds grow
+# constraint; a step converged in at most _FAST_ITERS iterations lets ds grow,
+# and ds halved below _DS_MIN_FACTOR times its start stalls the run
 _MAX_NEWTON_ITERS = 12
 _CONSTRAINT_TOL = 1e-11
 _FAST_ITERS = 4
+_DS_MIN_FACTOR = 1.0 / 64.0
 # an eigenvector with this fraction of its mass in q < L/2 is localized
 _LOCALIZED = 0.99
 # eigenvalues spectrum_at computes at each shift
@@ -84,7 +83,6 @@ _SPECTRUM_K = 8
 class StepControl:
     """Adaptive step-control parameters for the continuation driver."""
 
-    ds_min_factor: float = 1.0 / 64.0
     ds_max_factor: float = 8.0
     grow: float = 1.3
     margin_fraction: float = 1e-2
@@ -165,68 +163,25 @@ def tangent(x0, l0, x1, l1, weight):
     return dx / n, dlam / n
 
 
-def _solve_bordered(J, F_lam, w_tan_x, tan_lam, rhs_top, rhs_bot):
-    """Solve [[J, F_lam], [w_tan_x^T, tan_lam]] [dx; dlam] = [rhs_top; rhs_bot].
-
-    J is the BandLU factor of the Jacobian.  Block elimination: J [u v] =
-    [rhs_top F_lam], dlam = (rhs_bot - w.u) / (tan_lam - w.v), dx = u - dlam v,
-    then one step of iterative refinement on the full bordered system, because
-    J is nearly singular at a fold while the bordered matrix is not (Keller
-    1977; Govaerts 2000, ch. 3).
-    """
-    uv = J.solve(np.column_stack([rhs_top, F_lam]))
-    v = uv[:, 1]
-    schur = tan_lam - w_tan_x @ v
-
-    def eliminate(bot, u):
-        dlam = (bot - w_tan_x @ u) / schur
-        return u - dlam * v, dlam
-
-    dx, dlam = eliminate(rhs_bot, uv[:, 0])
-    r_top = rhs_top - J.matrix @ dx - dlam * F_lam
-    r_bot = rhs_bot - w_tan_x @ dx - tan_lam * dlam
-    ex, elam = eliminate(r_bot, J.solve(r_top))
-    return dx + ex, float(dlam + elam)
-
-
 def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds):
-    """Bordered Newton iteration onto {residual = 0} cap the arclength plane."""
+    """Bordered Newton iteration onto {residual = 0} cap the arclength plane
+    (roots.newton, undamped) on the state (x, lam); returns (x, lam, iters)."""
     weight = sys_.ip_weight
-    x, lam = x0.copy(), lam0
-    sup_prev = np.inf
-    for it in range(_MAX_NEWTON_ITERS + 1):
+    w_tan_x = weight * tan_x
+
+    def evaluate(z):
+        x, lam = z[:-1], float(z[-1])
         F = sys_.residual(x, lam)
         c = _ip(weight, tan_x, x - x_prev) + tan_lam * (lam - lam_prev) - ds
         sup = float(np.abs(F).max())
-        if sup <= NEWTON_TOL and abs(c) <= _CONSTRAINT_TOL:
-            if sup > 1e-14:
-                # polish: one more full step to push the residual to rounding level
-                J, Fl = sys_.linearize(x, lam)
-                dx, dlam = _solve_bordered(J, Fl, weight * tan_x, tan_lam, -F, -c)
-                x_try, lam_try = x + dx, lam + dlam
-                try:
-                    if np.abs(sys_.residual(x_try, lam_try)).max() < sup:
-                        x, lam = x_try, lam_try
-                except StagnationBreachError:
-                    pass
-            return x, lam, it
-        # from the third iterate on, a residual sup-norm above strip._CONTRACTION
-        # times the previous iterate's gives up; the first iterate may still grow
-        if it >= 2 and sup > _CONTRACTION * sup_prev:
-            raise NonConvergenceError(
-                f"bordered Newton stopped contracting at iterate {it}: "
-                f"residual {sup:.3e} > {_CONTRACTION} x {sup_prev:.3e}"
-            )
-        if it == _MAX_NEWTON_ITERS:
-            break
-        sup_prev = sup
-        J, Fl = sys_.linearize(x, lam)
-        dx, dlam = _solve_bordered(J, Fl, weight * tan_x, tan_lam, -F, -c)
-        x = x + dx
-        lam = lam + dlam
-    raise NonConvergenceError(
-        f"bordered Newton did not converge in {_MAX_NEWTON_ITERS} iterations"
-    )
+        return np.append(F, c), sup, sup <= NEWTON_TOL and abs(c) <= _CONSTRAINT_TOL
+
+    def linearize(z):
+        J, Fl = sys_.linearize(z[:-1], float(z[-1]))
+        return lambda r: np.append(*solve_bordered(J, Fl, w_tan_x, tan_lam, -r[:-1], -r[-1]))
+
+    z, info = newton(np.append(x0, lam0), evaluate, linearize, _MAX_NEWTON_ITERS)
+    return z[:-1], float(z[-1]), info.iterations
 
 
 def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=None):
@@ -247,7 +202,7 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
     accepted: list[AcceptedStep] = []
     x_prev, lam_prev, t = x0, lam0, 0.0
     ds_cur = ds
-    ds_min = ds * ctrl.ds_min_factor
+    ds_min = ds * _DS_MIN_FACTOR
     ds_max = ds * ctrl.ds_max_factor
 
     for _ in range(steps):

@@ -223,9 +223,16 @@ def _point_names(dirpath: str) -> list:
 
 
 def _write_branch(out_dir: str, points, spec: VorticitySpec, cfg: RunConfig) -> None:
-    """The checkpoints, branch.csv and config.json of a continuation run."""
+    """The checkpoints, branch.csv and config.json of a continuation run.
+
+    A branch directory holds one run: the checkpoints of an earlier, longer
+    run past the last point, and its pairs.json, are deleted."""
     for idx, p in enumerate(points):
         strip_mod.write_checkpoint(os.path.join(out_dir, POINT_NAME.format(idx)), p.field, spec)
+    for name in _point_names(out_dir)[len(points):]:
+        os.remove(os.path.join(out_dir, name))
+    if os.path.exists(os.path.join(out_dir, PAIRS_JSON)):
+        os.remove(os.path.join(out_dir, PAIRS_JSON))
     with open(os.path.join(out_dir, BRANCH_CSV), "w") as fh:
         fh.write("\n".join(_branch_csv_lines(points)) + "\n")
     with open(os.path.join(out_dir, "config.json"), "w") as fh:

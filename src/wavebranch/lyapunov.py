@@ -4,7 +4,7 @@ The reduction is implemented generically over finite-dimensional analytic
 systems F(x, lambda) = 0 with F(0, lambda) = 0: the state is split along the
 crossing eigenvector v(lambda) and its complement, the complement equation is
 solved by bordered Newton iteration on the band factor the continuation uses
-(strip.band_lu, branch._solve_bordered), and the scalar reduced map
+(strip.band_lu, roots.solve_bordered), and the scalar reduced map
 
     B(s, lambda) = <F(s v + w(s, lambda), lambda), what>,
 
@@ -24,13 +24,14 @@ import numpy as np
 from . import branch as branch_mod
 from .errors import (
     IllPosedProjectorError,
+    NonConvergenceError,
     NoSecondaryBranchError,
     NumericalError,
     OutsideChartError,
     PreconditionError,
     ResolutionError,
 )
-from .roots import brentq
+from .roots import brentq, newton, solve_bordered
 from .strip import (
     NEWTON_TOL,
     BandMatrix,
@@ -140,32 +141,33 @@ def project(family: AnalyticFamily, lam: float, x: np.ndarray):
 
 def solve_complement(family: AnalyticFamily, s: float, lam: float) -> np.ndarray:
     """Solve the range-complement equation (I - P) F(s v + w, lambda) = 0
-    with P w = 0 to 1e-12, by at most 60 bordered Newton steps from w = 0.
+    with P w = 0 to 1e-12, by undamped roots.newton from w = 0 in at most 60
+    steps; a failed solve or factor raises OutsideChartError.
 
     Each step solves [[D_x F, v], [what^T, 0]] [dw; c] = [-F; -<w, what>]:
     the border with v and the constraint regularizes the Jacobian where it is
-    singular along v.  It is branch._solve_bordered on the band LU of D_x F,
+    singular along v.  It is roots.solve_bordered on the band LU of D_x F,
     the corrector's solve."""
     ed = family.eigendata(lam)
-    w = np.zeros(family.n)
     w_border = family.ip_weight * ed.w
-    for _ in range(60):
-        x = s * ed.v + w
-        F = family.f(x, lam)
+
+    def evaluate(w):
+        F = family.f(s * ed.v + w, lam)
         G = F - family.ip(F, ed.w) * ed.v
         con = family.ip(w, ed.w)
-        if max(np.abs(G).max(), abs(con)) <= 1e-12:
-            return w
-        try:
-            dw, _ = branch_mod._solve_bordered(
-                band_lu(family.df(x, lam)), ed.v, w_border, 0.0, -F, -con
-            )
-        except NumericalError as exc:
-            raise OutsideChartError(f"complement solve failed: {exc}") from exc
-        w = w + dw
-    raise OutsideChartError(
-        f"complement Newton did not converge at (s, lambda) = ({s}, {lam})"
-    )
+        sup = max(np.abs(G).max(), abs(con))
+        return np.append(F, con), sup, sup <= 1e-12
+
+    def linearize(w):
+        lu = band_lu(family.df(s * ed.v + w, lam))
+        return lambda r: solve_bordered(lu, ed.v, w_border, 0.0, -r[:-1], -r[-1])[0]
+
+    try:
+        return newton(np.zeros(family.n), evaluate, linearize, 60)[0]
+    except (NumericalError, NonConvergenceError) as exc:
+        raise OutsideChartError(
+            f"complement solve failed at (s, lambda) = ({s}, {lam}): {exc}"
+        ) from exc
 
 
 def reduced_map(family: AnalyticFamily, s: float, lam: float):

@@ -29,11 +29,10 @@ import scipy
 from .errors import (
     CheckpointFormatError,
     DomainError,
-    NonConvergenceError,
     NumericalError,
     StagnationBreachError,
-    StalledError,
 )
+from .roots import NewtonInfo, newton
 from .stream import (
     depth as stream_depth,
     dispersion_summary,
@@ -88,11 +87,6 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
-
-# a Newton-type step that does not shrink the residual sup-norm below this
-# fraction of the last one has stopped contracting (Deuflhard 2004, ch. 2 and
-# 5): newton_solve then refactors, and the bordered corrector gives up
-_CONTRACTION = 0.5
 
 # residual sup-norm at which a Newton solve, fixed-R or bordered, has converged
 NEWTON_TOL = 1e-10
@@ -507,17 +501,6 @@ def band_lu(A: BandMatrix) -> BandLU:
     return BandLU(matrix=A, row_scale=row_scale, lu=lu, piv=piv)
 
 
-@dataclass
-class NewtonInfo:
-    """What newton_solve did: its Newton iterates (one fresh factorization
-    each, the polish aside), the chord steps it kept, and the final residual
-    sup-norm."""
-
-    iterations: int
-    residual_sup: float
-    chord_steps: int = 0
-
-
 def newton_solve(
     f0: StripField,
     spec: VorticitySpec,
@@ -525,75 +508,26 @@ def newton_solve(
     max_iter: int = 40,
     return_info: bool = False,
 ):
-    """Damped Newton iteration at fixed R and far-field column, with chord steps.
-
-    `iterations` counts Newton iterates, each with a fresh assembly and band
-    LU of J, and max_iter bounds them.  Between iterates, chord steps reuse
-    the last iterate's factor: one is kept when it meets tol or at least
-    halves the residual sup-norm (ratio _CONTRACTION), and counted in
-    `chord_steps`; otherwise it is thrown away and the next iterate refactors.
-    So at most log2(r0 / tol) chord steps run, with r0 the start's residual.
-    An iterate backtracks on the residual sup-norm; positivity h_p > 0 is
-    enforced by step damping.  After reaching tol, one undamped polish step
-    on a fresh factor is taken so the converged residual sits at the
-    rounding floor (checkpoint-replay contract).
-    """
+    """Newton at fixed R and far-field column to a residual sup-norm of at
+    most tol: roots.newton, damped, with one assembly and band LU of J per
+    iterate.  With return_info=True, returns (field, NewtonInfo)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    # a closure, not a module-level function: perfbench's tracer spans every
+    # closures, not module-level functions: perfbench's tracer spans every
     # module-level function of strip and reads newton_solve's backtracks off
-    # the residuals that newton_solve itself calls
-    def trial(x: np.ndarray):
-        """f0 with unknowns x and its residual, or None on a stagnation breach."""
-        f = unpack(f0, x)
-        try:
-            return f, residual(f, spec)
-        except StagnationBreachError:
-            return None
+    # the residuals and assemblies that newton_solve itself calls
+    def evaluate(x: np.ndarray):
+        res = residual(unpack(f0, x), spec)
+        return _packed(res), res.sup, res.sup <= tol
 
-    f = f0.copy()
-    res = residual(f, spec)
-    info = NewtonInfo(iterations=0, residual_sup=res.sup)
-    lu = None  # the band LU of the last Newton iterate
+    def linearize(x: np.ndarray):
+        lu = band_lu(assemble_jacobian(unpack(f0, x), spec))
+        return lambda r: lu.solve(-r)
 
-    while res.sup > tol:
-        if lu is not None:
-            step = trial(pack(f) + lu.solve(-_packed(res)))
-            if step is not None and (
-                step[1].sup <= _CONTRACTION * res.sup or step[1].sup <= tol
-            ):
-                f, res = step
-                info.chord_steps += 1
-                continue
-        if info.iterations == max_iter:
-            raise NonConvergenceError(
-                f"Newton did not reach tol={tol} in {max_iter} iterations "
-                f"(residual {res.sup:.3e})"
-            )
-        lu = band_lu(assemble_jacobian(f, spec))
-        dx = lu.solve(-_packed(res))
-        x = pack(f)
-        for k in range(21):  # step lengths 1, 1/2, ..., 2^-20
-            step = trial(x + 0.5**k * dx)
-            if step is not None and (step[1].sup < res.sup or step[1].sup <= tol):
-                break
-        else:
-            raise StalledError(
-                f"Newton damping underflowed below 2^-20 at residual {res.sup:.3e}"
-            )
-        f, res = step
-        info.iterations += 1
-
-    if 1e-14 < res.sup <= tol:
-        # polish: one undamped step on a fresh factor, to push the residual
-        # to the rounding floor
-        step = trial(pack(f) + band_lu(assemble_jacobian(f, spec)).solve(-_packed(res)))
-        if step is not None and step[1].sup < res.sup:
-            f, res = step
-
+    x, info = newton(pack(f0), evaluate, linearize, max_iter, damped=True)
+    f = unpack(f0, x)
     if return_info:
-        info.residual_sup = res.sup
         return f, info
     return f
 

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigs, spsolve
 
-from wavebranch import branch, cli, stream, strip
+from wavebranch import branch, cli, roots, stream, strip
 from wavebranch.errors import NumericalError
 
 
@@ -255,7 +255,7 @@ class TestBorderedSolve:
         w = sys_.ip_weight * p.tangent_x
         rng = np.random.default_rng(7)
         top, bot = rng.standard_normal(w.size), float(rng.standard_normal())
-        dx, dlam = branch._solve_bordered(lu, F_R, w, p.tangent_lam, top, bot)
+        dx, dlam = roots.solve_bordered(lu, F_R, w, p.tangent_lam, top, bot)
 
         A = sp.bmat(
             [

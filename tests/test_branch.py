@@ -542,17 +542,15 @@ class TestShiftHint:
 class TestBranchStall:
     def test_stall_reports_last_good(self, irrot):
         # walking down from just above R_c with a huge step puts every
-        # predictor below R_c; the driver must stall and carry the last
-        # accepted point
+        # predictor below R_c, down to the smallest ds (5/64); the driver
+        # must stall and carry the last accepted point
         grid = strip.default_grid(irrot, 1.504, nq=61, npp=11, L_factor=12.0)
         sol = strip.newton_solve(strip.initial_guess(irrot, 1.504, grid), irrot, tol=1e-10)
         sys_ = branch.SolitarySystem(irrot, grid)
         tan0 = branch._initial_tangent(irrot, sol, sys_.ip_weight)
-        ctrl = branch.StepControl(ds_min_factor=0.5)
-        with pytest.raises(BranchStallError):
+        with pytest.raises(BranchStallError, match="BelowCriticalError"):
             branch.arclength_continue(
-                sys_, strip.pack(sol), sol.R, (-tan0[0], -tan0[1]),
-                ds=0.5, steps=4, ctrl=ctrl,
+                sys_, strip.pack(sol), sol.R, (-tan0[0], -tan0[1]), ds=5.0, steps=4
             )
 
 

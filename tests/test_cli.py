@@ -397,6 +397,24 @@ class TestContinueAndVerify:
         assert code == 0
         assert "verified 3 checkpoints" in text
 
+    def test_rerun_into_a_used_directory_holds_one_run(self, branch_dir, tmp_path, capsys):
+        # a shorter continue into a directory holding a longer run and its
+        # pairs leaves neither the extra checkpoints nor the stale pairs.json
+        out = tmp_path / "reused"
+        shutil.copytree(branch_dir, out)
+        code, _, _ = run(capsys, "pairs", "--branch", str(out))
+        assert code == 0 and (out / cli.PAIRS_JSON).exists()
+        shorter = list(_CONTINUE)
+        shorter[shorter.index("--steps") + 1] = "2"
+        code, _, _ = run(capsys, *shorter, "--out", str(out))
+        assert code == 0
+        assert cli._point_names(str(out)) == [cli.POINT_NAME.format(i) for i in range(3)]
+        assert not (out / cli.POINT_NAME.format(3)).exists()
+        assert not (out / cli.PAIRS_JSON).exists()
+        code, text, _ = run(capsys, "verify", "--dir", str(out))
+        assert code == 0
+        assert "verified 3 checkpoints" in text
+
     def test_verify_reports_unreadable_checkpoint(self, branch_dir, tmp_path, capsys):
         # the branch.csv check must not re-read the checkpoint that failed
         import shutil
@@ -627,3 +645,24 @@ def test_bench_pair_verdict(case):
     parent, change, better, failed, mark, wins = _VERDICTS[case]
     result = _script("bench_pair").verdict(parent, change, better, 0.25, failed)
     assert (result["mark"], result["wins"], result["pairs"]) == (mark, wins, len(parent))
+
+
+def test_same_outputs_names_each_differing_file(tmp_path, capsys):
+    # the comparison of scripts/same_outputs.py, on two small trees
+    same_outputs = _script("same_outputs")
+    for side in ("a", "b"):
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "point_0000.txt").write_bytes(b"1.0\n2.0\n")
+        (tmp_path / side / "solve.stdout").write_text("iterations 3\n")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert same_outputs.report(a, b, "parent") == 0
+    assert capsys.readouterr().out == "0 of 2 files differ from parent\n"
+
+    (tmp_path / "b" / "run" / "point_0000.txt").write_bytes(b"1.0\n2.1\n")
+    assert same_outputs.report(a, b, "parent") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"differs: {os.path.join('run', 'point_0000.txt')}",
+                   "1 of 2 files differ from parent"]
+
+    (tmp_path / "a" / "extra.json").write_text("{}\n")
+    assert same_outputs.differing_files(a, b) == ["extra.json", os.path.join("run", "point_0000.txt")]
