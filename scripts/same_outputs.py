@@ -18,14 +18,18 @@ writes or prints is relative, it runs:
 Every command's stdout, stderr and exit code are kept as files next to what
 it wrote.  The script prints every file that differs between the two sides,
 or exists on one side only, and exits 1 on any difference, 0 when the two
-output trees are byte-identical.
+output trees are byte-identical.  For a differing file whose numeric tokens
+(split at white space and at the punctuation of JSON and CSV) are as many on
+both sides, it also prints the largest absolute difference between them.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -96,13 +100,41 @@ def differing_files(a: str, b: str) -> list[str]:
     return sorted((fa ^ fb) | changed)
 
 
+def _numbers(path: str) -> list[float]:
+    """The tokens of the file that parse as floats, in order."""
+    with open(path, errors="replace") as fh:
+        tokens = re.split(r"[\s,:;=\[\]{}()\"']+", fh.read())
+    numbers = []
+    for tok in tokens:
+        try:
+            numbers.append(float(tok))
+        except ValueError:
+            pass
+    return numbers
+
+
+def max_abs_difference(a: str, b: str) -> float | None:
+    """Largest |x - y| over the numeric tokens of the files a and b, paired in
+    order; None when either file is missing or their counts differ."""
+    if not (os.path.isfile(a) and os.path.isfile(b)):
+        return None
+    xs, ys = _numbers(a), _numbers(b)
+    if len(xs) != len(ys):
+        return None
+    diffs = [0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+             for x, y in zip(xs, ys)]
+    return max(diffs, default=0.0)
+
+
 def report(parent_out: str, change_out: str, parent: str) -> int:
-    """Print every file that differs between the two output trees; 1 if any
-    does, else 0."""
+    """Print every file that differs between the two output trees, with the
+    largest absolute difference of its numbers where they pair up; 1 if any
+    file differs, else 0."""
     diff = differing_files(parent_out, change_out)
     n = sum(len(names) for _, _, names in os.walk(change_out))
     for rel in diff:
-        print(f"differs: {rel}")
+        d = max_abs_difference(os.path.join(parent_out, rel), os.path.join(change_out, rel))
+        print(f"differs: {rel}" if d is None else f"differs: {rel}  max |diff| {d:.3g}")
     print(f"{len(diff)} of {n} files differ from {parent}")
     return 1 if diff else 0
 

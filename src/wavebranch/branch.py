@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -579,6 +578,8 @@ class _InlineExecutor:
         return None
 
     def submit(self, fn, *args):
+        from concurrent.futures import Future
+
         fut = Future()
         try:
             fut.set_result(fn(*args))
@@ -656,7 +657,7 @@ def continue_branch(
     init_diag = start.diag
 
     points: list[BranchPoint] = [start]
-    pending: list[Future] = []  # spectrum of points[-1], while it is computed
+    pending: list = []  # the Future of the spectrum of points[-1], while it is computed
 
     def settle():
         """Fill in the pending spectrum of the last point and check it."""

@@ -148,7 +148,12 @@ def solve_complement(family: AnalyticFamily, s: float, lam: float) -> np.ndarray
     the border with v and the constraint regularizes the Jacobian where it is
     singular along v.  It is roots.solve_bordered on the band LU of D_x F,
     the corrector's solve."""
-    ed = family.eigendata(lam)
+    return _complement(family, family.eigendata(lam), s, lam)[0]
+
+
+def _complement(family: AnalyticFamily, ed: EigenData, s: float, lam: float):
+    """solve_complement on the eigen-data ed of lambda: the complement w and
+    F(s v + w, lambda), the residual newton converged on."""
     w_border = family.ip_weight * ed.w
 
     def evaluate(w):
@@ -163,23 +168,25 @@ def solve_complement(family: AnalyticFamily, s: float, lam: float) -> np.ndarray
         return lambda r: solve_bordered(lu, ed.v, w_border, 0.0, -r[:-1], -r[-1])[0]
 
     try:
-        return newton(np.zeros(family.n), evaluate, linearize, 60)[0]
+        w, info = newton(np.zeros(family.n), evaluate, linearize, 60)
     except (NumericalError, NonConvergenceError) as exc:
         raise OutsideChartError(
             f"complement solve failed at (s, lambda) = ({s}, {lam}): {exc}"
         ) from exc
+    return w, info.residual[:-1]
 
 
 def reduced_map(family: AnalyticFamily, s: float, lam: float):
     """The scalar reduced map B(s, lambda) = <F(s v + w, lambda), what> and
     the complement w = w(s, lambda).
 
-    B is the component of F that solve_complement leaves over.  Writing it
-    as s mu + <F - A0 x, what>, A0 = D_x F(0, lambda), would need
-    A0 v = mu v, which the strip's pencil J v = mu B v does not give."""
+    B is the component of F that solve_complement leaves over, read off the
+    residual it converged on.  Writing it as s mu + <F - A0 x, what>,
+    A0 = D_x F(0, lambda), would need A0 v = mu v, which the strip's pencil
+    J v = mu B v does not give."""
     ed = family.eigendata(lam)
-    w = solve_complement(family, s, lam)
-    return family.ip(family.f(s * ed.v + w, lam), ed.w), w
+    w, F = _complement(family, ed, s, lam)
+    return family.ip(F, ed.w), w
 
 
 def _estimate_m(family: AnalyticFamily, lam_max: float):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,13 +107,15 @@ def _signbit(x: float) -> bool:
 
 @dataclass
 class NewtonInfo:
-    """What newton did: its Newton iterates (one fresh factorization each,
-    the polish aside), the chord steps it kept, and the final residual
-    sup-norm."""
+    """What newton did: its factorizations of the Jacobian (one per Newton
+    iterate, or one for the polish of a start that had already converged),
+    the chord steps it kept (between damped iterates and in the polish), the
+    final residual sup-norm and the residual vector at the returned x."""
 
     iterations: int
     residual_sup: float
     chord_steps: int = 0
+    residual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def newton(x, evaluate, linearize, max_iter: int, damped: bool = False):
@@ -139,9 +141,14 @@ def newton(x, evaluate, linearize, max_iter: int, damped: bool = False):
     converged and above CONTRACTION times the last one raises
     NonConvergenceError: the iteration has stopped contracting.
 
-    Both: once converged with sup above 1e-14, one polish step on a fresh
-    factor is kept if it lowers sup (a breach throws it away), so the
-    converged residual sits at the rounding floor.
+    Both: once converged, a sup above 1e-14 is polished to the rounding floor
+    by chord steps on the last iterate's factor (Deuflhard 2004, ch. 2).  Each
+    trial that lowers sup is kept and counted in `chord_steps`; the polish
+    goes on while each kept trial at least halves sup and sup stays above
+    1e-14, and a trial that lowers nothing or breaches is thrown away and
+    ends it.  Only a start that has already converged takes a fresh factor
+    for its polish; that factor is counted in `iterations` as well, so
+    `iterations` is the number of factorizations.
     """
 
     def attempt(x_try):
@@ -187,11 +194,20 @@ def newton(x, evaluate, linearize, max_iter: int, damped: bool = False):
         x, r, sup, done = trial
         info.iterations += 1
 
-    if sup > 1e-14:
-        trial = attempt(x + linearize(x)(r))
-        if trial is not None and trial[2] < sup:
-            x, r, sup, done = trial
+    while sup > 1e-14:
+        if step is None:  # converged at entry: no factor yet
+            step = linearize(x)
+            info.iterations += 1
+        trial = attempt(x + step(r))
+        if trial is None or trial[2] >= sup:
+            break
+        last = sup
+        x, r, sup, done = trial
+        info.chord_steps += 1
+        if sup > CONTRACTION * last:
+            break
     info.residual_sup = sup
+    info.residual = r
     return x, info
 
 

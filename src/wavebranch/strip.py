@@ -24,7 +24,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import (
     CheckpointFormatError,
@@ -69,11 +68,13 @@ def _load_flapack():
     package without running `scipy.linalg.__init__`, whose array-API set-up
     imports numpy.f2py, numpy.testing, numpy.random and numpy.ma (about 0.25 s
     of a fresh interpreter).  It is registered under its own name, so a later
-    `import scipy.linalg` reuses it and binds the same routine objects."""
+    `import scipy.linalg` reuses it and binds the same routine objects.
+    scipy's folder is found without importing the scipy package either."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_flapack" + suffix)
         if os.path.isfile(path):
@@ -510,7 +511,8 @@ def newton_solve(
 ):
     """Newton at fixed R and far-field column to a residual sup-norm of at
     most tol: roots.newton, damped, with one assembly and band LU of J per
-    iterate.  With return_info=True, returns (field, NewtonInfo)."""
+    iterate, whose factor also serves the chord steps after it and the
+    polish.  With return_info=True, returns (field, NewtonInfo)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
 

@@ -505,13 +505,14 @@ _LINALG = _HEAVY + ("scipy.linalg", "scipy._lib._array_api", "numpy.ma.")
 def test_solve_path_imports_no_heavy_scipy_subpackage():
     # a fresh interpreter solving at fixed R, as `wavebranch solve` does, and
     # reporting the critical stream loads numpy and scipy's LAPACK extension
-    # only
+    # only: not the scipy package itself, nor the monitor's concurrent.futures
     loaded = _modules_loaded_by("""
 import json, sys
 from wavebranch.cli import main
 for omega, R in (("0", "1.53"), ("-0.5", "1.81")):
     assert main(["solve", "--omega", omega, "--R", R, "--nq", "121", "--np", "17"]) == 0
 assert main(["critical", "--omega", "1", "-2"]) == 0
+assert "scipy" not in sys.modules and "concurrent.futures" not in sys.modules
 """, _LINALG)
     assert loaded == ["scipy.linalg._flapack"]
 
@@ -661,8 +662,19 @@ def test_same_outputs_names_each_differing_file(tmp_path, capsys):
     (tmp_path / "b" / "run" / "point_0000.txt").write_bytes(b"1.0\n2.1\n")
     assert same_outputs.report(a, b, "parent") == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == [f"differs: {os.path.join('run', 'point_0000.txt')}",
+    assert out == [f"differs: {os.path.join('run', 'point_0000.txt')}  max |diff| 0.1",
                    "1 of 2 files differ from parent"]
+
+    # numbers that do not pair up get no difference
+    (tmp_path / "b" / "solve.stdout").write_text("iterations 3\nchord_steps 7\n")
+    assert same_outputs.report(a, b, "parent") == 1
+    assert capsys.readouterr().out.splitlines()[1] == "differs: solve.stdout"
+    (tmp_path / "a" / "solve.stdout").write_text('{"iterations": 4, "x": [nan, 2e-3]}\n')
+    (tmp_path / "b" / "solve.stdout").write_text('{"iterations": 3, "x": [nan, 1e-3]}\n')
+    assert same_outputs.max_abs_difference(str(tmp_path / "a" / "solve.stdout"),
+                                           str(tmp_path / "b" / "solve.stdout")) == 1.0
+    for side in ("a", "b"):
+        (tmp_path / side / "solve.stdout").write_text("iterations 3\n")
 
     (tmp_path / "a" / "extra.json").write_text("{}\n")
     assert same_outputs.differing_files(a, b) == ["extra.json", os.path.join("run", "point_0000.txt")]

@@ -61,6 +61,19 @@ class TestReducedMap:
                 B, _ = ly.reduced_map(pitchfork, s, lam)
                 assert B == pytest.approx(s * (lam - s**2 + s**4), abs=1e-12)
 
+    def test_reads_B_off_the_converged_residual(self):
+        # B comes from the residual the complement solve converged on, with
+        # no further evaluation of F, and equals the projection of F at w
+        fam = ly.pitchfork_family()
+        f, calls = fam.f, []
+        fam.f = lambda x, lam: calls.append(lam) or f(x, lam)
+        B, w = ly.reduced_map(fam, 0.2, 0.05)
+        assert len(calls) == 2
+        ly.solve_complement(fam, 0.2, 0.05)
+        assert len(calls) == 4
+        ed = fam.eigendata(0.05)
+        assert B == fam.ip(f(0.2 * ed.v + w, 0.05), ed.w)
+
     def test_trivial_line(self, pitchfork):
         for lam in np.linspace(-0.2, 0.2, 7):
             B, _ = ly.reduced_map(pitchfork, 0.0, lam)

@@ -106,9 +106,9 @@ class TestNewton:
     def test_converged_keeps_the_polish(self):
         sys_ = _sqrt2()
         x, info = sys_.solve([1.5])
-        # three iterates reach 4.5e-12; the polish on a fourth factor takes
-        # it to the rounding floor
-        assert info.iterations == 3 and sys_.factors == 4
+        # three iterates reach 4.5e-12; one chord step on the third factor
+        # takes it to the rounding floor
+        assert (info.iterations, info.chord_steps, sys_.factors) == (3, 1, 3)
         assert info.residual_sup < 1e-15
         assert x[0] == math.sqrt(2.0)
 
@@ -122,7 +122,7 @@ class TestNewton:
         # that holds every iterate from 1.5; the converged iterate is kept
         sys_ = _sqrt2(lo=math.sqrt(2.0) + 1e-12)
         x, info = sys_.solve([1.5])
-        assert info.iterations == 3 and sys_.factors == 4
+        assert (info.iterations, info.chord_steps, sys_.factors) == (3, 0, 3)
         assert x[0] == sys_.xs[-2] and info.residual_sup == pytest.approx(4.51e-12, rel=1e-2)
 
     def test_converged_start_takes_no_step(self):
@@ -130,6 +130,27 @@ class TestNewton:
         x, info = sys_.solve([math.sqrt(2.0)])
         # the residual 4.4e-16 is below the polish threshold 1e-14
         assert info.iterations == 0 and sys_.factors == 0 and sys_.xs == [x[0]]
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_converged_start_polishes_on_a_fresh_factor(self, damped):
+        # the residual 2.8e-12 has converged but is above 1e-14: with no
+        # factor yet, the polish takes one, and one step on it reaches the
+        # rounding floor
+        sys_ = _sqrt2()
+        x, info = sys_.solve([math.sqrt(2.0) + 1e-12], damped=damped)
+        assert (info.iterations, info.chord_steps, sys_.factors) == (1, 1, 1)
+        assert x[0] == math.sqrt(2.0) and len(sys_.xs) == 2
+
+    def test_polish_stops_at_the_first_step_that_fails_to_halve(self):
+        # Newton on x^3 = 0 maps x to 2x/3, so 19 iterates from 1 reach the
+        # residual (8/27)^19 = 9.2e-11; a chord step on the 19th factor then
+        # lowers the residual by 0.62 only: it is kept and ends the polish
+        sys_ = Closed(lambda x: x**3, lambda x: np.array([[3.0 * x[0] ** 2]]))
+        x, info = sys_.solve([1.0])
+        assert (info.iterations, info.chord_steps, sys_.factors) == (19, 1, 19)
+        assert len(sys_.xs) == 1 + 19 + 1 and x[0] == sys_.xs[-1]
+        converged = sys_.xs[-2] ** 3
+        assert 0.5 * converged < info.residual_sup < converged
 
     def test_damped_breach_is_rejected_and_backtracks(self):
         # from 0.5 the full step lands on 2.25, outside x < 2: the half step
@@ -176,12 +197,12 @@ class TestNewton:
 
     def test_damped_solve_takes_chord_steps(self):
         # after one iterate, the factor at 1.5 keeps halving the residual, so
-        # seven chord steps on it replace two Newton iterates; the polish
-        # takes the second factor
+        # seven chord steps on it replace two Newton iterates, and three more
+        # polish the converged residual below 1e-14 on the same factor
         sys_ = _sqrt2()
         x, info = sys_.solve([1.5], damped=True)
-        assert (info.iterations, info.chord_steps, sys_.factors) == (1, 7, 2)
-        assert info.residual_sup < 1e-15
+        assert (info.iterations, info.chord_steps, sys_.factors) == (1, 10, 1)
+        assert info.residual_sup <= 1e-14
 
 
 class TestComplementOutsideChart:

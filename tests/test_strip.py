@@ -221,11 +221,23 @@ class TestChordSteps:
         sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
         assert np.abs(sol.h - ref.h).max() < 1e-12
         assert branch.replay_checkpoint(sol, spec) < 1e-12
-        # one factorization per Newton iterate, plus the polish
-        assert len(log) == info.iterations + 1
+        # one factorization per Newton iterate; the polish reuses the last
+        assert len(log) == info.iterations
         assert info.chord_steps > 0
         if omega == [0.0] and dR == 0.04:
             assert len(log) < ref_factors
+
+    @pytest.mark.parametrize("omega", [[0.0], [1.0, -2.0], [-0.5]], ids=str)
+    @pytest.mark.parametrize("dR", [0.005, 0.04])
+    def test_chord_polish_reaches_the_rounding_floor(self, omega, dR):
+        # a fresh Newton step from the solution lowers its residual by less
+        # than 2x: the chord polish left nothing a new factor would remove
+        spec, guess = _seeded(omega, dR)
+        sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
+        lu = strip.band_lu(strip.assemble_jacobian(sol, spec))
+        dx = lu.solve(-strip.residual_vector(sol, spec))
+        fresh = strip.residual(strip.unpack(sol, strip.pack(sol) + dx), spec).sup
+        assert fresh > 0.5 * info.residual_sup
 
     def test_rejected_chord_step_refactors(self, monkeypatch):
         # on [0] at R_c + 0.04 the first chord step after the seed's iterate
@@ -250,13 +262,21 @@ class TestChordSteps:
         sol, info = strip.newton_solve(guess, spec, tol=1e-10, return_info=True)
         # a chord step is a solve on an earlier factor (not right after its
         # band_lu) and the residual of its trial; the residual before that
-        # solve is the one the step must halve
+        # solve is the one the step must halve, or, in the polish of a
+        # converged residual, lower
         chords = [(k + 1, log[k - 1], log[k + 1]) for k, e in enumerate(log)
                   if e == "solve" and log[k - 1] != "lu"]
-        kept = [r <= 0.5 * before or r <= 1e-10 for _, before, r in chords]
+        kept = [r < before if before <= 1e-10 else r <= 0.5 * before or r <= 1e-10
+                for _, before, r in chords]
         assert not kept[0]
         assert log[chords[0][0] + 1] == "lu"
         assert info.chord_steps == sum(kept)
+        # the polish goes on while each step halves the residual, and its
+        # last step fails to halve it or reaches 1e-14
+        polish = [(before, r) for _, before, r in chords if before <= 1e-10]
+        assert polish and all(r <= 0.5 * before for before, r in polish[:-1])
+        assert polish[-1][1] > 0.5 * polish[-1][0] or polish[-1][1] <= 1e-14
+        assert log[-1] == polish[-1][1]
         assert info.residual_sup <= 1e-10
         assert full_residual(sol, spec).sup == info.residual_sup
 
