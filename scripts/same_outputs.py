@@ -11,7 +11,10 @@ writes or prints is relative, it runs:
 
 - `wavebranch solve --out --profile-out` for omega [0], [1, -2] and [-0.5],
   each at R_c + 0.005 and R_c + 0.03 (R_c from the working tree);
-- `scripts/run_fold_pairs.py` with its defaults;
+- `scripts/run_fold_pairs.py` with its defaults, then, on the branch it
+  writes to fold_run/, `wavebranch ls-reduce` from point_0001.txt to
+  point_0003.txt with nu0 on 512 nodes (no crossing: its JSON holds both
+  points' mu1 and nu0) and `wavebranch verify`;
 - `wavebranch model-bifurcate` for every case of the model gallery;
 - `scripts/run_model_gallery.py` with its defaults.
 
@@ -59,6 +62,12 @@ def commands() -> list[tuple[str, list[str]]]:
                 "--out", f"{tag}.txt", "--profile-out", f"{tag}.csv",
             ]))
     runs.append(("fold_pairs", ["scripts/run_fold_pairs.py"]))
+    runs.append(("ls_reduce", cli + [
+        "ls-reduce", "--checkpoint-a", "fold_run/point_0001.txt",
+        "--checkpoint-b", "fold_run/point_0003.txt", "--nu0-grid-n", "512",
+        "--out", "ls_reduce.json",
+    ]))
+    runs.append(("verify", cli + ["verify", "--dir", "fold_run"]))
     for case in MODEL_CASES:
         runs.append((f"model_{case}", cli + ["model-bifurcate", "--case", case,
                                              "--out", f"model_{case}.json"]))

@@ -52,11 +52,13 @@ __all__ = [
     "branch_point_from_field",
     "continue_branch",
     "tangent",
+    "secant_length",
     "spectrum_at",
     "pencil_weight",
     "shift_invert_eigs",
     "localized_fraction",
     "below_edge",
+    "crossing_bracket",
     "diagnostics_of",
     "loop_closure",
     "detect_events",
@@ -151,15 +153,19 @@ def _norm_product(weight, dx, dlam) -> float:
     return float(np.sqrt(_ip(weight, dx, dx) + dlam * dlam))
 
 
+def secant_length(x0, l0, x1, l1, weight) -> float:
+    """Length of the secant from the packed state (x0, l0) to (x1, l1) in the
+    weighted product norm: what tangent divides by."""
+    return _norm_product(weight, x1 - x0, l1 - l0)
+
+
 def tangent(x0, l0, x1, l1, weight):
     """Normalized secant direction from the packed state (x0, l0) to (x1, l1):
     (tan_x, tan_lam) with unit norm in the weighted product inner product."""
-    dx = x1 - x0
-    dlam = l1 - l0
-    n = _norm_product(weight, dx, dlam)
+    n = secant_length(x0, l0, x1, l1, weight)
     if n < 1e-14 * (1.0 + abs(l1)):
         raise DegenerateTangentError("coincident branch points; secant undefined")
-    return dx / n, dlam / n
+    return (x1 - x0) / n, (l1 - l0) / n
 
 
 def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds):
@@ -363,10 +369,7 @@ def localized_fraction(grid: StripGrid, vec: np.ndarray) -> float:
         return 0.0
     mass = (vec.reshape(nq - 1, npp - 1) / scale) ** 2
     inner = grid.q[: nq - 1] < 0.5 * grid.L
-    total = mass.sum()
-    if total == 0.0:
-        return 0.0
-    return float(mass[inner].sum() / total)
+    return float(mass[inner].sum() / mass.sum())
 
 
 def pencil_weight(field: StripField) -> np.ndarray:
@@ -445,6 +448,16 @@ def below_edge(mu, nu0):
     return mu < nu0 - 1e-9 * np.abs(nu0)
 
 
+def crossing_bracket(a, b) -> bool:
+    """Whether the branch points a and b bracket a crossing of the monitored
+    mu1 (Keller 1977): both mu1 lie below their edge nu0 (below_edge, so
+    neither is the sentinel nor nan) and they have opposite signs.  A mu1 of
+    exactly 0.0 brackets nothing."""
+    return bool(
+        below_edge(a.mu1, a.nu0) and below_edge(b.mu1, b.nu0) and a.mu1 * b.mu1 < 0
+    )
+
+
 def spectrum_at(
     field: StripField,
     spec: VorticitySpec,
@@ -506,33 +519,20 @@ def spectrum_at(
     return SpectrumInfo(eigenvalues=vals, localized=localized, mu0=mu0, mu1=mu1, nu0=float(nu0))
 
 
-def _branch_point(
-    field: StripField,
-    spec: VorticitySpec,
-    t: float,
-    nu0_grid_n: int,
-    spectrum: str = "required",
-    tangent=(None, None),
-    ds: float = 0.0,
-    sigma: float | None = None,
-) -> BranchPoint:
-    """BranchPoint of a solved field: its diagnostics, the tangent and ds of
-    the step that reached it, and spectral data by `spectrum`: "required"
-    (errors propagate), "best-effort" (a NumericalError leaves them unset) or
-    "none", computed from the starting shift sigma.  Unset spectral data read
-    mu0 = None, mu1 = nu0 = nan."""
-    mu0, mu1, nu0 = None, np.nan, np.nan
-    if spectrum != "none":
-        try:
-            info = spectrum_at(field, spec, nu0_grid_n=nu0_grid_n, sigma=sigma)
-            mu0, mu1, nu0 = info.mu0, info.mu1, info.nu0
-        except NumericalError:
-            if spectrum == "required":
-                raise
+def _branch_point(field: StripField, t: float, tangent=(None, None), ds: float = 0.0):
+    """BranchPoint of a solved field at arclength t: its diagnostics and the
+    tangent and ds of the step that reached it.  Its spectral data read
+    mu0 = None, mu1 = nu0 = nan until _set_spectrum fills them in."""
     return BranchPoint(
-        field=field, t=t, R=field.R, mu0=mu0, mu1=mu1, nu0=nu0,
+        field=field, t=t, R=field.R, mu0=None, mu1=np.nan, nu0=np.nan,
         diag=diagnostics_of(field), tangent_x=tangent[0], tangent_lam=tangent[1], ds=ds,
     )
+
+
+def _set_spectrum(point: BranchPoint, info: SpectrumInfo) -> BranchPoint:
+    """point with mu0, mu1 and nu0 taken from its spectrum info."""
+    point.mu0, point.mu1, point.nu0 = info.mu0, info.mu1, info.nu0
+    return point
 
 
 def branch_point_from_field(
@@ -541,7 +541,7 @@ def branch_point_from_field(
     t: float = 0.0,
     nu0_grid_n: int = 1024,
 ) -> BranchPoint:
-    return _branch_point(field, spec, t, nu0_grid_n)
+    return _set_spectrum(_branch_point(field, t), spectrum_at(field, spec, nu0_grid_n))
 
 
 def _shift_hint(prev: BranchPoint, tangent_lam: float) -> float | None:
@@ -635,14 +635,16 @@ def continue_branch(
     and the old mu1 becomes mu0.  Either way the point's mu0, mu1 and nu0
     are filled in, and checked (mu0 < 0 and simple, nu0 > 0), at the next
     accepted step, before the function returns, and before any exception
-    leaves it.  A point whose spectrum_at raised is dropped; a point that
-    fails a check is kept.  A NumericalError or BranchStallError carries the
-    points so far as partial_points and the last of them as last_good.  The
-    worker runs the same code on a copy of this process (ARPACK's start vector
-    is fixed, BLAS runs with the same thread count), so both paths give
-    bitwise-equal points.  The start point, the best-effort spectrum of a
-    margin-breach terminal point (from the same starting shift) and
-    point_at_arclength stay in-process.
+    leaves it, by _set_spectrum, the one place a point gets its spectral
+    data.  A point whose spectrum_at raised is dropped; a point that fails a
+    check is kept.  A NumericalError or BranchStallError carries the points so
+    far as partial_points and the last of them as last_good.  The worker runs
+    the same code on a copy of this process (ARPACK's start vector is fixed,
+    BLAS runs with the same thread count), so both paths give bitwise-equal
+    points.  The best-effort spectrum of a margin-breach terminal point (from
+    the same starting shift; a NumericalError leaves it unset) is computed
+    in-process, as branch_point_from_field computes the start point's.  A
+    loop-closure point carries no spectrum.
     """
     ctrl = ctrl or StepControl()
     if start.field is None:
@@ -669,8 +671,7 @@ def continue_branch(
         except BaseException:
             points.pop()  # no spectrum, no point
             raise
-        pt = points[-1]
-        pt.mu0, pt.mu1, pt.nu0 = info.mu0, info.mu1, info.nu0
+        pt = _set_spectrum(points[-1], info)
         if pt.mu0 is None or pt.mu0 >= 0.0:
             raise NumericalError(
                 f"lowest localized eigenvalue not negative at t={pt.t}: {pt.mu0}"
@@ -683,21 +684,21 @@ def continue_branch(
     def on_accept(step: AcceptedStep):
         settle()
         fld = sys_.field_of(step.x, step.lam)
-        t = start.t + step.t
-        tan = (step.tangent_x, step.tangent_lam)
-        if loop_closure(points, fld, t, min_arc=3.0 * ds, tol=10.0 * NEWTON_TOL):
-            points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
+        pt = _branch_point(fld, start.t + step.t, (step.tangent_x, step.tangent_lam), step.ds)
+        if loop_closure(points, fld, pt.t, min_arc=3.0 * ds, tol=10.0 * NEWTON_TOL):
+            points.append(pt)
             return "loop-closure"
         sigma = _shift_hint(points[-1], step.tangent_lam)
-        breaches = _margin_breaches(diagnostics_of(fld), init_diag, ctrl.margin_fraction)
+        points.append(pt)
+        breaches = _margin_breaches(pt.diag, init_diag, ctrl.margin_fraction)
         if breaches:
             # the diagnostics already signal physical breakdown; the spectral
             # data of the terminal point are best-effort only
-            points.append(
-                _branch_point(fld, spec, t, nu0_grid_n, "best-effort", tan, step.ds, sigma)
-            )
+            try:
+                _set_spectrum(pt, spectrum_at(fld, spec, nu0_grid_n, sigma))
+            except NumericalError:
+                pass
             return f"margin-breach:{breaches[0]}"
-        points.append(_branch_point(fld, spec, t, nu0_grid_n, "none", tan, step.ds))
         pending.append(pool.submit(spectrum_at, fld, spec, nu0_grid_n, sigma))
         return None
 
@@ -732,11 +733,10 @@ def point_at_arclength(
     from_point: BranchPoint,
     spec: VorticitySpec,
     t_target: float,
-    with_spectrum: bool = True,
-    nu0_grid_n: int = 1024,
 ) -> BranchPoint:
     """Re-solve the branch at a prescribed arclength by one bordered step from
-    an accepted point, using its stored tangent."""
+    an accepted point, using its stored tangent.  The point carries no
+    spectral data; spectrum_at of its field gives them."""
     if from_point.field is None or from_point.tangent_x is None:
         raise ValueError("from_point must carry a field and a stored tangent")
     sys_ = SolitarySystem(spec, from_point.field.grid)
@@ -748,10 +748,7 @@ def point_at_arclength(
     x_new, lam_new, _ = _corrector(
         sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds
     )
-    spectrum = "required" if with_spectrum else "none"
-    return _branch_point(
-        sys_.field_of(x_new, lam_new), spec, t_target, nu0_grid_n, spectrum, (tan_x, tan_lam), ds
-    )
+    return _branch_point(sys_.field_of(x_new, lam_new), t_target, (tan_x, tan_lam), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -827,10 +824,10 @@ def _estimate_crossing_order(ts, mu1s, t_star):
     mu = np.asarray(mu1s, dtype=float)
     d = np.abs(ts - t_star)
     ok = (d > 1e-12) & (np.abs(mu) > 0)
-    if ok.sum() < 2:
-        return None
     idx = np.argsort(d[ok])[:6]
     x = np.log(d[ok][idx])
+    if x.size < 2 or x.min() == x.max():
+        return None  # no two distinct distances, no slope
     y = np.log(np.abs(mu[ok][idx]))
     slope = np.polyfit(x, y, 1)[0]
     return int(round(slope))
@@ -841,9 +838,10 @@ def detect_events(points):
 
     points: sequence of BranchPoint (synthetic traces may use field=None).
     A sign change of the R increments marks a Turning, placed at the root of
-    the slope of the spline R(t) nearest the extreme sample.  A sign change
-    of mu1 between two samples below the edge marks an EigenCrossing, placed
-    by `brentq` on the spline of the finite mu1 samples.  Returns a list of
+    the slope of the spline R(t) nearest the extreme sample.  Two neighbours
+    that form a crossing_bracket mark an EigenCrossing, placed by `brentq` on
+    the spline of the finite mu1 samples; a mu1 of exactly 0.0 between two
+    that form one marks it at that sample.  Returns a list of
     Turning / EigenCrossing events (possibly empty).
     """
     pts = list(points)
@@ -870,26 +868,22 @@ def detect_events(points):
         events.append(Turning(t=t_star, R=R_of_t(t_star), bracket=(pts[a], pts[c + 1])))
 
     mu1s = np.array([p.mu1 for p in pts], dtype=float)
-    nu0s = np.array([p.nu0 for p in pts], dtype=float)
-    strict = below_edge(mu1s, nu0s)
     # loop-closure and failed terminal points carry mu1 = nan; the spline
     # through mu1 takes the finite samples only
     finite = np.isfinite(mu1s)
     mu1_of_t = None
     for k in range(len(pts) - 1):
-        if not (strict[k] and strict[k + 1]):
-            continue
         if mu1s[k] == 0.0:
             # a sample sitting exactly on the crossing: confirm the sign flip
             # around it and report it directly
-            if 0 < k and strict[k - 1] and mu1s[k - 1] * mu1s[k + 1] < 0:
+            if 0 < k and crossing_bracket(pts[k - 1], pts[k + 1]):
                 m_est = _estimate_crossing_order(ts, mu1s, ts[k])
                 events.append(
                     EigenCrossing(t=float(ts[k]), m_estimate=m_est,
                                   bracket=(pts[k - 1], pts[k + 1]))
                 )
             continue
-        if mu1s[k + 1] == 0.0 or (mu1s[k] > 0) == (mu1s[k + 1] > 0):
+        if not crossing_bracket(pts[k], pts[k + 1]):
             continue
         if mu1_of_t is None:
             mu1_of_t = _Spline(ts[finite], mu1s[finite])

@@ -332,23 +332,19 @@ def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
     fld_a, spec = strip_mod.read_checkpoint(args.checkpoint_a)
     fld_b, _ = strip_mod.read_checkpoint(args.checkpoint_b)
     pa = branch_mod.branch_point_from_field(fld_a, spec, t=0.0, nu0_grid_n=cfg.nu0_grid_n)
-    pb = branch_mod.branch_point_from_field(
-        fld_b, spec, t=float(np.abs(fld_b.h - fld_a.h).max()), nu0_grid_n=cfg.nu0_grid_n
-    )
+    pb = branch_mod.branch_point_from_field(fld_b, spec, nu0_grid_n=cfg.nu0_grid_n)
     payload = {"mu1_a": pa.mu1, "mu1_b": pb.mu1, "nu0_a": pa.nu0, "nu0_b": pb.nu0}
-    bracketed = bool(
-        branch_mod.below_edge(pa.mu1, pa.nu0)
-        and branch_mod.below_edge(pb.mu1, pb.nu0)
-        and pa.mu1 * pb.mu1 < 0
-    )
+    bracketed = branch_mod.crossing_bracket(pa, pb)
     payload["crossing_bracketed"] = bracketed
     if not bracketed:
         payload["note"] = "no mu1 sign change strictly below nu0 between the checkpoints"
     else:
-        pa.tangent_x, pa.tangent_lam = branch_mod.tangent(
-            strip_mod.pack(fld_a), pa.R, strip_mod.pack(fld_b), pb.R,
-            fld_a.grid.dq * fld_a.grid.dp,
-        )
+        # b lies one weighted secant length from a along the unit secant,
+        # which is the way switch_branch walks from a
+        x_a, x_b = strip_mod.pack(fld_a), strip_mod.pack(fld_b)
+        weight = fld_a.grid.dq * fld_a.grid.dp
+        pa.tangent_x, pa.tangent_lam = branch_mod.tangent(x_a, pa.R, x_b, pb.R, weight)
+        pb.t = pa.t + branch_mod.secant_length(x_a, pa.R, x_b, pb.R, weight)
         try:
             seed = ly.switch_branch((pa, pb), spec)
             payload["switched"] = True

@@ -417,9 +417,7 @@ def family_from_branch(bracket, spec, t_star):
 
     def base(lam: float):
         if lam not in base_cache:
-            base_cache[lam] = branch_mod.point_at_arclength(
-                a, spec, t_star + lam, with_spectrum=False
-            )
+            base_cache[lam] = branch_mod.point_at_arclength(a, spec, t_star + lam)
         return base_cache[lam]
 
     def f(x, lam):
@@ -447,31 +445,29 @@ def family_from_branch(bracket, spec, t_star):
 def switch_branch(bracket, spec):
     """Construct a converged off-branch seed at an eigenvalue crossing.
 
-    bracket: pair of BranchPoint with a sign change of mu1, both values
-    strictly below nu0, and stored tangents.  Returns the seed StripField after
-    it re-converges under the plain Newton solver at the selected R; raises
-    NoSecondaryBranchError when the reduced map shows only trivial zeros at
-    lattice resolution (seed_from_family on |s| <= 1e-2 and |lambda| up to
-    half the bracket's arclength).
+    bracket: pair of BranchPoint that form a branch.crossing_bracket, with
+    fields, and a stored tangent on the first.  Returns the seed StripField
+    after it re-converges under the plain Newton solver at the selected R;
+    raises NoSecondaryBranchError when the reduced map shows only trivial
+    zeros at lattice resolution (seed_from_family on |s| <= 1e-2 and |lambda|
+    up to half the bracket's arclength).
+
+    The crossing t* is refined by Brent's method on mu1(t): at each iterate,
+    point_at_arclength re-solves the branch from the first point and
+    spectrum_at (default shift, nu0 on 1024 nodes) gives mu1 of its field.
     """
     a, b = bracket
     if a.field is None or b.field is None or a.tangent_x is None:
         raise PreconditionError("bracket points must carry fields and tangents")
-    if not (np.isfinite(a.mu1) and np.isfinite(b.mu1)):
-        raise PreconditionError("bracket points lack mu1 data")
-    if a.mu1 == 0.0 or (a.mu1 > 0) == (b.mu1 > 0):
-        raise PreconditionError("bracket has no sign change of mu1")
-    for p in (a, b):
-        if not branch_mod.below_edge(p.mu1, p.nu0):
-            raise PreconditionError("mu1 is the sentinel nu0 on one side: not a crossing")
+    if not branch_mod.crossing_bracket(a, b):
+        raise PreconditionError("bracket has no mu1 sign change strictly below nu0")
 
-    # refine t* by Brent's method on mu1(t), re-solving the branch at each iterate
     cache: dict[float, float] = {a.t: a.mu1, b.t: b.mu1}
 
     def mu1_of(t: float) -> float:
         if t not in cache:
-            pt = branch_mod.point_at_arclength(a, spec, t, with_spectrum=True)
-            cache[t] = pt.mu1
+            pt = branch_mod.point_at_arclength(a, spec, t)
+            cache[t] = branch_mod.spectrum_at(pt.field, spec).mu1
         return cache[t]
 
     t_star = brentq(mu1_of, a.t, b.t, xtol=1e-10, maxiter=30)

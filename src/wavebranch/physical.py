@@ -43,13 +43,11 @@ class WaveProfile:
     X: np.ndarray
     xi: np.ndarray
     psi_y_surface: np.ndarray
-    psi_y_bottom: np.ndarray
     depth_far: float
     R: float
     theta: float  # the far stream's parameter, StripField.theta
     flow_force: float
     flow_force_variation: float
-    flow_force_columns: np.ndarray
     mass_flux_defect: float
     surface_identity_defect: float
 
@@ -95,7 +93,8 @@ def _node_derivatives(field: StripField):
 
 
 def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
-    """Physical profile, velocities, per-column flow force, and invariants."""
+    """Physical profile, surface velocity, flow force (mean and spread of the
+    per-column values) and invariants."""
     grid = field.grid
     h = field.h
     R = field.R
@@ -105,7 +104,6 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
 
     xi = h[:, -1].copy()
     psi_y_surface = 1.0 / hp[:, -1]
-    psi_y_bottom = 1.0 / hp[:, 0]
 
     om1 = eval_Omega(spec, 1.0)
     om = eval_Omega(spec, grid.p)
@@ -132,13 +130,11 @@ def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
         X=grid.q.copy(),
         xi=xi,
         psi_y_surface=psi_y_surface,
-        psi_y_bottom=psi_y_bottom,
         depth_far=float(d_far),
         R=R,
         theta=theta,
         flow_force=flow_force,
         flow_force_variation=variation,
-        flow_force_columns=S_cols,
         mass_flux_defect=mass_defect,
         surface_identity_defect=surf_defect,
     )

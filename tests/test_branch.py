@@ -311,7 +311,7 @@ class TestContinuation:
     def test_point_at_arclength(self, mini_branch, irrot):
         a = mini_branch[2]
         t_mid = 0.5 * (mini_branch[2].t + mini_branch[3].t)
-        pt = branch.point_at_arclength(a, irrot, t_mid, with_spectrum=False)
+        pt = branch.point_at_arclength(a, irrot, t_mid)
         assert a.t < pt.t < mini_branch[3].t
         assert strip.residual(pt.field, irrot).sup < 1e-11
 

@@ -14,9 +14,15 @@ import numpy as np
 import pytest
 
 from wavebranch import branch, cli, strip
+from wavebranch import lyapunov as ly
 from wavebranch import physical as phys
 from wavebranch.cli import RunConfig, main
-from wavebranch.errors import BranchStallError, NumericalError
+from wavebranch.errors import (
+    BranchStallError,
+    NoSecondaryBranchError,
+    NumericalError,
+    PreconditionError,
+)
 
 
 def run(capsys, *argv):
@@ -480,6 +486,117 @@ class TestContinueAndVerify:
         assert payload["crossing_bracketed"] is False
 
 
+# (mu1, nu0) of the two points of a candidate bracket, and whether they
+# bracket a crossing of mu1
+_CROSSING_ROWS = {
+    "opposite-signs": ((-0.5, 1.0), (0.5, 1.0), True),
+    "opposite-signs-falling": ((0.3, 1.0), (-0.2, 1.0), True),
+    "same-sign-positive": ((0.2, 1.0), (0.5, 1.0), False),
+    "same-sign-negative": ((-0.2, 1.0), (-0.5, 1.0), False),
+    "sentinel": ((-0.5, 1.0), (1.0, 1.0), False),
+    "just-below-the-edge": ((-0.5, 1.0), (1.0 - 1e-10, 1.0), False),
+    "nan-mu1": ((-0.5, 1.0), (np.nan, 1.0), False),
+    "nan-point": ((np.nan, np.nan), (0.5, 1.0), False),
+    "zero-after-positive": ((0.5, 1.0), (0.0, 1.0), False),
+    "zero-after-negative": ((-0.5, 1.0), (0.0, 1.0), False),
+    "zero-first": ((0.0, 1.0), (0.5, 1.0), False),
+}
+
+
+class _PastPreconditions(Exception):
+    pass
+
+
+def _ls_reduce(capsys, monkeypatch, pts, spec, tmp_path, spectral=None):
+    """Run ls-reduce on the checkpoints of the points pts, with a
+    switch_branch that records the bracket it is handed; spectral, when
+    given, is the (mu1, nu0) each checkpoint reads in place of its spectrum.
+    Returns (exit code, payload, brackets handed to switch_branch)."""
+    paths = []
+    for k, p in enumerate(pts):
+        paths.append(str(tmp_path / f"point_{k}.txt"))
+        strip.write_checkpoint(paths[-1], p.field, spec)
+    if spectral is not None:
+        rows = list(spectral)
+
+        def tagged(field, spec, t=0.0, nu0_grid_n=1024):
+            mu1, nu0 = rows.pop(0)
+            return branch.BranchPoint(field=field, t=t, R=field.R, mu0=-1.0, mu1=mu1, nu0=nu0)
+
+        monkeypatch.setattr(branch, "branch_point_from_field", tagged)
+    handed = []
+
+    def switch(bracket, spec):
+        handed.append(bracket)
+        raise NoSecondaryBranchError("recorded")
+
+    monkeypatch.setattr(ly, "switch_branch", switch)
+    code, _, _ = run(capsys, "ls-reduce", "--checkpoint-a", paths[0], "--checkpoint-b", paths[1],
+                     "--out", str(tmp_path / "ls.json"), "--nu0-grid-n", "128")
+    return code, json.loads((tmp_path / "ls.json").read_text()), handed
+
+
+class TestCrossingRule:
+    """branch.crossing_bracket is the one rule for a crossing of mu1: the
+    monitor's events, switch_branch and ls-reduce all read it."""
+
+    @pytest.mark.parametrize("row", list(_CROSSING_ROWS))
+    def test_every_reader_agrees(self, row, mini_branch, irrot, capsys, monkeypatch, tmp_path):
+        (mu1_a, nu0_a), (mu1_b, nu0_b), want = _CROSSING_ROWS[row]
+        a = dataclasses.replace(mini_branch[2], mu1=mu1_a, nu0=nu0_a)
+        b = dataclasses.replace(mini_branch[3], mu1=mu1_b, nu0=nu0_b)
+        assert branch.crossing_bracket(a, b) is want
+
+        # a two-sample trace, padded with a point without spectrum
+        trace = [
+            branch.BranchPoint(field=None, t=t, R=1.5 + t, mu0=None, mu1=m, nu0=n)
+            for t, m, n in ((0.0, mu1_a, nu0_a), (1.0, mu1_b, nu0_b), (2.0, np.nan, np.nan))
+        ]
+        crossings = [e for e in branch.detect_events(trace) if isinstance(e, branch.EigenCrossing)]
+        assert len(crossings) == int(want)
+
+        # switch_branch refines t* by brentq once its preconditions hold
+        def past(*args, **kwargs):
+            raise _PastPreconditions
+
+        monkeypatch.setattr(ly, "brentq", past)
+        with pytest.raises(_PastPreconditions if want else PreconditionError):
+            ly.switch_branch((a, b), irrot)
+
+        code, payload, handed = _ls_reduce(
+            capsys, monkeypatch, [a, b], irrot, tmp_path, [(mu1_a, nu0_a), (mu1_b, nu0_b)]
+        )
+        assert payload["crossing_bracketed"] is want
+        assert (code, len(handed)) == ((0, 1) if want else (1, 0))
+
+    def test_exact_zero_sample_between_a_bracket(self):
+        # the sample on the crossing is the event; with its neighbours at
+        # one distance from it, no crossing order can be estimated
+        trace = [
+            branch.BranchPoint(field=None, t=t, R=1.5 + t, mu0=None, mu1=m, nu0=1.0)
+            for t, m in ((0.0, -0.5), (1.0, 0.0), (2.0, 0.5))
+        ]
+        (crossing,) = [e for e in branch.detect_events(trace)
+                       if isinstance(e, branch.EigenCrossing)]
+        assert (crossing.t, crossing.m_estimate) == (1.0, None)
+        assert crossing.bracket == (trace[0], trace[2])
+
+    def test_ls_reduce_bracket_lands_on_its_second_point(
+        self, mini_branch, irrot, capsys, monkeypatch, tmp_path
+    ):
+        # switch_branch walks from a along the unit secant in the weighted
+        # norm, so b must lie at a.t + that secant's length
+        monkeypatch.setattr(branch, "crossing_bracket", lambda a, b: True)
+        code, _, handed = _ls_reduce(
+            capsys, monkeypatch, [mini_branch[1], mini_branch[3]], irrot, tmp_path
+        )
+        assert code == 0
+        ((pa, pb),) = handed
+        landed = branch.point_at_arclength(pa, irrot, pb.t)
+        assert abs(landed.R - pb.R) <= 1e-12
+        assert np.abs(landed.field.h - pb.field.h).max() <= 1e-12
+
+
 _HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.sparse")
 
 
@@ -565,6 +682,14 @@ assert main(["verify", "--dir", {str(fold_dir)!r}]) == 0
 """)
     assert loaded == []
     assert json.loads((tmp_path / "pairs.json").read_text())["events"][0]["kind"] == "Turning"
+    # the audit alone replays on the band LU: scipy's LAPACK extension, and
+    # not scipy.linalg's package, which only the spline of `pairs` loads
+    loaded = _modules_loaded_by(f"""
+import json, sys
+from wavebranch.cli import main
+assert main(["verify", "--dir", {str(fold_dir)!r}]) == 0
+""", _LINALG)
+    assert loaded == ["scipy.linalg._flapack"]
 
 
 def _script(name: str):

@@ -258,16 +258,18 @@ class TestPdeWiring:
         assert fam.ip(ed.v, ed.v) == pytest.approx(1.0, abs=1e-10)
         assert fam.ip(ed.v, ed.w) == pytest.approx(1.0, abs=1e-10)
         # the crossing-tracked eigenvalue matches the monitored mu1 at this point
-        mid = branch.point_at_arclength(a, irrot, 0.5 * (a.t + b.t), nu0_grid_n=256)
-        assert ed.mu == pytest.approx(mid.mu1, rel=2e-2)
+        mid = branch.point_at_arclength(a, irrot, 0.5 * (a.t + b.t))
+        mu1 = branch.spectrum_at(mid.field, irrot, nu0_grid_n=256).mu1
+        assert ed.mu == pytest.approx(mu1, rel=2e-2)
 
     def test_pde_eigendata_is_the_monitored_mu1(self, mini_branch, irrot):
         # the reduction and the spectral monitor solve one pencil
         a, b = mini_branch[2], mini_branch[3]
         t_mid = 0.5 * (a.t + b.t)
         fam = ly.family_from_branch((a, b), irrot, t_mid)
-        mid = branch.point_at_arclength(a, irrot, t_mid, nu0_grid_n=256)
-        assert fam.eigendata(0.0).mu == pytest.approx(mid.mu1, abs=1e-10)
+        mid = branch.point_at_arclength(a, irrot, t_mid)
+        mu1 = branch.spectrum_at(mid.field, irrot, nu0_grid_n=256).mu1
+        assert fam.eigendata(0.0).mu == pytest.approx(mu1, abs=1e-10)
 
     def test_pde_eigendata_is_cached_per_lam(self, mini_branch, irrot, monkeypatch):
         # one factorization of J - sigma B serves the right and the left
