@@ -34,6 +34,7 @@ from .strip import (
     assemble_jacobian,
     band_lu,
     initial_guess,
+    node_derivatives,
     pack,
     residual_vector,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "below_edge",
     "crossing_bracket",
     "diagnostics_of",
+    "crossing_order",
     "loop_closure",
     "detect_events",
     "replay_checkpoint",
@@ -220,8 +222,6 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
                 )
                 break
             except WavebranchError as exc:
-                if isinstance(exc, BranchStallError):
-                    raise
                 ds_cur *= 0.5
                 if ds_cur < ds_min:
                     raise BranchStallError(
@@ -230,11 +230,9 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
                         last_good=accepted[-1] if accepted else None,
                     ) from exc
         t += ds_cur
-        new_tan_x, new_tan_lam = tangent(x_prev, lam_prev, x_new, lam_new, weight)
-        # keep orientation along the branch
-        if _ip(weight, new_tan_x, tan_x) + new_tan_lam * tan_lam < 0:
-            new_tan_x, new_tan_lam = -new_tan_x, -new_tan_lam
-        tan_x, tan_lam = new_tan_x, new_tan_lam
+        # the secant keeps the orientation: its product with the old tangent
+        # is (ds + c) / |secant|, c the converged arclength residual
+        tan_x, tan_lam = tangent(x_prev, lam_prev, x_new, lam_new, weight)
         step = AcceptedStep(
             x=x_new, lam=lam_new, t=t, ds=ds_cur, n_iters=iters,
             tangent_x=tan_x, tangent_lam=tan_lam,
@@ -262,7 +260,6 @@ class SolitarySystem:
         self.spec = spec
         self.grid = grid
         self.ip_weight = grid.dq * grid.dp
-        self._col_cache: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
         npp = grid.np
         i = np.arange(grid.nq - 1)
         self.surface_rows = i * (npp - 1) + (npp - 2)
@@ -271,15 +268,12 @@ class SolitarySystem:
         """(theta, H, dH/dR) of the supercritical stream at R on the grid's p-nodes.
 
         dH/dR = (dH/dtheta) / R'(theta), with dH/dtheta = -theta*M_3 and
-        R'(theta) = theta + dH/dtheta at p = 1, from one moment-kernel call."""
-        if R not in self._col_cache:
-            if len(self._col_cache) > 512:
-                self._col_cache.clear()
-            theta = solve_theta_for_R(self.spec, R, "supercritical")
-            H, m3 = moments(self.spec, theta, self.grid.p, (1, 3))
-            dH = -theta * m3
-            self._col_cache[R] = (theta, H, dH / (theta + dH[-1]))
-        return self._col_cache[R]
+        R'(theta) = theta + dH/dtheta at p = 1, from one moment-kernel call;
+        theta comes from the memo of solve_theta_for_R."""
+        theta = solve_theta_for_R(self.spec, R, "supercritical")
+        H, m3 = moments(self.spec, theta, self.grid.p, (1, 3))
+        dH = -theta * m3
+        return theta, H, dH / (theta + dH[-1])
 
     def field_of(self, x: np.ndarray, R: float) -> StripField:
         grid = self.grid
@@ -319,22 +313,16 @@ def loop_closure(points, field: StripField, t: float, min_arc: float, tol: float
 
 
 def diagnostics_of(field: StripField) -> Diagnostics:
-    grid = field.grid
+    """The stagnation and overhang proxies of a field: surface slope and
+    bottom velocity Psi_Y = 1/h_p from strip.node_derivatives, min_hp from
+    the forward differences that strip's unidirectionality check reads."""
     h = field.h
-    dq, dp = grid.dq, grid.dp
-    xi = h[:, -1]
-    slope_int = np.abs(xi[2:] - xi[:-2]) / (2.0 * dq)
-    slope_end = abs(3.0 * xi[-1] - 4.0 * xi[-2] + xi[-3]) / (2.0 * dq)
-    max_slope = float(max(slope_int.max(initial=0.0), slope_end))
-    surface_margin = float((field.R - xi).min())
-    hp_bottom = (4.0 * h[:, 1] - h[:, 2]) / (2.0 * dp)  # h(:,0) = 0
-    bottom_margin = float((1.0 / hp_bottom).min())
-    min_hp = float((np.diff(h, axis=1) / dp).min())
+    hq, hp = node_derivatives(field)
     return Diagnostics(
-        max_surface_slope=max_slope,
-        surface_margin=surface_margin,
-        bottom_margin=bottom_margin,
-        min_hp=min_hp,
+        max_surface_slope=float(np.abs(hq[:, -1]).max()),
+        surface_margin=float((field.R - h[:, -1]).min()),
+        bottom_margin=float((1.0 / hp[:, 0]).min()),
+        min_hp=float((np.diff(h, axis=1) / field.grid.dp).min()),
     )
 
 
@@ -384,10 +372,9 @@ def pencil_weight(field: StripField) -> np.ndarray:
     monitor and the Lyapunov-Schmidt eigen-data both use this pencil.
     """
     grid = field.grid
-    nq, npp = grid.nq, grid.np
-    hp_c = (field.h[: nq - 1, 2:] - field.h[: nq - 1, :-2]) / (2.0 * grid.dp)
-    bdiag = np.zeros((nq - 1, npp - 1))
-    bdiag[:, : npp - 2] = 1.0 / hp_c
+    _, hp = node_derivatives(field)
+    bdiag = np.zeros((grid.nq - 1, grid.np - 1))
+    bdiag[:, :-1] = 1.0 / hp[:-1, 1:-1]
     return bdiag.ravel()
 
 
@@ -538,10 +525,11 @@ def _set_spectrum(point: BranchPoint, info: SpectrumInfo) -> BranchPoint:
 def branch_point_from_field(
     field: StripField,
     spec: VorticitySpec,
-    t: float = 0.0,
     nu0_grid_n: int = 1024,
 ) -> BranchPoint:
-    return _set_spectrum(_branch_point(field, t), spectrum_at(field, spec, nu0_grid_n))
+    """Spectrally tagged BranchPoint of a solved field at arclength 0: the
+    start of a continuation run."""
+    return _set_spectrum(_branch_point(field, 0.0), spectrum_at(field, spec, nu0_grid_n))
 
 
 def _shift_hint(prev: BranchPoint, tangent_lam: float) -> float | None:
@@ -818,19 +806,22 @@ class _Spline:
         return roots
 
 
-def _estimate_crossing_order(ts, mu1s, t_star):
-    """Log-log slope of |mu1| against |t - t_star| over the 6 nearest samples."""
-    ts = np.asarray(ts, dtype=float)
-    mu = np.asarray(mu1s, dtype=float)
-    d = np.abs(ts - t_star)
-    ok = (d > 1e-12) & (np.abs(mu) > 0)
-    idx = np.argsort(d[ok])[:6]
-    x = np.log(d[ok][idx])
+def crossing_order(d, mu) -> int | None:
+    """Order m of an eigenvalue crossing (Keller 1977), |mu| ~ c d^m: the
+    least-squares slope of log|mu| against log d, rounded; None without two
+    distinct d.  d > 0 and mu != 0 elementwise."""
+    x = np.log(np.asarray(d, dtype=float))
     if x.size < 2 or x.min() == x.max():
-        return None  # no two distinct distances, no slope
-    y = np.log(np.abs(mu[ok][idx]))
-    slope = np.polyfit(x, y, 1)[0]
-    return int(round(slope))
+        return None
+    return int(round(np.polyfit(x, np.log(np.abs(mu)), 1)[0]))
+
+
+def _estimate_crossing_order(ts, mu1s, t_star):
+    """crossing_order of mu1 at t_star over the 6 samples nearest it."""
+    d = np.abs(ts - t_star)
+    ok = (d > 1e-12) & (np.abs(mu1s) > 0)
+    idx = np.argsort(d[ok])[:6]
+    return crossing_order(d[ok][idx], mu1s[ok][idx])
 
 
 def detect_events(points):

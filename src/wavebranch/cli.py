@@ -331,7 +331,7 @@ def _cmd_pairs(args, cfg: RunConfig) -> int:
 def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
     fld_a, spec = strip_mod.read_checkpoint(args.checkpoint_a)
     fld_b, _ = strip_mod.read_checkpoint(args.checkpoint_b)
-    pa = branch_mod.branch_point_from_field(fld_a, spec, t=0.0, nu0_grid_n=cfg.nu0_grid_n)
+    pa = branch_mod.branch_point_from_field(fld_a, spec, nu0_grid_n=cfg.nu0_grid_n)
     pb = branch_mod.branch_point_from_field(fld_b, spec, nu0_grid_n=cfg.nu0_grid_n)
     payload = {"mu1_a": pa.mu1, "mu1_b": pb.mu1, "nu0_a": pa.nu0, "nu0_b": pb.nu0}
     bracketed = branch_mod.crossing_bracket(pa, pb)

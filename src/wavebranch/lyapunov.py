@@ -89,7 +89,7 @@ class AnalyticFamily:
         return float(np.sum(self.ip_weight * a * b))
 
 
-def finite_family(f, df, n, ip_weight=1.0) -> AnalyticFamily:
+def finite_family(f, df, n) -> AnalyticFamily:
     """AnalyticFamily of a small system whose df returns the dense Jacobian.
 
     The family's df is that matrix as a BandMatrix, so the reduction runs on
@@ -111,11 +111,9 @@ def finite_family(f, df, n, ip_weight=1.0) -> AnalyticFamily:
         lvals, lvecs = np.linalg.eig(A.T)
         kl = int(np.argmin(np.abs(lvals - vals[k])))
         w = lvecs[:, kl].real
-        return _normalized_eigendata(
-            mu, v, w, ip_weight, 1e-8, "eigen-normalization <v, z> degenerate"
-        )
+        return _normalized_eigendata(mu, v, w, 1.0, 1e-8, "eigen-normalization <v, z> degenerate")
 
-    return AnalyticFamily(n=n, f=f, df=band_df, eigendata=eigendata, ip_weight=ip_weight)
+    return AnalyticFamily(n=n, f=f, df=band_df, eigendata=eigendata)
 
 
 def _normalized_eigendata(mu, v, w, ip_weight, degenerate_tol, message) -> EigenData:
@@ -197,10 +195,9 @@ def _estimate_m(family: AnalyticFamily, lam_max: float):
     if np.abs(mus).max() < 1e-12:
         return None, None
     ok = np.abs(mus) > 1e-14
-    if ok.sum() < 2:
+    m = branch_mod.crossing_order(lams[ok], mus[ok])
+    if m is None:
         return None, None
-    slope, _ = np.polyfit(np.log(lams[ok]), np.log(np.abs(mus[ok])), 1)
-    m = int(round(slope))
     mu_m = float(mus[-1] / lams[-1] ** m)
     return m, mu_m
 

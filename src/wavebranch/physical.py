@@ -20,7 +20,7 @@ from .branch import Turning, _Spline
 from .errors import PreconditionError, StagnationBreachError
 from .roots import brentq
 from .stream import depth as stream_depth, flow_force_of_theta
-from .strip import StripField
+from .strip import StripField, node_derivatives
 from .vorticity import VorticitySpec, eval_Omega
 
 __all__ = [
@@ -72,33 +72,13 @@ class WavePair:
             object.__setattr__(self, "t2", hi)
 
 
-def _node_derivatives(field: StripField):
-    """h_q and h_p at all nodes: central in the interior, one-sided second
-    order at boundaries, with the even-symmetry ghost at q = 0."""
-    h = field.h
-    grid = field.grid
-    dq, dp = grid.dq, grid.dp
-    nq = grid.nq
-
-    hq = np.empty_like(h)
-    hq[1:-1] = (h[2:] - h[:-2]) / (2.0 * dq)
-    hq[0] = 0.0  # even symmetry
-    hq[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * dq)
-
-    hp = np.empty_like(h)
-    hp[:, 1:-1] = (h[:, 2:] - h[:, :-2]) / (2.0 * dp)
-    hp[:, 0] = (-3.0 * h[:, 0] + 4.0 * h[:, 1] - h[:, 2]) / (2.0 * dp)
-    hp[:, -1] = (3.0 * h[:, -1] - 4.0 * h[:, -2] + h[:, -3]) / (2.0 * dp)
-    return hq, hp
-
-
 def reconstruct(field: StripField, spec: VorticitySpec) -> WaveProfile:
     """Physical profile, surface velocity, flow force (mean and spread of the
     per-column values) and invariants."""
     grid = field.grid
     h = field.h
     R = field.R
-    hq, hp = _node_derivatives(field)
+    hq, hp = node_derivatives(field)
     if hp.min() <= 0.0:
         raise StagnationBreachError("h_p <= 0 in reconstruction")
 

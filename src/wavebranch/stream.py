@@ -312,6 +312,7 @@ def dispersion_summary(spec: VorticitySpec) -> DispersionSummary:
     return DispersionSummary(theta_c=float(theta_c), R_c=float(R_c), R_0=float(R_0), theta_0=t0)
 
 
+@lru_cache(maxsize=256)
 def solve_theta_for_R(
     spec: VorticitySpec,
     R: float,
@@ -322,7 +323,9 @@ def solve_theta_for_R(
 
     regime 'supercritical': root theta > theta_c (depth d_-, Froude > 1);
     regime 'subcritical':  root in (theta0, theta_c) (depth d_+), which exists
-    only for R < R_0.
+    only for R < R_0.  Memoized, as dispersion_summary is: the grid, the seed,
+    the far-field column of every corrector iterate and the re-solves ask
+    for the same R in turn.
     """
     if regime not in ("supercritical", "subcritical"):
         raise ValueError(f"unknown regime {regime!r}")

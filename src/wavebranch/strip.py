@@ -48,6 +48,7 @@ __all__ = [
     "NewtonInfo",
     "residual",
     "residual_vector",
+    "node_derivatives",
     "assemble_jacobian",
     "BandMatrix",
     "BandLU",
@@ -186,6 +187,26 @@ def _check_unidirectional(field: StripField) -> None:
     m = (3.0 * h[:, -1] - 4.0 * h[:, -2] + h[:, -3]) / (2.0 * dp)
     if m.min() <= 0.0:
         raise StagnationBreachError("one-sided surface h_p <= 0; unidirectionality lost")
+
+
+def node_derivatives(field: StripField):
+    """h_q and h_p at all nodes: central in the interior, one-sided second
+    order at the boundaries, and h_q = 0 on the symmetry axis q = 0.  The
+    derivatives of h that the reconstruction, the branch diagnostics and the
+    spectral pencil read; the residual keeps its own half-node fluxes."""
+    h = field.h
+    dq, dp = field.grid.dq, field.grid.dp
+
+    hq = np.empty_like(h)
+    hq[1:-1] = (h[2:] - h[:-2]) / (2.0 * dq)
+    hq[0] = 0.0  # even symmetry
+    hq[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * dq)
+
+    hp = np.empty_like(h)
+    hp[:, 1:-1] = (h[:, 2:] - h[:, :-2]) / (2.0 * dp)
+    hp[:, 0] = (-3.0 * h[:, 0] + 4.0 * h[:, 1] - h[:, 2]) / (2.0 * dp)
+    hp[:, -1] = (3.0 * h[:, -1] - 4.0 * h[:, -2] + h[:, -3]) / (2.0 * dp)
+    return hq, hp
 
 
 def _flux_pieces(field: StripField, spec: VorticitySpec):

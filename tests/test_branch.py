@@ -105,6 +105,33 @@ class TestGenericDriver:
         assert steps[-1].t == pytest.approx(sum(s.ds for s in steps), abs=1e-12)
 
 
+def _tangent_products(tangents, weight):
+    """Weighted products of consecutive (tan_x, tan_lam) pairs."""
+    return [float(np.sum(weight * a[0] * b[0])) + a[1] * b[1]
+            for a, b in zip(tangents[:-1], tangents[1:])]
+
+
+class TestTangentOrientation:
+    """The secant of an accepted step keeps the direction of the tangent that
+    predicted it: their product is (ds + c) / |secant|, c the converged
+    arclength residual, so every stored tangent turns by less than 90 degrees."""
+
+    def test_fold_traversal(self):
+        tan0 = (np.array([-1.0]), 2.0)
+        steps, _ = branch.arclength_continue(
+            FoldSystem(), np.array([1.0]), -1.0, tan0, ds=0.12, steps=40
+        )
+        tangents = [tan0] + [(s.tangent_x, s.tangent_lam) for s in steps]
+        assert min(_tangent_products(tangents, 1.0)) > 0.0
+
+    def test_fold_branch(self, fold_branch):
+        pts, _ = fold_branch
+        grid = pts[0].field.grid
+        tangents = [(p.tangent_x, p.tangent_lam) for p in pts[1:]]
+        assert len(tangents) > 10
+        assert min(_tangent_products(tangents, grid.dq * grid.dp)) > 0.0
+
+
 class TestTangent:
     def test_unit_norm(self, mini_branch):
         w = mini_branch[1].field.grid.dq * mini_branch[1].field.grid.dp
@@ -128,6 +155,17 @@ def synthetic_points(ts, Rs, mu1=None, nu0=None):
                            mu1=float(m), nu0=float(n))
         for t, r, m, n in zip(ts, Rs, mu1, nu0)
     ]
+
+
+class TestCrossingOrder:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_power_law(self, m):
+        d = np.geomspace(1e-3, 0.1, 6)
+        assert branch.crossing_order(d, -0.7 * d**m) == m
+
+    def test_needs_two_distinct_distances(self):
+        assert branch.crossing_order([0.01], [0.3]) is None
+        assert branch.crossing_order([0.01, 0.01], [0.3, 0.2]) is None
 
 
 class TestDetectEvents:
@@ -316,7 +354,41 @@ class TestContinuation:
         assert strip.residual(pt.field, irrot).sup < 1e-11
 
 
+def _reference_diagnostics(field):
+    """diagnostics_of as its own differences of h spelled it out."""
+    h, dq, dp = field.h, field.grid.dq, field.grid.dp
+    xi = h[:, -1]
+    slope_int = np.abs(xi[2:] - xi[:-2]) / (2.0 * dq)
+    slope_end = abs(3.0 * xi[-1] - 4.0 * xi[-2] + xi[-3]) / (2.0 * dq)
+    hp_bottom = (4.0 * h[:, 1] - h[:, 2]) / (2.0 * dp)  # h(:,0) = 0
+    return branch.Diagnostics(
+        max_surface_slope=float(max(slope_int.max(initial=0.0), slope_end)),
+        surface_margin=float((field.R - xi).min()),
+        bottom_margin=float((1.0 / hp_bottom).min()),
+        min_hp=float((np.diff(h, axis=1) / dp).min()),
+    )
+
+
+def _reference_pencil_weight(field):
+    """pencil_weight as its own central difference of h spelled it out."""
+    nq, npp = field.grid.nq, field.grid.np
+    hp_c = (field.h[: nq - 1, 2:] - field.h[: nq - 1, :-2]) / (2.0 * field.grid.dp)
+    bdiag = np.zeros((nq - 1, npp - 1))
+    bdiag[:, : npp - 2] = 1.0 / hp_c
+    return bdiag.ravel()
+
+
 class TestFoldRun:
+    def test_node_derivative_readers_match_their_formulas(self, fold_branch):
+        # diagnostics_of and pencil_weight read strip.node_derivatives, and
+        # give bitwise what their own differences of h gave
+        pts, _ = fold_branch
+        for p in pts:
+            assert branch.diagnostics_of(p.field) == _reference_diagnostics(p.field)
+            assert np.array_equal(
+                branch.pencil_weight(p.field), _reference_pencil_weight(p.field)
+            )
+
     def test_fold_detected_and_stopped(self, fold_branch, irrot):
         pts, status = fold_branch
         assert status.startswith("margin-breach")

@@ -519,9 +519,9 @@ def _ls_reduce(capsys, monkeypatch, pts, spec, tmp_path, spectral=None):
     if spectral is not None:
         rows = list(spectral)
 
-        def tagged(field, spec, t=0.0, nu0_grid_n=1024):
+        def tagged(field, spec, nu0_grid_n=1024):
             mu1, nu0 = rows.pop(0)
-            return branch.BranchPoint(field=field, t=t, R=field.R, mu0=-1.0, mu1=mu1, nu0=nu0)
+            return branch.BranchPoint(field=field, t=0.0, R=field.R, mu0=-1.0, mu1=mu1, nu0=nu0)
 
         monkeypatch.setattr(branch, "branch_point_from_field", tagged)
     handed = []

@@ -7,6 +7,7 @@ from wavebranch import stream as st
 from wavebranch import branch, strip
 from wavebranch import physical as phys
 from wavebranch.errors import BelowCriticalError, CheckpointFormatError, StagnationBreachError
+from wavebranch.roots import brentq
 from wavebranch.vorticity import VorticitySpec
 
 
@@ -79,6 +80,19 @@ class TestResidual:
         f.h[5, 6] -= 0.5  # sign-flipped bump kills monotonicity in p
         with pytest.raises(StagnationBreachError):
             strip.residual(f, irrot)
+
+
+class TestNodeDerivatives:
+    def test_exact_on_a_quadratic_field(self):
+        # central and one-sided second-order differences are exact on
+        # h = p (1 + 0.2 p) + 0.01 q^2, which is even in q
+        g = strip.StripGrid(L=4.0, nq=21, np=11)
+        q, p = g.q[:, None], g.p[None, :]
+        h = p * (1.0 + 0.2 * p) + 0.01 * q * q
+        hq, hp = strip.node_derivatives(strip.StripField(grid=g, h=h, R=2.0, theta=1.0))
+        assert np.abs(hq - 0.02 * q).max() < 1e-12
+        assert hq[0].max() == hq[0].min() == 0.0
+        assert np.abs(hp - (1.0 + 0.4 * p)).max() < 1e-12
 
 
 class TestJacobian:
@@ -308,6 +322,22 @@ def _solve_from_seed(omega, dR, shape):
 
 
 class TestInitialGuess:
+    def test_solve_setup_inverts_R_of_theta_once(self, monkeypatch):
+        # `wavebranch solve` builds its grid and its seed at one R, and the
+        # memo of solve_theta_for_R gives both the same root: one Brent run
+        spec = VorticitySpec([1.0, -2.0])
+        R = st.dispersion_summary(spec).R_c + 0.02
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(args[1:3])
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(st, "brentq", counted)
+        st.solve_theta_for_R.cache_clear()
+        strip.initial_guess(spec, R, strip.default_grid(spec, R))
+        assert len(runs) == 1
+
     def test_far_field_column_exact(self, irrot):
         grid = strip.default_grid(irrot, 1.53, nq=61, npp=17, L_factor=12.0)
         guess = strip.initial_guess(irrot, 1.53, grid)
