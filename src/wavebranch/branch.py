@@ -5,8 +5,8 @@ of turning points and candidate eigenvalue crossings.
 The stepping core is generic over a small system protocol (residual, one
 linearization giving the Jacobian and the parameter derivative, inner-product
 weight) so it can be exercised in isolation on closed-form fold problems; the
-PDE system wraps the strip discretization, re-pins the far-field column to the
-supercritical stream of the current R at every corrector iterate, and hands the
+PDE system evaluates the strip problem at (unknowns, R) through strip, which
+owns how R enters it (strip.field_at, strip.jacobian_and_dR), and hands the
 corrector one band LU factor of its Jacobian per iterate.
 """
 
@@ -26,14 +26,16 @@ from .errors import (
 )
 from . import spectrum1d
 from .roots import brentq, newton, solve_bordered
-from .stream import dispersion_summary, moments, solve_theta_for_R
+from .stream import dispersion_summary
 from .strip import (
     NEWTON_TOL,
     StripField,
     StripGrid,
     assemble_jacobian,
     band_lu,
+    field_at,
     initial_guess,
+    jacobian_and_dR,
     node_derivatives,
     pack,
     residual_vector,
@@ -170,9 +172,10 @@ def tangent(x0, l0, x1, l1, weight):
     return (x1 - x0) / n, (l1 - l0) / n
 
 
-def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds):
+def _corrector(sys_, x_prev, lam_prev, tan_x, tan_lam, ds):
     """Bordered Newton iteration onto {residual = 0} cap the arclength plane
-    (roots.newton, undamped) on the state (x, lam); returns (x, lam, iters)."""
+    ds ahead of (x_prev, lam_prev) along the tangent (roots.newton, undamped),
+    from the predictor on that plane; returns (x, lam, iters)."""
     weight = sys_.ip_weight
     w_tan_x = weight * tan_x
 
@@ -187,7 +190,8 @@ def _corrector(sys_, x0, lam0, x_prev, lam_prev, tan_x, tan_lam, ds):
         J, Fl = sys_.linearize(z[:-1], float(z[-1]))
         return lambda r: np.append(*solve_bordered(J, Fl, w_tan_x, tan_lam, -r[:-1], -r[-1]))
 
-    z, info = newton(np.append(x0, lam0), evaluate, linearize, _MAX_NEWTON_ITERS)
+    z0 = np.append(x_prev + ds * tan_x, lam_prev + ds * tan_lam)
+    z, info = newton(z0, evaluate, linearize, _MAX_NEWTON_ITERS)
     return z[:-1], float(z[-1]), info.iterations
 
 
@@ -214,12 +218,8 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
 
     for _ in range(steps):
         while True:
-            x_pred = x_prev + ds_cur * tan_x
-            lam_pred = lam_prev + ds_cur * tan_lam
             try:
-                x_new, lam_new, iters = _corrector(
-                    sys_, x_pred, lam_pred, x_prev, lam_prev, tan_x, tan_lam, ds_cur
-                )
+                x_new, lam_new, iters = _corrector(sys_, x_prev, lam_prev, tan_x, tan_lam, ds_cur)
                 break
             except WavebranchError as exc:
                 ds_cur *= 0.5
@@ -249,52 +249,25 @@ def arclength_continue(sys_, x0, lam0, tan0, ds, steps, ctrl=None, on_accept=Non
 
 
 # ---------------------------------------------------------------------------
-# PDE system: strip residual with the far-field column re-pinned from R
+# PDE system: the strip problem at (unknowns, R)
 # ---------------------------------------------------------------------------
 
 
 class SolitarySystem:
-    """Strip problem as a continuation system in (h-unknowns, R)."""
+    """Strip problem as a continuation system in (h-unknowns, R); strip pins
+    the far-field column of R (strip.field_at)."""
 
     def __init__(self, spec: VorticitySpec, grid: StripGrid):
         self.spec = spec
         self.grid = grid
         self.ip_weight = grid.dq * grid.dp
-        npp = grid.np
-        i = np.arange(grid.nq - 1)
-        self.surface_rows = i * (npp - 1) + (npp - 2)
-
-    def far_column(self, R: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """(theta, H, dH/dR) of the supercritical stream at R on the grid's p-nodes.
-
-        dH/dR = (dH/dtheta) / R'(theta), with dH/dtheta = -theta*M_3 and
-        R'(theta) = theta + dH/dtheta at p = 1, from one moment-kernel call;
-        theta comes from the memo of solve_theta_for_R."""
-        theta = solve_theta_for_R(self.spec, R, "supercritical")
-        H, m3 = moments(self.spec, theta, self.grid.p, (1, 3))
-        dH = -theta * m3
-        return theta, H, dH / (theta + dH[-1])
-
-    def field_of(self, x: np.ndarray, R: float) -> StripField:
-        grid = self.grid
-        theta, H, _ = self.far_column(R)
-        h = np.zeros((grid.nq, grid.np))
-        h[: grid.nq - 1, 1:] = x.reshape(grid.nq - 1, grid.np - 1)
-        h[grid.nq - 1, :] = H
-        return StripField(grid=grid, h=h, R=R, theta=theta)
 
     def residual(self, x: np.ndarray, R: float) -> np.ndarray:
-        return residual_vector(self.field_of(x, R), self.spec)
+        return residual_vector(field_at(self.spec, self.grid, x, R), self.spec)
 
     def linearize(self, x: np.ndarray, R: float):
-        """Band LU factor of dF/dx and the vector dF/dR, from one assembly.
-
-        R enters through the pinned far-field column and the right-hand side
-        of the surface condition."""
-        J, J_far = assemble_jacobian(self.field_of(x, R), self.spec, with_boundary_cols=True)
-        fr = np.zeros(self.grid.n_unknowns)
-        fr[-J_far.shape[0] :] = J_far @ self.far_column(R)[2]
-        fr[self.surface_rows] -= 1.0
+        """Band LU factor of dF/dx and the vector dF/dR, from one assembly."""
+        J, fr = jacobian_and_dR(field_at(self.spec, self.grid, x, R), self.spec)
         return band_lu(J), fr
 
 
@@ -671,7 +644,7 @@ def continue_branch(
 
     def on_accept(step: AcceptedStep):
         settle()
-        fld = sys_.field_of(step.x, step.lam)
+        fld = field_at(spec, sys_.grid, step.x, step.lam)
         pt = _branch_point(fld, start.t + step.t, (step.tangent_x, step.tangent_lam), step.ds)
         if loop_closure(points, fld, pt.t, min_arc=3.0 * ds, tol=10.0 * NEWTON_TOL):
             points.append(pt)
@@ -727,16 +700,13 @@ def point_at_arclength(
     spectral data; spectrum_at of its field gives them."""
     if from_point.field is None or from_point.tangent_x is None:
         raise ValueError("from_point must carry a field and a stored tangent")
-    sys_ = SolitarySystem(spec, from_point.field.grid)
+    grid = from_point.field.grid
     ds = t_target - from_point.t
-    x_prev = pack(from_point.field)
     tan_x, tan_lam = from_point.tangent_x, from_point.tangent_lam
-    x_pred = x_prev + ds * tan_x
-    lam_pred = from_point.R + ds * tan_lam
     x_new, lam_new, _ = _corrector(
-        sys_, x_pred, lam_pred, x_prev, from_point.R, tan_x, tan_lam, ds
+        SolitarySystem(spec, grid), pack(from_point.field), from_point.R, tan_x, tan_lam, ds
     )
-    return _branch_point(sys_.field_of(x_new, lam_new), t_target, (tan_x, tan_lam), ds)
+    return _branch_point(field_at(spec, grid, x_new, lam_new), t_target, (tan_x, tan_lam), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +815,7 @@ def detect_events(points):
     dR = np.diff(Rs)
     signs = np.sign(dR)
     nz = np.nonzero(signs != 0)[0]
+    R_of_t = None
     for a, c in zip(nz[:-1], nz[1:]):
         # a zero increment between opposite-signed neighbours (symmetric
         # samples around the extremum) still marks a fold
@@ -853,7 +824,8 @@ def detect_events(points):
         k = (a + c + 1) // 2
         k = min(max(k, 1), len(pts) - 2)
         # the extremum of the spline R(t) on [ts[k-1], ts[k+1]] nearest ts[k]
-        R_of_t = _Spline(ts, Rs)
+        if R_of_t is None:
+            R_of_t = _Spline(ts, Rs)
         roots = R_of_t.slope_roots(k - 1) + R_of_t.slope_roots(k)
         t_star = min(roots, key=lambda r: abs(r - ts[k]))
         events.append(Turning(t=t_star, R=R_of_t(t_star), bracket=(pts[a], pts[c + 1])))

@@ -323,9 +323,9 @@ def solve_theta_for_R(
 
     regime 'supercritical': root theta > theta_c (depth d_-, Froude > 1);
     regime 'subcritical':  root in (theta0, theta_c) (depth d_+), which exists
-    only for R < R_0.  Memoized, as dispersion_summary is: the grid, the seed,
-    the far-field column of every corrector iterate and the re-solves ask
-    for the same R in turn.
+    only for R < R_0.  Memoized, as dispersion_summary is: the grid and the
+    far-field column of one R (strip.default_grid, strip.far_column) ask
+    for the same root in turn.
     """
     if regime not in ("supercritical", "subcritical"):
         raise ValueError(f"unknown regime {regime!r}")

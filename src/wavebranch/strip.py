@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from .stream import (
     depth as stream_depth,
     dispersion_summary,
     froude_of_theta,
+    moments,
     solve_theta_for_R,
-    stream_profile,
 )
 from .vorticity import VorticitySpec, eval_Omega
 
@@ -50,12 +51,15 @@ __all__ = [
     "residual_vector",
     "node_derivatives",
     "assemble_jacobian",
+    "jacobian_and_dR",
     "BandMatrix",
     "BandLU",
     "band_lu",
     "newton_solve",
     "initial_guess",
     "resolve_at",
+    "far_column",
+    "field_at",
     "default_grid",
     "pack",
     "unpack",
@@ -401,34 +405,22 @@ class BandMatrix:
         return out
 
 
-def assemble_jacobian(
-    field: StripField,
-    spec: VorticitySpec,
-    with_boundary_cols: bool = False,
-):
-    """Exact Jacobian of the discrete residual over the unknowns, as a
-    BandMatrix of half-bandwidth np: each stencil slot is copied into its band
-    row by slicing.  Bottom entries (j + dj = 0) are pinned and dropped.
-
-    With with_boundary_cols=True, additionally returns the dense (np-1, np)
-    block of derivatives of the last unknown column's rows (i = nq-2) with
-    respect to the pinned far-field column h(L, p_j), needed by the
-    continuation driver where that column depends on R; no other row touches
-    the far-field column.
-    """
+def _assembled(field: StripField, spec: VorticitySpec):
+    """The Jacobian of assemble_jacobian, and the dense (np-1, np) block of
+    derivatives of the last unknown column's rows (i = nq-2) with respect to
+    the pinned far-field column h(L, p_j); no other row touches that column."""
     _check_unidirectional(field)
     grid = field.grid
     npp = grid.np
     n = grid.n_unknowns
     S = _stencil_slots(field, spec)
 
-    if with_boundary_cols:
-        # row (nq-2, j) couples to h(L, j + dj) through slot [2, dj + 2]
-        far = np.zeros((npp - 1, npp))
-        r = np.arange(npp - 1)
-        for dj in (-1, 0, 1):
-            ok = r + 1 + dj <= npp - 1
-            far[r[ok], r[ok] + 1 + dj] = S[2, dj + 2, -1, ok]
+    # row (nq-2, j) couples to h(L, j + dj) through slot [2, dj + 2]
+    far = np.zeros((npp - 1, npp))
+    r = np.arange(npp - 1)
+    for dj in (-1, 0, 1):
+        ok = r + 1 + dj <= npp - 1
+        far[r[ok], r[ok] + 1 + dj] = S[2, dj + 2, -1, ok]
     S[2, :, -1] = 0.0  # the far-field column is pinned
     S[:, 1, :, 0] = 0.0  # so is the bottom
 
@@ -445,10 +437,31 @@ def assemble_jacobian(
             else:
                 ab[bw - off, : n + off] = vals[-off:]
             offsets.append(-off)  # the diagonal i - j = -off
-    J = BandMatrix(ab, bw, tuple(sorted(offsets)))
-    if not with_boundary_cols:
-        return J
-    return J, far
+    return BandMatrix(ab, bw, tuple(sorted(offsets))), far
+
+
+def assemble_jacobian(field: StripField, spec: VorticitySpec) -> BandMatrix:
+    """Exact Jacobian of the discrete residual over the unknowns, as a
+    BandMatrix of half-bandwidth np: each stencil slot is copied into its band
+    row by slicing.  Bottom entries (j + dj = 0) and far-field entries
+    (i + di = nq-1) are pinned and dropped."""
+    return _assembled(field, spec)[0]
+
+
+def jacobian_and_dR(field: StripField, spec: VorticitySpec):
+    """(J, F_R) from one assembly at a field whose far-field column is pinned
+    to the supercritical stream of its R (field_at): the Jacobian of
+    assemble_jacobian and the derivative of the residual vector in R.
+
+    R enters through that column (dH/dR from far_column), which only the
+    last unknown column's rows touch, and through the right-hand side of the
+    surface condition."""
+    J, far = _assembled(field, spec)
+    grid = field.grid
+    fr = np.zeros(grid.n_unknowns)
+    fr[-far.shape[0] :] = far @ far_column(spec, field.R, grid.np)[2]
+    fr[grid.np - 2 :: grid.np - 1] -= 1.0  # the surface rows
+    return J, fr
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,8 +594,7 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     in 3-6 iterates.  At R_c the seed is the critical stream itself.  No
     residual is evaluated.
     """
-    theta = solve_theta_for_R(spec, R, "supercritical")
-    Hcol = stream_profile(spec, theta, grid.p)
+    theta, Hcol, _ = far_column(spec, R, grid.np)
     d = Hcol[-1]
     if R - dispersion_summary(spec).R_c <= 1e-13:
         h = np.tile(Hcol, (grid.nq, 1))
@@ -595,14 +607,38 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
 
 
 def resolve_at(field: StripField, spec: VorticitySpec, R: float) -> StripField:
-    """Newton solve at R from field, with the far-field column re-pinned to the
-    supercritical stream of R."""
+    """Newton solve at R from field's unknowns, with the far-field column
+    pinned to the supercritical stream of R."""
+    return newton_solve(field_at(spec, field.grid, pack(field), R), spec)
+
+
+@lru_cache(maxsize=256)
+def far_column(spec: VorticitySpec, R: float, npp: int):
+    """(theta, H, dH/dR) of the supercritical stream of R on npp uniform
+    p-nodes: the far-field column that every field at R pins, and its
+    derivative in R.
+
+    dH/dR = (dH/dtheta) / R'(theta), with dH/dtheta = -theta*M_3 and
+    R'(theta) = theta + dH/dtheta at p = 1, from one moment-kernel call;
+    theta comes from the memo of solve_theta_for_R.  Memoized as that is (the
+    seed, the residual and the linearization of a corrector iterate and its
+    accepted field ask for the same R), so the arrays are read-only."""
     theta = solve_theta_for_R(spec, R, "supercritical")
-    f = field.copy()
-    f.h[-1, :] = stream_profile(spec, theta, f.grid.p)
-    f.R = R
-    f.theta = theta
-    return newton_solve(f, spec)
+    H, m3 = moments(spec, theta, np.linspace(0.0, 1.0, npp), (1, 3))
+    dH = -theta * m3
+    dH_dR = dH / (theta + dH[-1])
+    H.flags.writeable = dH_dR.flags.writeable = False
+    return theta, H, dH_dR
+
+
+def field_at(spec: VorticitySpec, grid: StripGrid, x: np.ndarray, R: float) -> StripField:
+    """The field at R with unknowns x (pack's ordering), its far-field column
+    pinned to the supercritical stream of R and its bottom to h = 0."""
+    theta, H, _ = far_column(spec, R, grid.np)
+    h = np.zeros((grid.nq, grid.np))
+    h[: grid.nq - 1, 1:] = x.reshape(grid.nq - 1, grid.np - 1)
+    h[grid.nq - 1, :] = H
+    return StripField(grid=grid, h=h, R=R, theta=theta)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class TestBandAssembly:
     def test_matches_coo_reference(self, request, irrot, wave):
         field = request.getfixturevalue(wave)
         npp = field.grid.np
-        J, J_far = strip.assemble_jacobian(field, irrot, with_boundary_cols=True)
+        J, F_R = strip.jacobian_and_dR(field, irrot)
         ref, ref_bnd = _reference_jacobian(field, irrot)
         assert J.bw == npp
         coo = ref.tocoo()
@@ -138,10 +138,15 @@ class TestBandAssembly:
         ref_ab = np.zeros_like(J.ab)
         ref_ab[npp + coo.row - coo.col, coo.col] = coo.data
         assert np.abs(J.ab - ref_ab).max() <= 1e-15 * np.abs(ref_ab).max()
-        # only the last unknown column's rows touch the far-field column
+        # only the last unknown column's rows touch the far-field column, and
+        # F_R is that block times dH/dR, less 1 on the surface rows
         bnd = ref_bnd.toarray()
         assert not bnd[: -(npp - 1)].any()
-        assert np.array_equal(J_far, bnd[-(npp - 1) :])
+        assert np.array_equal(strip._assembled(field, irrot)[1], bnd[-(npp - 1) :])
+        ref_fr = np.zeros_like(F_R)
+        ref_fr[-(npp - 1) :] = bnd[-(npp - 1) :] @ strip.far_column(irrot, field.R, npp)[2]
+        ref_fr[npp - 2 :: npp - 1] -= 1.0
+        assert np.array_equal(F_R, ref_fr)
 
     def test_matvec_is_the_dense_product(self, irrot, wave153_small):
         J = strip.assemble_jacobian(wave153_small, irrot)
@@ -268,6 +273,23 @@ class TestBorderedSolve:
         z = np.concatenate([dx, [dlam]])
         assert _rel(z, spsolve(A, b)) <= 1e-10
         assert np.abs(A @ z - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestRDerivative:
+    def test_F_R_is_the_central_difference_of_the_residual(self, irrot, near_turning):
+        # F_R against the residual at the same unknowns with the far-field
+        # column re-pinned at R -+ delta, where J is nearly singular; the
+        # difference's own O(delta^2) error is 5.9e-9 relative here
+        p = near_turning
+        grid, x = p.field.grid, strip.pack(p.field)
+
+        def F(R):
+            return strip.residual_vector(strip.field_at(irrot, grid, x, R), irrot)
+
+        _, F_R = strip.jacobian_and_dR(strip.field_at(irrot, grid, x, p.R), irrot)
+        delta = 1e-5
+        fd = (F(p.R + delta) - F(p.R - delta)) / (2.0 * delta)
+        assert np.abs(F_R - fd).max() <= 1e-7 * np.abs(F_R).max()
 
 
 class TestSpectrum:

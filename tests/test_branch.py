@@ -389,6 +389,35 @@ class TestFoldRun:
                 branch.pencil_weight(p.field), _reference_pencil_weight(p.field)
             )
 
+    def test_one_far_column_build_per_distinct_R(self, fold_branch, irrot, monkeypatch):
+        # the fold_branch run again, from a cleared memo: the seed, the
+        # tangent's seeds, and the residual, linearization and accepted field
+        # of every corrector iterate ask strip.far_column for their R, which
+        # runs one moment-kernel call per distinct R
+        asked, builds = [], []
+        memo = strip.far_column
+
+        def far_column(spec, R, npp):
+            asked.append(R)
+            return memo(spec, R, npp)
+
+        def moments(spec, theta, p, powers):
+            builds.append(theta)
+            return st.moments(spec, theta, p, powers)
+
+        monkeypatch.setattr(strip, "far_column", far_column)
+        monkeypatch.setattr(strip, "moments", moments)
+        memo.cache_clear()
+        grid = strip.default_grid(irrot, 1.54, nq=201, npp=31, L_factor=25.0)
+        sol = strip.newton_solve(strip.initial_guess(irrot, 1.54, grid), irrot, tol=1e-10)
+        start = branch.branch_point_from_field(sol, irrot, nu0_grid_n=512)
+        ctrl = branch.StepControl(margin_fraction=5e-2)
+        points, _ = branch.continue_branch(
+            start, irrot, steps=24, ds=0.01, ctrl=ctrl, nu0_grid_n=512
+        )
+        assert [p.R for p in points] == [p.R for p in fold_branch[0]]
+        assert len(builds) == len(set(asked)) < len(asked)
+
     def test_fold_detected_and_stopped(self, fold_branch, irrot):
         pts, status = fold_branch
         assert status.startswith("margin-breach")

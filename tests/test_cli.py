@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -259,6 +260,20 @@ class TestOptions:
             assert code == 2, flag
             assert f"unrecognized arguments: {flag} 1" in err
             assert out == ""
+
+    def test_readme_command_table_lists_each_parsers_options(self):
+        # README's CLI table: one row per command, its shared and its own
+        # options; a flag deleted from the parser must leave the table too
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            rows = [line.split("|") for line in fh if line.startswith("| `")]
+        table = {row[1].strip(" `"): set(re.findall(r"`(--[\w-]+)`", row[2] + row[3]))
+                 for row in rows}
+        parsers = _subparsers()
+        assert set(table) == set(parsers)
+        for command, parser in parsers.items():
+            held = {s for s in parser._option_string_actions if s.startswith("--")} - {"--help"}
+            assert table[command] == held, command
 
 
 _CONTINUE = ["continue", "--omega", "0", "--R-start", "1.52", "--steps", "4",

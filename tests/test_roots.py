@@ -6,6 +6,7 @@ from scipy import optimize
 
 from wavebranch import lyapunov as ly
 from wavebranch import stream as st
+from wavebranch import strip
 from wavebranch.errors import (
     NonConvergenceError,
     NoRootError,
@@ -31,10 +32,11 @@ def test_bitwise_equal_to_scipy_on_stream_roots(coeffs, monkeypatch):
         return ours
 
     monkeypatch.setattr(st, "brentq", both)
-    # a memoized summary would skip the theta_c root, and a memoized theta an
-    # inversion that an earlier test asked for
+    # a memoized summary would skip the theta_c root, and a memoized theta or
+    # far-field column an inversion that an earlier test asked for
     st.dispersion_summary.cache_clear()
     st.solve_theta_for_R.cache_clear()
+    strip.far_column.cache_clear()
     spec = VorticitySpec(coeffs)
     ds = st.dispersion_summary(spec)
     for dR in (1e-6, 0.005, 0.04, 0.3):

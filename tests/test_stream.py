@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from wavebranch import branch, vorticity
+from wavebranch import strip, vorticity
 from wavebranch import stream as st
 from wavebranch.errors import (
     BelowCriticalError,
@@ -299,12 +299,12 @@ class TestMomentKernel:
 
 
 def test_far_column_R_derivative(mini_branch, irrot):
-    grid = mini_branch[0].field.grid
+    npp = mini_branch[0].field.grid.np
     R = mini_branch[3].R
     h = 1e-5
-    system = branch.SolitarySystem(irrot, grid)
-    fd = (system.far_column(R + h)[1] - system.far_column(R - h)[1]) / (2 * h)
-    assert np.abs(system.far_column(R)[2] - fd).max() < 1e-7
+    fd = (strip.far_column(irrot, R + h, npp)[1]
+          - strip.far_column(irrot, R - h, npp)[1]) / (2 * h)
+    assert np.abs(strip.far_column(irrot, R, npp)[2] - fd).max() < 1e-7
 
 
 def test_moments_derive_theta0_once_per_spec(monkeypatch):

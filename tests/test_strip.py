@@ -335,8 +335,16 @@ class TestInitialGuess:
 
         monkeypatch.setattr(st, "brentq", counted)
         st.solve_theta_for_R.cache_clear()
+        strip.far_column.cache_clear()
         strip.initial_guess(spec, R, strip.default_grid(spec, R))
         assert len(runs) == 1
+
+    def test_far_column_arrays_are_read_only(self, irrot):
+        # the memo hands every caller the same arrays
+        _, H, dH_dR = strip.far_column(irrot, 1.53, 17)
+        for arr in (H, dH_dR):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     def test_far_field_column_exact(self, irrot):
         grid = strip.default_grid(irrot, 1.53, nq=61, npp=17, L_factor=12.0)
