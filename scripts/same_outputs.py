@@ -11,6 +11,8 @@ writes or prints is relative, it runs:
 
 - `wavebranch solve --out --profile-out` for omega [0], [1, -2] and [-0.5],
   each at R_c + 0.005 and R_c + 0.03 (R_c from the working tree);
+- `wavebranch spectrum1d` for omega [0] and [1, -2] at the same R and the
+  default edge grid (nu0 on 1024 nodes);
 - `scripts/run_fold_pairs.py` with its defaults, then, on the branch it
   writes to fold_run/, `wavebranch ls-reduce` from point_0001.txt to
   point_0003.txt with nu0 on 512 nodes (no crossing: its JSON holds both
@@ -46,6 +48,7 @@ from bench_pair import ROOT, export_commit  # noqa: E402
 
 SOLVE_OMEGAS = ([0.0], [1.0, -2.0], [-0.5])
 SOLVE_DR = (0.005, 0.03)
+SPECTRUM1D_OMEGAS = ([0.0], [1.0, -2.0])
 MODEL_CASES = ("pitchfork", "cubic", "vertical", "even")
 ROT_OMEGA, ROT_R_START = [1.0, -2.0], 1.70
 
@@ -66,6 +69,12 @@ def commands() -> list[tuple[str, list[str]]]:
             runs.append((tag, cli + [
                 "solve", "--omega", *map(repr, omega), "--R", repr(R_c + dR),
                 "--out", f"{tag}.txt", "--profile-out", f"{tag}.csv",
+            ]))
+    for k, omega in enumerate(SPECTRUM1D_OMEGAS):
+        R_c = dispersion_summary(VorticitySpec(omega)).R_c
+        for dR in SOLVE_DR:
+            runs.append((f"spectrum1d_{k}_{dR}", cli + [
+                "spectrum1d", "--omega", *map(repr, omega), "--R", repr(R_c + dR),
             ]))
     runs.append(("fold_pairs", ["scripts/run_fold_pairs.py"]))
     runs.append(("ls_reduce", cli + [

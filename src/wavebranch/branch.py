@@ -31,6 +31,8 @@ from .strip import (
     NEWTON_TOL,
     StripField,
     StripGrid,
+    _flapack,
+    _load_extension,
     assemble_jacobian,
     band_lu,
     field_at,
@@ -364,34 +366,97 @@ def shift_invert_eigs(J, b: np.ndarray, sigma: float, k: int, left: bool = False
     raise NumericalError.
     """
     lu = band_lu(J.shift_diagonal(-sigma * b))
-    vals, vecs = _arnoldi(J.matvec, b, sigma, k, lu.solve)
+    vals, vecs = _arnoldi(b, sigma, k, lu.solve)
     if not left:
         return vals, vecs
-    _, lvecs = _arnoldi(J.rmatvec, b, sigma, k, lambda x: lu.solve(x, trans=True))
+    _, lvecs = _arnoldi(b, sigma, k, lambda x: lu.solve(x, trans=True))
     return vals, vecs, lvecs
 
 
-def _arnoldi(matvec, b, sigma, k, solve):
-    """ARPACK eigs in shift-invert mode on the pencil of the operator `matvec`
-    and diag(b); `solve` applies the inverse of the shifted operator."""
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
+_ARPACKLIB = "scipy.sparse.linalg._eigen.arpack._arpacklib"
 
+# the reverse-communication state the _arpacklib wrappers read and write,
+# as scipy's eigs starts it: all zero, the floats first
+_ARPACK_STATE = dict.fromkeys(
+    ("tol", "getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm", "aup2_rnorm"), 0.0
+) | dict.fromkeys(
+    ("ido which bmat info iter maxiter mode n nconv ncv nev np shift getv0_first getv0_iter "
+     "getv0_itry getv0_orth aitr_iter aitr_j aitr_orth1 aitr_orth2 aitr_restart aitr_step3 "
+     "aitr_step4 aitr_ierr aup2_initv aup2_iter aup2_getv0 aup2_cnorm aup2_kplusp aup2_nev "
+     "aup2_nev0 aup2_np0 aup2_numcnv aup2_update aup2_ushift").split(), 0
+)
+
+
+def _arnoldi(b, sigma, k, solve):
+    """k eigenpairs of the pencil A w = mu diag(b) w nearest the real shift
+    sigma, ascending, where `solve` applies (A - sigma diag(b))^-1: ARPACK's
+    dnaupd/dneupd (Lehoucq, Sorensen & Yang 1998) in shift-invert mode 3,
+    driven through scipy's _arpacklib extension with the settings and the
+    extraction of scipy.sparse.linalg.eigs (bmat G, which LM, tol 0, maxiter
+    10 n, ncv = min(max(2k + 1, 20), n)), so that the eigenpairs are bitwise
+    those of eigs.  With a real shift ARPACK never asks for A x.  The calling
+    convention is that of scipy 1.17.1's wrappers; the bitwise test against
+    eigs is what catches a change to it."""
+    lib = _load_extension(_ARPACKLIB)
     n = b.size
-    v0 = np.random.default_rng(1234).standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    # scipy's ARPACK wrapper keeps the operators it is given in reference
-    # cycles, alive until the cyclic collector runs; reaching the matrix and
-    # the factor through `held`, emptied on return, frees them at once
-    held = [matvec, solve]
-    A = LinearOperator((n, n), matvec=lambda x: held[0](x), dtype=float)
-    OPinv = LinearOperator((n, n), matvec=lambda x: held[1](x), dtype=float)
-    M = LinearOperator((n, n), matvec=lambda x: b * x, dtype=float)
-    try:
-        vals, vecs = eigs(A, k=k, M=M, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise NumericalError(f"shift-invert eigensolve failed: {exc}") from exc
-    finally:
-        held.clear()
+    ncv = min(max(2 * k + 1, 20), n)
+    resid = np.random.default_rng(1234).standard_normal(n)
+    resid /= np.linalg.norm(resid)
+    state = _ARPACK_STATE | dict(bmat=1, info=1, maxiter=10 * n, mode=3, n=n, ncv=ncv,
+                                 nev=k, shift=1)
+    v = np.zeros((n, ncv))
+    ipntr = np.zeros(14, dtype=np.int32)
+    workd = np.zeros(3 * n)
+    workl = np.zeros(3 * ncv * (ncv + 2))
+    restarts = np.random.default_rng(5678)
+
+    def at(pointer):
+        return slice(ipntr[pointer], ipntr[pointer] + n)
+
+    while True:
+        lib.dnaupd_wrap(state, resid, v, ipntr, workd, workl)
+        ido = state["ido"]
+        if ido == 5:  # y = OP x = (A - sigma B)^-1 B x
+            workd[at(1)] = solve(b * workd[at(0)])
+        elif ido == 1:  # the same, with B x at ipntr[2]
+            workd[at(1)] = solve(workd[at(2)])
+        elif ido == 2:
+            workd[at(1)] = b * workd[at(0)]
+        elif ido == 4:  # a new start vector after a breakdown
+            resid[:] = restarts.uniform(-1.0, 1.0, n)
+        else:
+            break
+    if ido != 99 or state["info"] != 0:
+        raise NumericalError(
+            f"shift-invert eigensolve failed: ARPACK dnaupd info {state['info']} (ido {ido})"
+        )
+
+    # all k + 1 Ritz pairs; a complex pair's vectors are stored as the real
+    # and imaginary parts in consecutive columns
+    dr, di = np.zeros(k + 1), np.zeros(k + 1)
+    zr = np.zeros((n, k + 1), order="F")
+    state["info"] = 0
+    lib.dneupd_wrap(state, True, 0, np.zeros(ncv, dtype=np.int32), dr, di, zr,
+                    float(sigma), 0.0, np.zeros(3 * ncv), resid, v, ipntr, workd, workl)
+    if state["info"] != 0:
+        raise NumericalError(f"shift-invert eigensolve failed: ARPACK dneupd info {state['info']}")
+    nreturned = state["nconv"]
+    d, z = dr + 1.0j * di, zr.astype(complex)
+    i = 0
+    while i <= k:
+        if d[i].imag != 0:
+            if i < k:
+                z[:, i] = zr[:, i] + 1.0j * zr[:, i + 1]
+                z[:, i + 1] = z[:, i].conjugate()
+                i += 1
+            else:  # the last one's imaginary part was not returned
+                nreturned -= 1
+        i += 1
+    if nreturned <= k:
+        vals, vecs = d[:nreturned], z[:, :nreturned]
+    else:  # one too many: keep the k of largest |1 / (mu - sigma)|
+        keep = np.argsort(abs(1 / (d - sigma)))[-k:][::-1]
+        vals, vecs = d[keep], z[:, keep]
     scale = 1.0 + np.abs(vals.real).max()
     if np.abs(vals.imag).max() > 1e-6 * scale:
         raise NumericalError(
@@ -717,37 +782,40 @@ def point_at_arclength(
 class _Spline:
     """Not-a-knot cubic spline through (x, y), x increasing (de Boor, *A
     Practical Guide to Splines*, ch. 4), with the arithmetic of scipy's
-    CubicSpline: its slope systems and LAPACK calls (dense for the parabola
-    through three nodes), its coefficients c[m, i] of (t - x[i])^(3-m) in the
-    PPoly layout, and PPoly's evaluation and slope roots, so that all agree
-    with scipy bitwise.
+    CubicSpline: its slope systems and LAPACK calls (dgesv for the parabola
+    through three nodes, dgtsv for more), its coefficients c[m, i] of
+    (t - x[i])^(3-m) in the PPoly layout, and PPoly's evaluation and slope
+    roots, so that all agree with scipy bitwise.  A nonzero LAPACK info
+    raises NumericalError.
     """
 
     def __init__(self, x, y):
-        from scipy.linalg import solve, solve_banded
-
         dx = np.diff(x)
         slope = np.diff(y) / dx
         n = len(x)
+        info = 0
         if n == 2:
             s = np.repeat(slope, 2)
         elif n == 3:
-            s = solve([[1, 1, 0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0, 1, 1]],
-                      [2 * slope[0], 3 * (dx[1] * slope[0] + dx[0] * slope[1]), 2 * slope[1]])
+            a = np.array([[1, 1, 0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0, 1, 1]])
+            rhs = np.array([2 * slope[0], 3 * (dx[1] * slope[0] + dx[0] * slope[1]),
+                            2 * slope[1]])
+            *_, s, info = _flapack.dgesv(a, rhs)
         else:
-            ab = np.zeros((3, n))
-            ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-            ab[0, 2:] = dx[:-1]
-            ab[2, :-2] = dx[1:]
+            # the slope system's sub-, main and super-diagonal; not-a-knot:
+            # the third derivative is continuous at x[1] and x[-2]
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            lower, upper = np.append(dx[1:], d1), np.append(d0, dx[:-1])
+            diag = np.empty(n)
+            diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+            diag[0], diag[-1] = dx[1], dx[-2]
             b = np.empty(n)
             b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-            # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-            d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
             b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
             b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-            s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                             check_finite=False)
+            *_, s, info = _flapack.dgtsv(lower, diag, upper, b, 1, 1, 1, 1)
+        if info != 0:
+            raise NumericalError(f"spline slope system: LAPACK info {info}")
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])

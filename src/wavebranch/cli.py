@@ -346,7 +346,7 @@ def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
         pa.tangent_x, pa.tangent_lam = branch_mod.tangent(x_a, pa.R, x_b, pb.R, weight)
         pb.t = pa.t + branch_mod.secant_length(x_a, pa.R, x_b, pb.R, weight)
         try:
-            seed = ly.switch_branch((pa, pb), spec)
+            seed = ly.switch_branch((pa, pb), spec, cfg.nu0_grid_n)
             payload["switched"] = True
             payload["seed_R"] = seed.R
             if args.out_checkpoint:

@@ -439,7 +439,7 @@ def family_from_branch(bracket, spec, t_star):
     return fam
 
 
-def switch_branch(bracket, spec):
+def switch_branch(bracket, spec, nu0_grid_n):
     """Construct a converged off-branch seed at an eigenvalue crossing.
 
     bracket: pair of BranchPoint that form a branch.crossing_bracket, with
@@ -451,7 +451,9 @@ def switch_branch(bracket, spec):
 
     The crossing t* is refined by Brent's method on mu1(t): at each iterate,
     point_at_arclength re-solves the branch from the first point and
-    spectrum_at (default shift, nu0 on 1024 nodes) gives mu1 of its field.
+    spectrum_at (default shift, nu0 on nu0_grid_n nodes) gives mu1 of its
+    field.  nu0_grid_n is the edge grid the bracket's mu1 and nu0 were
+    computed on: mu1 is told from its sentinel nu0 on one grid throughout.
     """
     a, b = bracket
     if a.field is None or b.field is None or a.tangent_x is None:
@@ -464,7 +466,7 @@ def switch_branch(bracket, spec):
     def mu1_of(t: float) -> float:
         if t not in cache:
             pt = branch_mod.point_at_arclength(a, spec, t)
-            cache[t] = branch_mod.spectrum_at(pt.field, spec).mu1
+            cache[t] = branch_mod.spectrum_at(pt.field, spec, nu0_grid_n=nu0_grid_n).mu1
         return cache[t]
 
     t_star = brentq(mu1_of, a.t, b.t, xtol=1e-10, maxiter=30)

@@ -18,6 +18,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import NumericalError, SurfaceStagnationError
 from .stream import moments
+from .strip import _flapack
 from .vorticity import VorticitySpec, eval_Omega, eval_omega, eval_omega_prime
 
 __all__ = ["RobinEigenProblem", "rho0_of_stream", "robin_problem", "nu0", "nu0_eigenpair"]
@@ -131,18 +132,22 @@ def nu0(problem: RobinEigenProblem) -> float:
 def nu0_eigenpair(problem: RobinEigenProblem) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue and its eigenfunction samples v(Y_j), j = 0..grid_n.
 
-    LAPACK's selected-eigenvalue path (bisection plus inverse iteration) is used
-    on the symmetrized tridiagonal matrix.
+    LAPACK's selected-eigenvalue path on the symmetrized tridiagonal matrix,
+    the one scipy's eigh_tridiagonal takes for select="i": dstebz (bisection,
+    index 1 to 1, tolerance 0, block order), then dstein (inverse iteration).
+    Non-finite matrix entries and any nonzero LAPACK info raise NumericalError.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     diag, off, m_n = _tridiagonal(problem)
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalError("non-finite entry in the tridiagonal Robin matrix")
+    m, w, iblock, isplit, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise NumericalError(f"LAPACK dstebz failed (info {info})")
+    vecs, info = _flapack.dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"LAPACK dstein failed (info {info})")
     v = np.concatenate([[0.0], vecs[:, 0]])
     v[-1] /= np.sqrt(m_n)  # undo the M^(-1/2) scaling of the surface node
     if v[1] < 0:
         v = -v
-    return float(vals[0]), v
+    return float(w[0]), v

@@ -68,20 +68,22 @@ __all__ = [
 ]
 
 
-def _load_flapack():
-    """scipy's f2py LAPACK extension, loaded from its file next to scipy's
-    package without running `scipy.linalg.__init__`, whose array-API set-up
-    imports numpy.f2py, numpy.testing, numpy.random and numpy.ma (about 0.25 s
-    of a fresh interpreter).  It is registered under its own name, so a later
-    `import scipy.linalg` reuses it and binds the same routine objects.
-    scipy's folder is found without importing the scipy package either."""
-    name = "scipy.linalg._flapack"
+def _load_extension(name: str):
+    """The compiled extension module of the dotted name `name` inside scipy,
+    loaded from its file next to scipy's package without running the
+    `__init__` of any package above it: `scipy.linalg`'s array-API set-up
+    imports numpy.f2py, numpy.testing, numpy.random and numpy.ma (about
+    0.25 s of a fresh interpreter), and `scipy.sparse.linalg` loads
+    `scipy.linalg` too.  The module is registered under its own name, so a
+    later `import scipy...` reuses it and binds the same objects.  scipy's
+    folder is found without importing the scipy package either."""
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                          "linalg")
+    top, *packages, leaf = name.split(".")
+    folder = os.path.join(importlib.util.find_spec(top).submodule_search_locations[0],
+                          *packages)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
+        path = os.path.join(folder, leaf + suffix)
         if os.path.isfile(path):
             spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)
@@ -91,7 +93,7 @@ def _load_flapack():
     raise ImportError(f"no {name} extension in {folder}")
 
 
-_flapack = _load_flapack()
+_flapack = _load_extension("scipy.linalg._flapack")
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 # residual sup-norm at which a Newton solve, fixed-R or bordered, has converged
@@ -665,8 +667,7 @@ def _checkpoint_text(field: StripField, spec: VorticitySpec) -> str:
         f"R {fmt(field.R)}",
         f"theta {fmt(field.theta)}",
     ]
-    for i in range(grid.nq):
-        lines.append(" ".join(fmt(v) for v in field.h[i]))
+    lines += (" ".join(map(repr, row)) for row in field.h.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -4,13 +4,14 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigs, spsolve
 
-from wavebranch import branch, cli, roots, stream, strip
+from wavebranch import branch, cli, roots, spectrum1d, stream, strip
 from wavebranch.errors import NumericalError
 
 
@@ -321,6 +322,50 @@ class TestSpectrum:
         assert np.abs(info.eigenvalues - vals).max() <= 1e-10
         assert np.array_equal(info.localized, localized)
 
+    @pytest.mark.parametrize("deepen", [1.0, 4.0])
+    def test_arnoldi_is_bitwise_scipys_eigs(self, irrot, near_turning, deepen):
+        # _arnoldi's ARPACK loop gives eigs' values and right and left vectors,
+        # bit for bit, on the same factor of the nearly singular pencil
+        from scipy.sparse.linalg import LinearOperator
+
+        fld = near_turning.field
+        nu0 = spectrum1d.nu0(spectrum1d.robin_problem(irrot, fld.theta, grid_n=512))
+        sigma = -1.5 * nu0 * deepen
+        J = strip.assemble_jacobian(fld, irrot)
+        b = branch.pencil_weight(fld)
+        n = b.size
+        vals, vecs, lvecs = branch.shift_invert_eigs(J, b, sigma, 8, left=True)
+
+        lu = strip.band_lu(J.shift_diagonal(-sigma * b))
+        v0 = np.random.default_rng(1234).standard_normal(n)
+        v0 /= np.linalg.norm(v0)
+        M = LinearOperator((n, n), matvec=lambda x: b * x, dtype=float)
+        want = []
+        for A, solve in ((_csc(J), lu.solve), (_csc(J).T, lambda x: lu.solve(x, trans=True))):
+            OPinv = LinearOperator((n, n), matvec=solve, dtype=float)
+            ref_vals, ref_vecs = eigs(A, k=8, M=M, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+            order = np.argsort(ref_vals.real)
+            want.append((ref_vals.real[order], ref_vecs.real[:, order]))
+        assert vals.tobytes() == want[0][0].tobytes()
+        assert vecs.tobytes() == want[0][1].tobytes()
+        assert lvecs.tobytes() == want[1][1].tobytes()
+
+    @pytest.mark.parametrize("stage", ["naupd", "neupd"])
+    def test_arpack_info_raises(self, monkeypatch, stage):
+        # a nonzero info from either ARPACK stage is a NumericalError
+        def naupd(state, *arrays):
+            state["ido"], state["info"] = 99, (-9 if stage == "naupd" else 0)
+
+        def neupd(state, *args):
+            state["info"] = -14
+
+        stub = types.SimpleNamespace(dnaupd_wrap=naupd, dneupd_wrap=neupd)
+        monkeypatch.setitem(sys.modules, branch._ARPACKLIB, stub)
+        n = 40
+        J = strip.BandMatrix.from_dense(np.diag(np.full(n, 2.0)))
+        with pytest.raises(NumericalError, match=f"ARPACK d{stage} info"):
+            branch.shift_invert_eigs(J, np.ones(n), 0.0, 3)
+
 
 def test_one_dispersion_summary_per_spec_across_a_solve(capsys):
     stream.dispersion_summary.cache_clear()
@@ -330,8 +375,7 @@ def test_one_dispersion_summary_per_spec_across_a_solve(capsys):
     assert stream.dispersion_summary.cache_info().misses == 1
 
 
-_FRESH_STRIP_FIRST = """
-from wavebranch import branch, strip
+_BAND_LU_AND_ARPACK = """
 import numpy as np
 n = 40
 A = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
@@ -341,30 +385,34 @@ assert np.abs(strip.band_lu(J).solve(x) - np.linalg.solve(A, x)).max() <= 1e-12
 vals, _ = branch.shift_invert_eigs(J, np.ones(n), 0.0, 3)
 exact = 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / (n + 1))
 assert np.abs(vals - exact).max() <= 1e-10
-import scipy.linalg.lapack as lapack
+import sys
+arpacklib = sys.modules[branch._ARPACKLIB]
 """
 
-_FRESH_SCIPY_FIRST = """
+_IMPORT_SCIPY = """
 import scipy.linalg.lapack as lapack
-from wavebranch import strip
+from scipy.sparse.linalg._eigen.arpack import arpack
 """
+
+_FRESH_STRIP_FIRST = "from wavebranch import branch, strip\n" + _BAND_LU_AND_ARPACK + _IMPORT_SCIPY
+_FRESH_SCIPY_FIRST = _IMPORT_SCIPY + "from wavebranch import branch, strip\n" + _BAND_LU_AND_ARPACK
 
 
 @pytest.mark.parametrize("code", [_FRESH_STRIP_FIRST, _FRESH_SCIPY_FIRST],
                          ids=["strip-first", "scipy-first"])
 def test_band_lu_binds_scipys_lapack_routines(code):
-    # strip loads scipy's LAPACK extension without scipy.linalg's package and
-    # registers it under its own name, so whichever of the two a fresh
-    # interpreter imports first, there is one module and both bind the same
-    # routine objects; with strip first, the band LU and the ARPACK path on
-    # its factor still work
+    # strip loads scipy's LAPACK and ARPACK extensions without their packages
+    # and registers each under its own name, so whichever of wavebranch and
+    # scipy a fresh interpreter imports first, there is one module of each
+    # and both bind the same routine objects; the band LU and the ARPACK path
+    # on its factor work in either order
     code += """
-import sys
 print(strip.dgbtrf is lapack.dgbtrf, strip.dgbtrs is lapack.dgbtrs,
-      sys.modules["scipy.linalg._flapack"] is strip._flapack)
+      sys.modules["scipy.linalg._flapack"] is strip._flapack,
+      sys.modules[branch._ARPACKLIB] is arpacklib is arpack._arpacklib)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(strip.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["True", "True", "True"]
+    assert out.split() == ["True", "True", "True", "True"]

@@ -541,7 +541,7 @@ def _ls_reduce(capsys, monkeypatch, pts, spec, tmp_path, spectral=None):
         monkeypatch.setattr(branch, "branch_point_from_field", tagged)
     handed = []
 
-    def switch(bracket, spec):
+    def switch(bracket, spec, nu0_grid_n):
         handed.append(bracket)
         raise NoSecondaryBranchError("recorded")
 
@@ -576,7 +576,7 @@ class TestCrossingRule:
 
         monkeypatch.setattr(ly, "brentq", past)
         with pytest.raises(_PastPreconditions if want else PreconditionError):
-            ly.switch_branch((a, b), irrot)
+            ly.switch_branch((a, b), irrot, 256)
 
         code, payload, handed = _ls_reduce(
             capsys, monkeypatch, [a, b], irrot, tmp_path, [(mu1_a, nu0_a), (mu1_b, nu0_b)]
@@ -595,6 +595,33 @@ class TestCrossingRule:
                        if isinstance(e, branch.EigenCrossing)]
         assert (crossing.t, crossing.m_estimate) == (1.0, None)
         assert crossing.bracket == (trace[0], trace[2])
+
+    def test_ls_reduce_refines_on_its_edge_grid(self, mini_branch, irrot, capsys,
+                                                monkeypatch, tmp_path):
+        # the bracket's end points and the Brent iterates of switch_branch
+        # read mu1 against nu0 on the one grid of --nu0-grid-n
+        monkeypatch.setattr(branch, "crossing_bracket", lambda a, b: True)
+        grids, real_spectrum = [], branch.spectrum_at
+
+        def spectrum_at(field, spec, nu0_grid_n=1024, sigma=None):
+            grids.append(nu0_grid_n)
+            return real_spectrum(field, spec, nu0_grid_n, sigma)
+
+        def brentq(f, a, b, **kwargs):
+            f(0.5 * (a + b))
+            raise NoSecondaryBranchError("one Brent iterate taken")
+
+        monkeypatch.setattr(branch, "spectrum_at", spectrum_at)
+        monkeypatch.setattr(ly, "brentq", brentq)
+        paths = []
+        for k, p in enumerate((mini_branch[1], mini_branch[3])):
+            paths.append(str(tmp_path / f"point_{k}.txt"))
+            strip.write_checkpoint(paths[-1], p.field, irrot)
+        code, _, _ = run(capsys, "ls-reduce", "--checkpoint-a", paths[0], "--checkpoint-b",
+                         paths[1], "--out", str(tmp_path / "ls.json"), "--nu0-grid-n", "128")
+        assert code == 0
+        assert json.loads((tmp_path / "ls.json").read_text())["switched"] is False
+        assert grids == [128, 128, 128]
 
     def test_ls_reduce_bracket_lands_on_its_second_point(
         self, mini_branch, irrot, capsys, monkeypatch, tmp_path
@@ -660,18 +687,36 @@ assert main(["model-bifurcate", "--case", "pitchfork", "--ns", "5", "--nlam", "1
     assert loaded == ["scipy.linalg._flapack"]
 
 
+_ARPACKLIB = "scipy.sparse.linalg._eigen.arpack._arpacklib"
+
+
 def test_edge_and_continuation_import_no_integrate_or_optimize(tmp_path):
-    # the Robin edge nu0 comes from the stream kernel, so neither `spectrum1d`
-    # nor a continuation run (which computes nu0 at every point) loads
-    # scipy.integrate or scipy.optimize
-    loaded = _modules_loaded_by(f"""
+    # the Robin edge nu0 comes from the stream kernel and LAPACK's dstebz and
+    # dstein, so `spectrum1d` loads scipy's LAPACK extension only; a
+    # continuation run and ls-reduce (which compute nu0 and the ARPACK
+    # spectrum at every point) add scipy's ARPACK extension, and no package
+    # of scipy's: not scipy.integrate, scipy.optimize, scipy.linalg or
+    # scipy.sparse.linalg
+    loaded = _modules_loaded_by("""
 import json, sys
 from wavebranch.cli import main
 assert main(["spectrum1d", "--omega", "1", "2", "3", "--R", "6.0", "--nu0-grid-n", "128"]) == 0
+assert "scipy" not in sys.modules
+""", _LINALG)
+    assert loaded == ["scipy.linalg._flapack"]
+    out = str(tmp_path)
+    loaded = _modules_loaded_by(f"""
+import json, os, sys
+from wavebranch.cli import main
 assert main(["continue", "--omega", "0", "--R-start", "1.52", "--steps", "2", "--ds", "0.004",
-             "--nq", "61", "--np", "11", "--nu0-grid-n", "128", "--out", {str(tmp_path)!r}]) == 0
-""")
-    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
+             "--nq", "61", "--np", "11", "--nu0-grid-n", "128", "--out", {out!r}]) == 0
+# the two points bracket no crossing: ls-reduce reports their spectra, exit 1
+assert main(["ls-reduce", "--checkpoint-a", os.path.join({out!r}, "point_0000.txt"),
+             "--checkpoint-b", os.path.join({out!r}, "point_0002.txt"), "--nu0-grid-n", "128",
+             "--out", os.path.join({out!r}, "ls.json")]) == 1
+assert "scipy" not in sys.modules
+""", _LINALG)
+    assert loaded == ["scipy.linalg._flapack", _ARPACKLIB]
 
 
 @pytest.fixture(scope="module")
@@ -686,25 +731,19 @@ def fold_dir(fold_branch, irrot, tmp_path_factory):
 
 
 def test_pairs_and_verify_import_no_heavy_scipy_subpackage(fold_dir, tmp_path):
-    # the Turning, the pair inversion and the audit run on numpy and
-    # scipy.linalg only
+    # the Turning's spline, the pair inversion and the audit's replay on the
+    # band LU run on numpy and scipy's LAPACK extension only, not on
+    # scipy.linalg's package
     loaded = _modules_loaded_by(f"""
 import json, sys
 from wavebranch.cli import main
 assert main(["pairs", "--branch", {str(fold_dir)!r}, "--n-r", "1",
              "--out", {str(tmp_path / "pairs.json")!r}]) == 0
 assert main(["verify", "--dir", {str(fold_dir)!r}]) == 0
-""")
-    assert loaded == []
-    assert json.loads((tmp_path / "pairs.json").read_text())["events"][0]["kind"] == "Turning"
-    # the audit alone replays on the band LU: scipy's LAPACK extension, and
-    # not scipy.linalg's package, which only the spline of `pairs` loads
-    loaded = _modules_loaded_by(f"""
-import json, sys
-from wavebranch.cli import main
-assert main(["verify", "--dir", {str(fold_dir)!r}]) == 0
+assert "scipy" not in sys.modules
 """, _LINALG)
     assert loaded == ["scipy.linalg._flapack"]
+    assert json.loads((tmp_path / "pairs.json").read_text())["events"][0]["kind"] == "Turning"
 
 
 def _script(name: str):

@@ -1,3 +1,6 @@
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,7 +227,7 @@ class TestPdeWiring:
         a, b = mini_branch[1], mini_branch[2]
         # mu1 has the same sign on both sides: not a crossing bracket
         with pytest.raises(PreconditionError):
-            ly.switch_branch((a, b), irrot)
+            ly.switch_branch((a, b), irrot, 256)
 
     def test_family_trivial_line(self, mini_branch, irrot):
         # F(0, lambda) vanishes along the primary branch by construction
@@ -292,15 +295,15 @@ class TestPdeWiring:
     def test_pde_eigendata_arpack_failure_is_numerical_error(
         self, mini_branch, irrot, monkeypatch
     ):
-        import scipy.sparse.linalg
-        from scipy.sparse.linalg import ArpackNoConvergence
-
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+        def no_convergence(state, *arrays):
+            # dnaupd's exit after maxiter iterations
+            state["ido"], state["info"] = 99, 1
 
         a, b = mini_branch[2], mini_branch[3]
         fam = ly.family_from_branch((a, b), irrot, 0.5 * (a.t + b.t))
-        # branch imports eigs when it first runs ARPACK, from scipy.sparse.linalg
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        # branch loads ARPACK's extension when it first runs an eigensolve,
+        # from sys.modules when it is there
+        stub = types.SimpleNamespace(dnaupd_wrap=no_convergence)
+        monkeypatch.setitem(sys.modules, branch._ARPACKLIB, stub)
         with pytest.raises(NumericalError, match="eigensolve failed"):
             fam.eigendata(0.0)

@@ -113,3 +113,34 @@ class TestNu0:
     def test_grid_minimum(self, irrot, theta_R2):
         with pytest.raises(ValueError):
             sp1.robin_problem(irrot, theta_R2, grid_n=32)
+
+
+class TestLapackPath:
+    """nu0_eigenpair calls LAPACK's dstebz and dstein itself; it gives what
+    scipy's eigh_tridiagonal gives on the same matrix."""
+
+    @pytest.mark.parametrize("grid_n", [128, 1024])
+    @pytest.mark.parametrize("coeffs", [[0.0], [1.0, -2.0], [-0.5]])
+    def test_bitwise_equal_to_eigh_tridiagonal(self, coeffs, grid_n):
+        from scipy.linalg import eigh_tridiagonal
+
+        spec = VorticitySpec(coeffs)
+        theta = st.solve_theta_for_R(spec, st.dispersion_summary(spec).R_c + 0.05,
+                                     "supercritical")
+        problem = sp1.robin_problem(spec, theta, grid_n=grid_n)
+        diag, off, m_n = sp1._tridiagonal(problem)
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        ref = np.concatenate([[0.0], vecs[:, 0]])
+        ref[-1] /= np.sqrt(m_n)
+        if ref[1] < 0:
+            ref = -ref
+        nu, v = sp1.nu0_eigenpair(problem)
+        assert nu == float(vals[0])
+        assert v.tobytes() == ref.tobytes()
+
+    def test_non_finite_potential_raises(self, irrot, theta_R2):
+        problem = sp1.robin_problem(irrot, theta_R2, grid_n=128)
+        potential = problem.potential.copy()
+        potential[40] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            sp1.nu0(dataclasses.replace(problem, potential=potential))
