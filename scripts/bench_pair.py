@@ -41,7 +41,8 @@ also match the digest of the untraced runs of the same seed and tree.
 
 Everything perfbench writes stays in each side's own git-ignored
 `.perfbench_out/`.  The per-pair results are also saved as
-`.perfbench_out/bench_pair.json` in the working tree, with a "summary" that
+`.perfbench_out/bench_pair.json` in the working tree, with the parent as
+its short hash (`git rev-parse --short`), a "summary" that
 holds, per workload: each side's failed and attempted ops and env lines, per
 end-to-end metric each side's median, q1 and q3 with the win count and the
 mark, and, seed by seed, whether the output digests match; and a "trace"
@@ -63,6 +64,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIRST_SEED = 101
 MIN_PAIRS_FOR_GAIN = 10
+
+
+def short_hash(commit: str) -> str:
+    """The abbreviated hash of `commit` (a hash, branch, tag or `HEAD`), so
+    that what is recorded still names the commit after HEAD moves."""
+    return subprocess.run(["git", "rev-parse", "--short", "--verify", f"{commit}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def export_commit(commit: str, dest: str) -> None:
@@ -150,6 +158,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    args.parent = short_hash(args.parent)
     workloads = args.workload or names
     seconds = spec["run_seconds"]
     seeds = [FIRST_SEED + i for i in range(args.pairs)]

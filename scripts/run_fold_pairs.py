@@ -14,8 +14,7 @@ import json
 import os
 import sys
 
-from wavebranch import cli, strip
-from wavebranch.vorticity import VorticitySpec
+from wavebranch import cli
 
 
 def main(argv=None):
@@ -29,10 +28,8 @@ def main(argv=None):
     ap.add_argument("--n-pairs", type=int, default=5, dest="n_pairs")
     args = ap.parse_args(argv)
 
-    L = strip.default_grid(VorticitySpec([0.0]), args.R_start, args.nq, args.npp,
-                           L_factor=25.0).L
     code = cli.main([
-        "continue", "--omega", "0", "--R-start", repr(args.R_start), "--L", repr(L),
+        "continue", "--omega", "0", "--R-start", repr(args.R_start), "--L-factor", "25",
         "--nq", str(args.nq), "--np", str(args.npp), "--steps", str(args.steps),
         "--ds", repr(args.ds), "--margin-fraction", "0.05", "--nu0-grid-n", "512",
         "--out", args.out,

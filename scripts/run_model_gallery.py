@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the Lyapunov-Schmidt reduction over the finite-dimensional model
-gallery and print zero-curve counts, classifications and crossing orders."""
+gallery, each case on its chart (lyapunov.gallery_branches), and print
+zero-curve counts, classifications and crossing orders."""
 
 import argparse
 
@@ -10,17 +11,9 @@ from wavebranch import lyapunov as ly
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--s-max", type=float, default=0.3, dest="s_max")
-    ap.add_argument("--ns", type=int, default=13)
-    ap.add_argument("--nlam", type=int, default=61)
-    args = ap.parse_args(argv)
-
-    lam_max = {"pitchfork": 0.12, "cubic": 0.5, "vertical": 0.2, "even": 0.35}
-    for name, make in ly.MODEL_GALLERY.items():
-        fam = make()
-        lb = ly.local_branches(fam, s_max=args.s_max, lam_max=lam_max[name],
-                               ns=args.ns, nlam=args.nlam)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    for name in ly.MODEL_GALLERY:
+        lb = ly.gallery_branches(name)
         pos = [c for c in lb.curves if c.side > 0]
         print(f"{name}: m = {lb.m_estimate}, certified = {lb.certified}, "
               f"curve pairs = {len(pos)}")

@@ -18,7 +18,7 @@ writes or prints is relative, it runs:
   point_0003.txt with nu0 on 512 nodes (no crossing: its JSON holds both
   points' mu1 and nu0) and `wavebranch verify`;
 - `wavebranch continue` for omega [1, -2] from R = 1.70 at the fold settings
-  of run_fold_pairs.py (201x31, L = 25 d_-(1.70), ds 0.01, 24 steps, 5%
+  of run_fold_pairs.py (201x31, `--L-factor 25`, ds 0.01, 24 steps, 5%
   margin, nu0 on 512 nodes), then `wavebranch pairs --n-r 5` on it: a
   rotational far field, a Turning and two eigenvalue crossings;
 - `wavebranch model-bifurcate` for every case of the model gallery;
@@ -57,7 +57,6 @@ def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) of every run, argv relative to the side's tree root."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from wavebranch.stream import dispersion_summary
-    from wavebranch.strip import default_grid
     from wavebranch.vorticity import VorticitySpec
 
     cli = ["-m", "wavebranch.cli"]
@@ -83,10 +82,9 @@ def commands() -> list[tuple[str, list[str]]]:
         "--out", "ls_reduce.json",
     ]))
     runs.append(("verify", cli + ["verify", "--dir", "fold_run"]))
-    L = default_grid(VorticitySpec(ROT_OMEGA), ROT_R_START, 201, 31, L_factor=25.0).L
     runs.append(("rot_continue", cli + [
         "continue", "--omega", *map(repr, ROT_OMEGA), "--R-start", repr(ROT_R_START),
-        "--L", repr(L), "--nq", "201", "--np", "31", "--steps", "24", "--ds", "0.01",
+        "--L-factor", "25", "--nq", "201", "--np", "31", "--steps", "24", "--ds", "0.01",
         "--margin-fraction", "0.05", "--nu0-grid-n", "512", "--out", "rot_run",
     ]))
     runs.append(("rot_pairs", cli + ["pairs", "--branch", "rot_run", "--n-r", "5"]))

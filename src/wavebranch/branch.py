@@ -12,6 +12,8 @@ corrector one band LU factor of its Jacobian per iterate.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -593,38 +595,17 @@ def _initial_tangent(spec: VorticitySpec, start: StripField, weight: float):
     return dx / n, 1.0 / n
 
 
-class _InlineExecutor:
-    """Executor stand-in that runs each submitted call at once, in this
-    process, and hands back a finished Future (its result or its error)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        fut = Future()
-        try:
-            fut.set_result(fn(*args))
-        except Exception as exc:  # raised where the result is read, as from a pool
-            fut.set_exception(exc)
-        return fut
-
-
 def _monitor_executor():
     """Where continue_branch computes the spectra of its accepted points: one
     worker process, forked at the first submission, when fork exists and this
-    process may run on more than one CPU; otherwise an inline executor.  The
+    process may run on more than one CPU; otherwise None, for in-process.  The
     pool modules are imported here, so only a continuation run pays for them."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return _InlineExecutor()
+        return None
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return _InlineExecutor()
+        return None
     from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: the worker starts with this process's imports and
@@ -652,9 +633,10 @@ def continue_branch(
 
     The spectrum of accepted point k is computed while the corrector computes
     point k+1: on Linux with fork available and at least two CPUs in this
-    process's affinity set, in one worker process forked once per call,
-    otherwise inline at submission.  Its starting ARPACK shift is fixed here,
-    before submission: min(-1.5 nu0, 1.2 mu0 of point k-1), so that the first
+    process's affinity set, in one worker process forked once per call;
+    otherwise in this process after point k+1, where the worker's result
+    would be read.  Its starting ARPACK shift is fixed when point k is
+    accepted: min(-1.5 nu0, 1.2 mu0 of point k-1), so that the first
     eigensolve finds a mu0 that runs off toward -inf before a fold, with no
     shift deepening; or spectrum_at's default -1.5 nu0 when the step to point
     k turned R, because past a fold the runaway mu0 leaves the computed set
@@ -685,15 +667,14 @@ def continue_branch(
     init_diag = start.diag
 
     points: list[BranchPoint] = [start]
-    pending: list = []  # the Future of the spectrum of points[-1], while it is computed
+    pending: list = []  # the call that gives the spectrum of points[-1], until it is read
 
     def settle():
         """Fill in the pending spectrum of the last point and check it."""
         if not pending:
             return
-        fut = pending.pop()
         try:
-            info = fut.result()
+            info = pending.pop()()
         except BaseException:
             points.pop()  # no spectrum, no point
             raise
@@ -714,23 +695,25 @@ def continue_branch(
         if loop_closure(points, fld, pt.t, min_arc=3.0 * ds, tol=10.0 * NEWTON_TOL):
             points.append(pt)
             return "loop-closure"
-        sigma = _shift_hint(points[-1], step.tangent_lam)
+        job = functools.partial(
+            spectrum_at, fld, spec, nu0_grid_n, _shift_hint(points[-1], step.tangent_lam)
+        )
         points.append(pt)
         breaches = _margin_breaches(pt.diag, init_diag, ctrl.margin_fraction)
         if breaches:
             # the diagnostics already signal physical breakdown; the spectral
             # data of the terminal point are best-effort only
             try:
-                _set_spectrum(pt, spectrum_at(fld, spec, nu0_grid_n, sigma))
+                _set_spectrum(pt, job())
             except NumericalError:
                 pass
             return f"margin-breach:{breaches[0]}"
-        pending.append(pool.submit(spectrum_at, fld, spec, nu0_grid_n, sigma))
+        pending.append(pool.submit(job).result if pool else job)
         return None
 
     pool = _monitor_executor()
     try:
-        with pool:
+        with pool or contextlib.nullcontext():
             try:
                 _, status = arclength_continue(
                     sys_, x0, start.R, tan0, ds, steps, ctrl=ctrl, on_accept=on_accept

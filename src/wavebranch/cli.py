@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,7 @@ class RunConfig:
     """Run configuration; round-trips losslessly through JSON."""
 
     omega: list = field(default_factory=lambda: [0.0])
-    L: float | None = None  # None: 30 * d_-(R)
+    L_factor: float = strip_mod.DEFAULT_L_FACTOR  # L = L_factor * d_-(R)
     nq: int = 301
     np: int = 41
     ds: float = 0.002
@@ -66,8 +67,8 @@ class RunConfig:
             raise ValueError("ds and margin_fraction must be positive")
         if self.nq < 9 or self.np < 9:
             raise ValueError("grid counts below minimum (9)")
-        if self.L is not None and not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not self.L_factor > 0:
+            raise ValueError(f"L_factor must be positive, got {self.L_factor}")
         if self.nu0_grid_n < 64:
             raise ValueError(f"nu0_grid_n must be at least 64, got {self.nu0_grid_n}")
 
@@ -118,9 +119,7 @@ def _spec_of(cfg: RunConfig) -> VorticitySpec:
 
 
 def _grid_of(cfg: RunConfig, spec: VorticitySpec, R: float) -> strip_mod.StripGrid:
-    if cfg.L is not None:
-        return strip_mod.StripGrid(L=cfg.L, nq=cfg.nq, np=cfg.np)
-    return strip_mod.default_grid(spec, R, nq=cfg.nq, npp=cfg.np)
+    return strip_mod.default_grid(spec, R, nq=cfg.nq, npp=cfg.np, L_factor=cfg.L_factor)
 
 
 def _cmd_stream(args, cfg: RunConfig) -> int:
@@ -365,10 +364,7 @@ def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
 def _cmd_model_bifurcate(args, cfg: RunConfig) -> int:
     if args.case not in ly.MODEL_GALLERY:
         raise PreconditionError(f"unknown model case {args.case!r}")
-    fam = ly.MODEL_GALLERY[args.case]()
-    lb = ly.local_branches(
-        fam, s_max=args.s_max, lam_max=args.lam_max, ns=args.ns, nlam=args.nlam
-    )
+    lb = ly.gallery_branches(args.case)
     payload = {
         "case": args.case,
         "m_estimate": lb.m_estimate,
@@ -492,7 +488,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rotational solitary water waves: solver, continuation, "
         "bifurcation analysis, and same-Bernoulli-constant pairs.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviations: a stale `--L 21.3` must not parse as `--L-factor 21.3`
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     # option groups; each command takes the groups its function reads
     config = argparse.ArgumentParser(add_help=False)
@@ -500,7 +498,8 @@ def _build_parser() -> argparse.ArgumentParser:
     omega = argparse.ArgumentParser(add_help=False)
     omega.add_argument("--omega", type=float, nargs="+", help="vorticity coefficients")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--L", type=float)
+    grid.add_argument("--L-factor", type=float, dest="L_factor",
+                      help="truncation L in far-field depths d_-(R)")
     grid.add_argument("--nq", type=int)
     grid.add_argument("--np", type=int, dest="np")
     edge = argparse.ArgumentParser(add_help=False)
@@ -557,10 +556,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-bifurcate", help="finite-dimensional bifurcation gallery")
     p.add_argument("--case", required=True)
-    p.add_argument("--s-max", type=float, default=0.3, dest="s_max")
-    p.add_argument("--lam-max", type=float, default=0.2, dest="lam_max")
-    p.add_argument("--ns", type=int, default=13)
-    p.add_argument("--nlam", type=int, default=41)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_model_bifurcate)
 

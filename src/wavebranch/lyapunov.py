@@ -53,6 +53,7 @@ __all__ = [
     "BranchCurve",
     "LocalBranches",
     "local_branches",
+    "gallery_branches",
     "seed_from_family",
     "switch_branch",
     "pitchfork_family",
@@ -246,13 +247,10 @@ def _column_zeros(family, s, lam_vals, zero_tol):
 
 
 def local_branches(
-    family: AnalyticFamily,
-    s_max: float,
-    lam_max: float,
-    ns: int = 17,
-    nlam: int = 41,
+    family: AnalyticFamily, s_max: float, lam_max: float, ns: int, nlam: int
 ) -> LocalBranches:
-    """Trace zero curves of the reduced map on |s| <= s_max, |lambda| <= lam_max.
+    """Trace zero curves of the reduced map on |s| <= s_max, |lambda| <= lam_max,
+    on ns columns of |s| per side and nlam lattice values of lambda.
 
     The lattice sign scan is refined by Brent's method in lambda per
     s-column; the refined roots are chained across adjacent columns into
@@ -534,9 +532,17 @@ def even_mu_family() -> AnalyticFamily:
     return _power_family(2)
 
 
+# each case's family and the half-width lam_max of its chart
 MODEL_GALLERY = {
-    "pitchfork": pitchfork_family,
-    "cubic": cubic_mu_family,
-    "vertical": vertical_family,
-    "even": even_mu_family,
+    "pitchfork": (pitchfork_family, 0.12),
+    "cubic": (cubic_mu_family, 0.5),
+    "vertical": (vertical_family, 0.2),
+    "even": (even_mu_family, 0.35),
 }
+
+
+def gallery_branches(case: str) -> LocalBranches:
+    """local_branches of a MODEL_GALLERY case on its chart: |s| <= 0.3 on 13
+    columns per side, |lambda| <= its lam_max on 61 rows."""
+    make, lam_max = MODEL_GALLERY[case]
+    return local_branches(make(), s_max=0.3, lam_max=lam_max, ns=13, nlam=61)

@@ -90,7 +90,9 @@ def _load_extension(name: str):
             sys.modules[name] = module
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"no {name} extension in {folder}")
+    from importlib import metadata  # only here: it imports email and zipfile
+
+    raise ImportError(f"no {name} extension in {folder} (scipy {metadata.version(top)})")
 
 
 _flapack = _load_extension("scipy.linalg._flapack")
@@ -98,6 +100,9 @@ dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 # residual sup-norm at which a Newton solve, fixed-R or bordered, has converged
 NEWTON_TOL = 1e-10
+
+# the truncation L of the default grid, in far-field depths d_-(R)
+DEFAULT_L_FACTOR = 30.0
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ class StripResidual:
 
 
 def default_grid(spec: VorticitySpec, R: float, nq: int = 301, npp: int = 41,
-                 L_factor: float = 30.0) -> StripGrid:
+                 L_factor: float = DEFAULT_L_FACTOR) -> StripGrid:
     """Default truncation: L = L_factor * d_-(R) with the standard node counts."""
     theta = solve_theta_for_R(spec, R, "supercritical")
     d = stream_depth(spec, theta)

@@ -279,20 +279,17 @@ def test_criterion_08_lyapunov_schmidt_model_and_gallery():
             most = max(most, int(np.sum(Bv[:-1] * Bv[1:] < 0)))
         return most
 
-    cases = [
-        ("pitchfork", ly.pitchfork_family(), 0.12, 1),
-        ("cubic", ly.cubic_mu_family(), 0.5, 3),
-        ("vertical", ly.vertical_family(), 0.2, None),
-    ]
-    for name, family, lam_max, m in cases:
-        lb = ly.local_branches(family, s_max=0.3, lam_max=lam_max, ns=13, nlam=61)
+    # each case on the gallery's own chart, with its crossing order
+    for name, m in (("pitchfork", 1), ("cubic", 3), ("vertical", None)):
+        make, lam_max = ly.MODEL_GALLERY[name]
+        lb = ly.gallery_branches(name)
         pos = [c for c in lb.curves if c.side > 0]
         neg = [c for c in lb.curves if c.side < 0]
         assert len(pos) == len(neg), name
         if m is not None:
             assert lb.m_estimate == m, name
             assert 1 <= len(pos) <= m, name  # odd-m existence and upper bound
-            oracle = dense_count(family, [0.12, 0.22, 0.29], lam_max)
+            oracle = dense_count(make(), [0.12, 0.22, 0.29], lam_max)
             assert len(pos) == oracle, f"{name}: count {len(pos)} vs dense scan {oracle}"
         else:
             assert all(c.classification == "vertical" for c in lb.curves), name

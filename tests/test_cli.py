@@ -14,7 +14,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from wavebranch import branch, cli, strip
+from wavebranch import branch, cli, stream, strip
 from wavebranch import lyapunov as ly
 from wavebranch import physical as phys
 from wavebranch.cli import RunConfig, main
@@ -24,6 +24,7 @@ from wavebranch.errors import (
     NumericalError,
     PreconditionError,
 )
+from wavebranch.vorticity import VorticitySpec
 
 
 def run(capsys, *argv):
@@ -118,13 +119,21 @@ class TestBasicCommands:
         assert csvs[1].read_bytes() == csvs[0].read_bytes()
 
     def test_model_bifurcate_json(self, capsys):
-        code, out, _ = run(capsys, "model-bifurcate", "--case", "pitchfork",
-                           "--ns", "7", "--nlam", "21")
+        code, out, _ = run(capsys, "model-bifurcate", "--case", "pitchfork")
         assert code == 0
         payload = json.loads(out)
         assert payload["m_estimate"] == 1
         assert payload["certified"] is True
         assert len([c for c in payload["curves"] if c["side"] == 1]) == 1
+
+    @pytest.mark.parametrize("case", ["cubic", "even"])
+    def test_model_bifurcate_curves_span_the_charts_columns(self, capsys, case):
+        # on the gallery's chart every traced curve reaches all 13 columns
+        code, out, _ = run(capsys, "model-bifurcate", "--case", case)
+        assert code == 0
+        curves = json.loads(out)["curves"]
+        assert curves
+        assert all(len(c["s"]) == 13 for c in curves)
 
 
 class TestErrors:
@@ -153,6 +162,8 @@ class TestErrors:
         {"nq": 61, "bogus": 1}, {"nq": "61"}, {"ds": None},
         # keys of options that became constants
         {"newton_tol": 1e-10}, {"seed": 0}, {"ds_max_factor": 8.0},
+        # the absolute truncation, now L_factor far-field depths
+        {"L": 20.0},
     ])
     def test_unknown_or_ill_typed_config_key_exits_2(self, capsys, tmp_path, data):
         bad = tmp_path / "bad.json"
@@ -172,8 +183,8 @@ class TestErrors:
         assert "configuration error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--omega", "0", "--R", "1.53", "--L", "-1"],
-        ["solve", "--omega", "0", "--R", "1.53", "--L", "0"],
+        ["solve", "--omega", "0", "--R", "1.53", "--L-factor", "-1"],
+        ["solve", "--omega", "0", "--R", "1.53", "--L-factor", "0"],
         ["spectrum1d", "--omega", "0", "--R", "2.0", "--nu0-grid-n", "32"],
     ])
     def test_bad_length_or_edge_grid_exits_2(self, capsys, argv):
@@ -190,10 +201,12 @@ class TestErrors:
         assert "configuration error" not in err
 
 
-# flags that some command does not take: the shared option groups, and the
-# flags of the constants (Newton tolerance, Taylor seed, step cap)
-_OLD_FLAGS = ("--config", "--omega", "--L", "--nq", "--np", "--newton-tol",
-              "--nu0-grid-n", "--seed", "--ds-max-factor")
+# flags that some command does not take: the shared option groups, the
+# flags of the constants (Newton tolerance, Taylor seed, step cap), the
+# absolute truncation and model-bifurcate's chart
+_OLD_FLAGS = ("--config", "--omega", "--L-factor", "--nq", "--np", "--newton-tol",
+              "--nu0-grid-n", "--seed", "--ds-max-factor", "--L", "--s-max", "--lam-max",
+              "--ns", "--nlam")
 # each command's required arguments, so that parsing reaches the flag under test
 _REQUIRED = {
     "stream": ["--theta-min", "1.1", "--theta-max", "2.0"],
@@ -326,6 +339,14 @@ _TAMPERINGS = {
 
 
 class TestContinueAndVerify:
+    def test_truncation_is_L_factor_far_field_depths(self, tmp_path):
+        assert main([*_CONTINUE, "--steps", "1", "--L-factor", "12", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "config.json").read_text())["L_factor"] == 12.0
+        spec = VorticitySpec([0.0])
+        d = stream.depth(spec, stream.solve_theta_for_R(spec, 1.52, "supercritical"))
+        for name in ("point_0000.txt", "point_0001.txt"):
+            assert strip.read_checkpoint(str(tmp_path / name))[0].grid.L == 12.0 * d
+
     def test_outputs_exist(self, branch_dir):
         names = sorted(os.listdir(branch_dir))
         assert "branch.csv" in names and "config.json" in names
@@ -682,7 +703,7 @@ def test_model_bifurcation_imports_no_heavy_scipy_subpackage():
     loaded = _modules_loaded_by("""
 import json, sys
 from wavebranch.cli import main
-assert main(["model-bifurcate", "--case", "pitchfork", "--ns", "5", "--nlam", "11"]) == 0
+assert main(["model-bifurcate", "--case", "pitchfork"]) == 0
 """, _LINALG)
     assert loaded == ["scipy.linalg._flapack"]
 
@@ -825,6 +846,19 @@ def test_bench_pair_verdict(case):
     parent, change, better, failed, mark, wins = _VERDICTS[case]
     result = _script("bench_pair").verdict(parent, change, better, 0.25, failed)
     assert (result["mark"], result["wins"], result["pairs"]) == (mark, wins, len(parent))
+
+
+def test_bench_pair_records_the_parent_as_its_short_hash(tmp_path, monkeypatch):
+    # `--parent HEAD` is stored as the commit HEAD named, which outlives HEAD
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    want = subprocess.run([*git, "rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert re.fullmatch(r"[0-9a-f]{4,}", want)
+    bench_pair = _script("bench_pair")
+    monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
+    assert bench_pair.short_hash("HEAD") == want
 
 
 def test_same_outputs_names_each_differing_file(tmp_path, capsys):

@@ -153,6 +153,17 @@ class TestLocalBranches:
         assert max_roots == sum(1 for c in lb.curves if c.side > 0)
 
 
+@pytest.mark.parametrize("case", sorted(ly.MODEL_GALLERY))
+def test_gallery_branches_are_local_branches_on_the_cases_chart(case):
+    make, lam_max = ly.MODEL_GALLERY[case]
+    got = ly.gallery_branches(case)
+    want = ly.local_branches(make(), 0.3, lam_max, 13, 61)
+    assert (got.m_estimate, got.mu_m, got.certified) == (want.m_estimate, want.mu_m, want.certified)
+    assert [(c.side, c.classification, c.partner, c.s.tobytes(), c.lam.tobytes())
+            for c in got.curves] == [(c.side, c.classification, c.partner, c.s.tobytes(),
+                                      c.lam.tobytes()) for c in want.curves]
+
+
 class TestBijection:
     def test_reduced_roots_polish_to_full_solutions(self, pitchfork):
         # every root of B corresponds to a full-system solution after one polish

@@ -1,3 +1,6 @@
+import re
+from importlib import metadata
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -592,3 +595,8 @@ def test_checkpoint_fuzz_reads_or_rejects(tmp_path_factory, data, kind):
     assert fld.h.shape == (grid.nq, grid.np) and grid.nq >= 9 and grid.np >= 9
     assert np.isfinite(fld.h).all() and np.isfinite([grid.L, fld.R, fld.theta]).all()
     assert grid.L > 0 and all(np.isfinite(omega.coeffs))
+
+
+def test_missing_extension_names_the_installed_scipy():
+    with pytest.raises(ImportError, match=re.escape(f"(scipy {metadata.version('scipy')})")):
+        strip._load_extension("scipy.linalg._no_such_extension")
