@@ -5,7 +5,9 @@
                                   [--pairs 10]
 
 Run from the root of a checkout.  The parent commit is exported with
-`git archive` into a temporary directory, which is deleted at the end.  Pair
+`git archive`, and the working tree's tracked and untracked, not ignored
+files are copied, each into its own temporary directory, which is deleted at
+the end, so that both sides start from a fresh tree alike.  Pair
 i runs `perfbench/run.py --trace 0` with seed 101 + i (the seeds of
 `perfbench/baseline.json`) for the `run_seconds` of BENCHMARK.json, once on
 each side, the parent first in even pairs and the working tree first in odd
@@ -29,8 +31,8 @@ For every workload whose units record an output digest (fold-pairs: the
 checkpoints and pairs.json), it also reports, seed by seed, whether the
 working tree's digest equals the parent's, so that a change claiming the same
 outputs is checked on every pair.  Each side's digest is read from its own
-`.perfbench_out/digests.json`, under the key that side's perfbench/run.py
-gives its source tree.
+`.perfbench_out/digests.json` before the exports are deleted, under the key
+that side's perfbench/run.py gives its source tree.
 
 After the pairs, every workload runs once more on each side with
 `perfbench/run.py --trace 1` (seed 101), its process tree pinned to one CPU.
@@ -39,9 +41,9 @@ forked worker, so the spans of every layer, the spectral ones included, are
 recorded in the traced unit's own process.  The traced fold-pairs output must
 also match the digest of the untraced runs of the same seed and tree.
 
-Everything perfbench writes stays in each side's own git-ignored
-`.perfbench_out/`.  The per-pair results are also saved as
-`.perfbench_out/bench_pair.json` in the working tree, with the parent as
+Everything perfbench writes goes into the `.perfbench_out/` of each side's
+export and is deleted with it.  The per-pair results are saved as
+`.perfbench_out/bench_pair.json` in the checkout, with the parent as
 its short hash (`git rev-parse --short`), a "summary" that
 holds, per workload: each side's failed and attempted ops and env lines, per
 end-to-end metric each side's median, q1 and q3 with the win count and the
@@ -56,6 +58,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -78,6 +81,18 @@ def export_commit(commit: str, dest: str) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
                              capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+
+
+def export_worktree(dest: str) -> None:
+    """Copy the working tree's tracked files and its untracked files that
+    are not ignored, as they are on disk, into the directory `dest`, which it
+    creates; a tracked file deleted from the working tree is left out."""
+    git = ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"]
+    listed = subprocess.run(git, cwd=ROOT, capture_output=True, check=True).stdout.decode()
+    for rel in listed.split("\0"):
+        if rel and os.path.isfile(os.path.join(ROOT, rel)):
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy(os.path.join(ROOT, rel), os.path.join(dest, rel))
 
 
 def pin_to_one_cpu() -> None:
@@ -164,9 +179,11 @@ def main(argv=None) -> int:
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
 
     results = {w: {"parent": [], "change": []} for w in workloads}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
-        export_commit(args.parent, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        sides = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+        os.mkdir(sides["parent"])
+        export_commit(args.parent, sides["parent"])
+        export_worktree(sides["change"])
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for w in workloads:
@@ -185,7 +202,7 @@ def main(argv=None) -> int:
                 out = run_side(sides[side], w, FIRST_SEED, seconds, trace=1)
                 traces[w][side] = out
                 print(f"trace {w} {side}: failed {out['failed']}/{out['attempted']}", flush=True)
-        # read the parent's digests before its export is deleted
+        # read both sides' digests before their exports are deleted
         digests = {w: {side: output_digests(root, w, seeds) for side, root in sides.items()}
                    for w in workloads}
 

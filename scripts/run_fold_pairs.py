@@ -2,11 +2,12 @@
 """Continue the irrotational solitary branch through its fold and exhibit
 pairs of distinct waves sharing one Bernoulli constant.
 
-Runs `wavebranch continue` and `wavebranch pairs` at the fold settings
-(L = 25 d_-(R_start), 5% surface margin, nu0 on 512 nodes), so --out
-(default ./fold_run) holds the checkpoints point_NNNN.txt, branch.csv,
-config.json and pairs.json; then prints a summary table read from
-pairs.json.  Exits with the CLI's exit code.
+    python3 scripts/run_fold_pairs.py [--out fold_run]
+
+Runs `wavebranch continue` from R = 1.54 and `wavebranch pairs` at the fold
+settings FOLD_SETTINGS, so --out (default ./fold_run) holds the checkpoints
+point_NNNN.txt, branch.csv, config.json and pairs.json; then prints a
+summary table read from pairs.json.  Exits with the CLI's exit code.
 """
 
 import argparse
@@ -16,26 +17,24 @@ import sys
 
 from wavebranch import cli
 
+# options of `continue` (past the vorticity and the start R) and of `pairs`
+# at the fold settings: L = 25 d_-(R_start) on 201x31, 24 steps from ds 0.01,
+# 5% surface margin, nu0 on 512 nodes, and 5 values of R on each side of a
+# Turning for the pairs
+FOLD_SETTINGS = {"continue": "--L-factor 25 --nq 201 --np 31 --steps 24 --ds 0.01 "
+                             "--margin-fraction 0.05 --nu0-grid-n 512".split(),
+                 "pairs": ["--n-r", "5"]}
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="fold_run")
-    ap.add_argument("--R-start", type=float, default=1.54, dest="R_start")
-    ap.add_argument("--nq", type=int, default=201)
-    ap.add_argument("--np", type=int, default=31, dest="npp")
-    ap.add_argument("--steps", type=int, default=24)
-    ap.add_argument("--ds", type=float, default=0.01)
-    ap.add_argument("--n-pairs", type=int, default=5, dest="n_pairs")
     args = ap.parse_args(argv)
 
-    code = cli.main([
-        "continue", "--omega", "0", "--R-start", repr(args.R_start), "--L-factor", "25",
-        "--nq", str(args.nq), "--np", str(args.npp), "--steps", str(args.steps),
-        "--ds", repr(args.ds), "--margin-fraction", "0.05", "--nu0-grid-n", "512",
-        "--out", args.out,
-    ])
+    code = cli.main(["continue", "--omega", "0", "--R-start", "1.54",
+                     *FOLD_SETTINGS["continue"], "--out", args.out])
     if code == 0:
-        code = cli.main(["pairs", "--branch", args.out, "--n-r", str(args.n_pairs)])
+        code = cli.main(["pairs", "--branch", args.out, *FOLD_SETTINGS["pairs"]])
     if code != 0:
         return code
 

@@ -4,10 +4,12 @@
     python3 scripts/same_outputs.py --parent <commit>
 
 Run from anywhere inside a checkout.  The parent commit is exported with
-`git archive` (bench_pair.export_commit) into a temporary directory, which is
-deleted at the end.  On both trees, with OPENBLAS_NUM_THREADS=1 and each
-command run in an empty output directory of its side so that every path it
-writes or prints is relative, it runs:
+`git archive` (bench_pair.export_commit), and the working tree's tracked and
+untracked, not ignored files are copied (bench_pair.export_worktree), each
+into its own temporary directory, which is deleted at the end.  On both
+trees, with OPENBLAS_NUM_THREADS=1 and each command run in an empty output
+directory of its side so that every path it writes or prints is relative, it
+runs:
 
 - `wavebranch solve --out --profile-out` for omega [0], [1, -2] and [-0.5],
   each at R_c + 0.005 and R_c + 0.03 (R_c from the working tree);
@@ -17,10 +19,10 @@ writes or prints is relative, it runs:
   writes to fold_run/, `wavebranch ls-reduce` from point_0001.txt to
   point_0003.txt with nu0 on 512 nodes (no crossing: its JSON holds both
   points' mu1 and nu0) and `wavebranch verify`;
-- `wavebranch continue` for omega [1, -2] from R = 1.70 at the fold settings
-  of run_fold_pairs.py (201x31, `--L-factor 25`, ds 0.01, 24 steps, 5%
-  margin, nu0 on 512 nodes), then `wavebranch pairs --n-r 5` on it: a
-  rotational far field, a Turning and two eigenvalue crossings;
+- `wavebranch continue` for omega [1, -2] from R = 1.70, then `wavebranch
+  pairs` on it, at the fold settings of run_fold_pairs.py (its
+  FOLD_SETTINGS): a rotational far field, a Turning and two eigenvalue
+  crossings;
 - `wavebranch model-bifurcate` for every case of the model gallery;
 - `scripts/run_model_gallery.py` with its defaults.
 
@@ -44,7 +46,7 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pair import ROOT, export_commit  # noqa: E402
+from bench_pair import ROOT, export_commit, export_worktree  # noqa: E402
 
 SOLVE_OMEGAS = ([0.0], [1.0, -2.0], [-0.5])
 SOLVE_DR = (0.005, 0.03)
@@ -56,6 +58,7 @@ ROT_OMEGA, ROT_R_START = [1.0, -2.0], 1.70
 def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) of every run, argv relative to the side's tree root."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    from run_fold_pairs import FOLD_SETTINGS
     from wavebranch.stream import dispersion_summary
     from wavebranch.vorticity import VorticitySpec
 
@@ -84,10 +87,9 @@ def commands() -> list[tuple[str, list[str]]]:
     runs.append(("verify", cli + ["verify", "--dir", "fold_run"]))
     runs.append(("rot_continue", cli + [
         "continue", "--omega", *map(repr, ROT_OMEGA), "--R-start", repr(ROT_R_START),
-        "--L-factor", "25", "--nq", "201", "--np", "31", "--steps", "24", "--ds", "0.01",
-        "--margin-fraction", "0.05", "--nu0-grid-n", "512", "--out", "rot_run",
+        *FOLD_SETTINGS["continue"], "--out", "rot_run",
     ]))
-    runs.append(("rot_pairs", cli + ["pairs", "--branch", "rot_run", "--n-r", "5"]))
+    runs.append(("rot_pairs", cli + ["pairs", "--branch", "rot_run", *FOLD_SETTINGS["pairs"]]))
     for case in MODEL_CASES:
         runs.append((f"model_{case}", cli + ["model-bifurcate", "--case", case,
                                              "--out", f"model_{case}.json"]))
@@ -175,11 +177,12 @@ def main(argv=None) -> int:
 
     runs = commands()
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
-        parent = os.path.join(tmp, "parent")
+        parent, change = os.path.join(tmp, "parent"), os.path.join(tmp, "change")
         os.mkdir(parent)
         export_commit(args.parent, parent)
+        export_worktree(change)
         outs = {}
-        for side, tree in (("parent", parent), ("change", ROOT)):
+        for side, tree in (("parent", parent), ("change", change)):
             outs[side] = os.path.join(tmp, f"out-{side}")
             os.mkdir(outs[side])
             run_side(tree, outs[side], runs)

@@ -40,6 +40,7 @@ from .strip import (
     field_at,
     initial_guess,
     jacobian_and_dR,
+    min_forward_hp,
     node_derivatives,
     pack,
     residual_vector,
@@ -264,7 +265,7 @@ class SolitarySystem:
     def __init__(self, spec: VorticitySpec, grid: StripGrid):
         self.spec = spec
         self.grid = grid
-        self.ip_weight = grid.dq * grid.dp
+        self.ip_weight = grid.ip_weight
 
     def residual(self, x: np.ndarray, R: float) -> np.ndarray:
         return residual_vector(field_at(self.spec, self.grid, x, R), self.spec)
@@ -292,14 +293,14 @@ def loop_closure(points, field: StripField, t: float, min_arc: float, tol: float
 def diagnostics_of(field: StripField) -> Diagnostics:
     """The stagnation and overhang proxies of a field: surface slope and
     bottom velocity Psi_Y = 1/h_p from strip.node_derivatives, min_hp from
-    the forward differences that strip's unidirectionality check reads."""
+    strip.min_forward_hp, which strip's unidirectionality check reads."""
     h = field.h
     hq, hp = node_derivatives(field)
     return Diagnostics(
         max_surface_slope=float(np.abs(hq[:, -1]).max()),
         surface_margin=float((field.R - h[:, -1]).min()),
         bottom_margin=float((1.0 / hp[:, 0]).min()),
-        min_hp=float((np.diff(h, axis=1) / field.grid.dp).min()),
+        min_hp=min_forward_hp(field),
     )
 
 
@@ -328,12 +329,11 @@ class SpectrumInfo:
 def localized_fraction(grid: StripGrid, vec: np.ndarray) -> float:
     """Fraction of the squared mass of an eigenvector (in unknown ordering)
     carried by the inner half-strip q < L/2."""
-    nq, npp = grid.nq, grid.np
     scale = np.abs(vec).max()
     if scale == 0.0 or not np.isfinite(scale):
         return 0.0
-    mass = (vec.reshape(nq - 1, npp - 1) / scale) ** 2
-    inner = grid.q[: nq - 1] < 0.5 * grid.L
+    mass = (vec / scale) ** 2
+    inner = grid.unknowns(np.broadcast_to(grid.q[:, None] < 0.5 * grid.L, (grid.nq, grid.np)))
     return float(mass[inner].sum() / mass.sum())
 
 
@@ -348,11 +348,10 @@ def pencil_weight(field: StripField) -> np.ndarray:
     factor h_p and would not be comparable to the 1-D edge).  The spectral
     monitor and the Lyapunov-Schmidt eigen-data both use this pencil.
     """
-    grid = field.grid
     _, hp = node_derivatives(field)
-    bdiag = np.zeros((grid.nq - 1, grid.np - 1))
-    bdiag[:, :-1] = 1.0 / hp[:-1, 1:-1]
-    return bdiag.ravel()
+    b = np.zeros_like(hp)
+    b[:, 1:-1] = 1.0 / hp[:, 1:-1]
+    return field.grid.unknowns(b)
 
 
 def shift_invert_eigs(J, b: np.ndarray, sigma: float, k: int, left: bool = False):

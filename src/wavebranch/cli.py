@@ -292,7 +292,6 @@ def _load_branch_dir(dirpath: str):
                 mu0=None if np.isnan(mu0) else mu0,
                 mu1=float(row[cols["mu1"]]),
                 nu0=float(row[cols["nu0"]]),
-                diag=branch_mod.diagnostics_of(fld),
             )
         )
     return points, spec
@@ -341,7 +340,7 @@ def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
         # b lies one weighted secant length from a along the unit secant,
         # which is the way switch_branch walks from a
         x_a, x_b = strip_mod.pack(fld_a), strip_mod.pack(fld_b)
-        weight = fld_a.grid.dq * fld_a.grid.dp
+        weight = fld_a.grid.ip_weight
         pa.tangent_x, pa.tangent_lam = branch_mod.tangent(x_a, pa.R, x_b, pb.R, weight)
         pb.t = pa.t + branch_mod.secant_length(x_a, pa.R, x_b, pb.R, weight)
         try:
@@ -401,9 +400,7 @@ def _taylor_spot_check(fld, spec) -> float:
         v += rng.normal() * np.sin(rng.integers(1, 3) * np.pi * ps) * np.cos(
             rng.uniform(0.2, 0.8) * qs + rng.uniform(0, 2 * np.pi)
         )
-    v[-1, :] = 0.0
-    v[:, 0] = 0.0
-    vec = v[: grid.nq - 1, 1:].ravel()
+    vec = grid.unknowns(v)
     vec /= np.linalg.norm(vec)
     J = strip_mod.assemble_jacobian(fld, spec)
     eps = 1e-5
@@ -411,6 +408,38 @@ def _taylor_spot_check(fld, spec) -> float:
     xm = strip_mod.unpack(fld, strip_mod.pack(fld) - eps * vec)
     cd = (strip_mod.residual_vector(xp, spec) - strip_mod.residual_vector(xm, spec)) / (2 * eps)
     return float(np.abs(cd - J @ vec).max())
+
+
+class _AuditFailure(WavebranchError):
+    """An invariant that a checkpoint breaks under `verify`."""
+
+
+def _audit_checkpoint(path, fld, spec) -> str:
+    """Re-assert the invariants of the checkpoint at path, read as fld and
+    spec; returns the details of its ok line.  A broken invariant raises
+    _AuditFailure, and a check that the library cannot run raises its own
+    WavebranchError."""
+    # byte round-trip, compared in memory: verify writes nothing
+    with open(path, "rb") as fh:
+        if fh.read() != strip_mod._checkpoint_text(fld, spec).encode():
+            raise _AuditFailure("round-trip not byte-identical")
+    strip_mod.check_unidirectional(fld)
+    theta_err = abs(stream_mod.R_of_theta(spec, fld.theta) - fld.R)
+    if theta_err > 1e-8:
+        raise _AuditFailure(f"far-field theta inconsistent with R ({theta_err:.2e})")
+    col_err = np.abs(fld.h[-1] - stream_mod.stream_profile(spec, fld.theta, fld.grid.p)).max()
+    if col_err > 1e-9:
+        raise _AuditFailure(f"far-field column mismatch ({col_err:.2e})")
+    move = branch_mod.replay_checkpoint(fld, spec)
+    if move > 1e-12:
+        raise _AuditFailure(f"Newton replay moved {move:.2e} > 1e-12")
+    res = strip_mod.residual(fld, spec)
+    if res.sup > 10 * strip_mod.NEWTON_TOL:
+        raise _AuditFailure(f"residual {res.sup:.2e} above 10*tol")
+    defect = _taylor_spot_check(fld, spec)
+    if defect > 1e-6:
+        raise _AuditFailure(f"Jacobian Taylor spot-check defect {defect:.2e}")
+    return f"replay {move:.2e}, taylor {defect:.2e}"
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
@@ -423,44 +452,16 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     R_of = {}  # R of each checkpoint that reads, for the branch.csv check
     for name in names:
         path = os.path.join(dirpath, name)
+        # any package error while reading or checking a checkpoint is its
+        # FAIL line, and the audit goes on
         try:
             fld, spec = strip_mod.read_checkpoint(path)
-        except CheckpointFormatError as exc:
+            R_of[name] = fld.R
+            details = _audit_checkpoint(path, fld, spec)
+        except WavebranchError as exc:
             failures.append(f"{name}: {exc}")
             continue
-        R_of[name] = fld.R
-        # byte round-trip, compared in memory: verify writes nothing
-        with open(path, "rb") as fh:
-            identical = fh.read() == strip_mod._checkpoint_text(fld, spec).encode()
-        if not identical:
-            failures.append(f"{name}: round-trip not byte-identical")
-            continue
-        if (np.diff(fld.h, axis=1) <= 0).any():
-            failures.append(f"{name}: h_p <= 0")
-            continue
-        theta_err = abs(stream_mod.R_of_theta(spec, fld.theta) - fld.R)
-        if theta_err > 1e-8:
-            failures.append(f"{name}: far-field theta inconsistent with R ({theta_err:.2e})")
-            continue
-        col_err = float(
-            np.abs(fld.h[-1] - stream_mod.stream_profile(spec, fld.theta, fld.grid.p)).max()
-        )
-        if col_err > 1e-9:
-            failures.append(f"{name}: far-field column mismatch ({col_err:.2e})")
-            continue
-        move = branch_mod.replay_checkpoint(fld, spec)
-        if move > 1e-12:
-            failures.append(f"{name}: Newton replay moved {move:.2e} > 1e-12")
-            continue
-        res = strip_mod.residual(fld, spec)
-        if res.sup > 10 * strip_mod.NEWTON_TOL:
-            failures.append(f"{name}: residual {res.sup:.2e} above 10*tol")
-            continue
-        defect = _taylor_spot_check(fld, spec)
-        if defect > 1e-6:
-            failures.append(f"{name}: Jacobian Taylor spot-check defect {defect:.2e}")
-            continue
-        print(f"{name}: ok (replay {move:.2e}, taylor {defect:.2e})")
+        print(f"{name}: ok ({details})")
     csv_path = os.path.join(dirpath, BRANCH_CSV)
     if os.path.exists(csv_path):
         rows, cols = _read_branch_csv(csv_path)

@@ -406,7 +406,7 @@ def family_from_branch(bracket, spec, t_star):
     F(0, lambda) = 0 along the branch."""
     a, _ = bracket
     grid = a.field.grid
-    weight = grid.dq * grid.dp
+    weight = grid.ip_weight
     base_cache: dict[float, object] = {}
     eig_cache: dict[float, EigenData] = {}
 
@@ -431,8 +431,7 @@ def family_from_branch(bracket, spec, t_star):
             eig_cache[lam] = _pencil_eigendata(fld, assemble_jacobian(fld, spec), weight)
         return eig_cache[lam]
 
-    n = (grid.nq - 1) * (grid.np - 1)
-    fam = AnalyticFamily(n=n, f=f, df=df, eigendata=eigendata, ip_weight=weight)
+    fam = AnalyticFamily(n=grid.n_unknowns, f=f, df=df, eigendata=eigendata, ip_weight=weight)
     fam.base = base  # used by switch_branch to rebuild fields
     return fam
 

@@ -61,6 +61,8 @@ __all__ = [
     "far_column",
     "field_at",
     "default_grid",
+    "min_forward_hp",
+    "check_unidirectional",
     "pack",
     "unpack",
     "write_checkpoint",
@@ -140,6 +142,19 @@ class StripGrid:
     def n_unknowns(self) -> int:
         return (self.nq - 1) * (self.np - 1)
 
+    @property
+    def ip_weight(self) -> float:
+        """Cell area dq*dp: the weight of the grid inner product of unknown
+        vectors, which the corrector's arclength and the Lyapunov-Schmidt
+        projections share."""
+        return self.dq * self.dp
+
+    def unknowns(self, a: np.ndarray) -> np.ndarray:
+        """A new vector of the nodal (nq, np) array a in the unknown ordering
+        k = i*(np-1) + (j-1), i = 0..nq-2, j = 1..np-1: the far-field nodes
+        i = nq-1 and the bottom nodes j = 0 are pinned and dropped."""
+        return a[: self.nq - 1, 1:].flatten()
+
 
 @dataclass
 class StripField:
@@ -186,16 +201,20 @@ def _extended(h: np.ndarray) -> np.ndarray:
     return he
 
 
-def _check_unidirectional(field: StripField) -> None:
+def min_forward_hp(field: StripField) -> float:
+    """Global minimum of the forward-difference h_p over the grid."""
+    return float((np.diff(field.h, axis=1) / field.grid.dp).min())
+
+
+def check_unidirectional(field: StripField) -> None:
+    """Raise StagnationBreachError unless h_p > 0: every forward difference
+    and the one-sided second-order h_p on the surface."""
+    fwd = min_forward_hp(field)
+    if fwd <= 0.0:
+        raise StagnationBreachError(f"h_p <= 0 detected (min forward difference {fwd:.3e}); "
+                                    "unidirectionality lost")
     h = field.h
-    dp = field.grid.dp
-    fwd = np.diff(h, axis=1) / dp
-    if fwd.min() <= 0.0:
-        raise StagnationBreachError(
-            f"h_p <= 0 detected (min forward difference {fwd.min():.3e}); "
-            "unidirectionality lost"
-        )
-    m = (3.0 * h[:, -1] - 4.0 * h[:, -2] + h[:, -3]) / (2.0 * dp)
+    m = (3.0 * h[:, -1] - 4.0 * h[:, -2] + h[:, -3]) / (2.0 * field.grid.dp)
     if m.min() <= 0.0:
         raise StagnationBreachError("one-sided surface h_p <= 0; unidirectionality lost")
 
@@ -250,7 +269,7 @@ def _flux_pieces(field: StripField, spec: VorticitySpec):
 
 def residual(field: StripField, spec: VorticitySpec) -> StripResidual:
     """Discrete residual of the strip problem at the given field."""
-    _check_unidirectional(field)
+    check_unidirectional(field)
     grid = field.grid
     dq, dp = grid.dq, grid.dp
     _, _, _, Gp, _, _, Fq, g, m = _flux_pieces(field, spec)
@@ -264,8 +283,8 @@ def residual(field: StripField, spec: VorticitySpec) -> StripResidual:
 
 
 def pack(field: StripField) -> np.ndarray:
-    """Unknown vector: h at i = 0..nq-2, j = 1..np-1 (row-major in (i, j))."""
-    return field.h[: field.grid.nq - 1, 1:].ravel().copy()
+    """Unknown vector of field (StripGrid.unknowns of h)."""
+    return field.grid.unknowns(field.h)
 
 
 def unpack(field: StripField, x: np.ndarray) -> StripField:
@@ -416,7 +435,7 @@ def _assembled(field: StripField, spec: VorticitySpec):
     """The Jacobian of assemble_jacobian, and the dense (np-1, np) block of
     derivatives of the last unknown column's rows (i = nq-2) with respect to
     the pinned far-field column h(L, p_j); no other row touches that column."""
-    _check_unidirectional(field)
+    check_unidirectional(field)
     grid = field.grid
     npp = grid.np
     n = grid.n_unknowns
@@ -466,7 +485,7 @@ def jacobian_and_dR(field: StripField, spec: VorticitySpec):
     J, far = _assembled(field, spec)
     grid = field.grid
     fr = np.zeros(grid.n_unknowns)
-    fr[-far.shape[0] :] = far @ far_column(spec, field.R, grid.np)[2]
+    fr[-far.shape[0] :] = far @ far_column(spec, field.R, grid)[2]
     fr[grid.np - 2 :: grid.np - 1] -= 1.0  # the surface rows
     return J, fr
 
@@ -601,7 +620,7 @@ def initial_guess(spec: VorticitySpec, R: float, grid: StripGrid) -> StripField:
     in 3-6 iterates.  At R_c the seed is the critical stream itself.  No
     residual is evaluated.
     """
-    theta, Hcol, _ = far_column(spec, R, grid.np)
+    theta, Hcol, _ = far_column(spec, R, grid)
     d = Hcol[-1]
     if R - dispersion_summary(spec).R_c <= 1e-13:
         h = np.tile(Hcol, (grid.nq, 1))
@@ -620,8 +639,8 @@ def resolve_at(field: StripField, spec: VorticitySpec, R: float) -> StripField:
 
 
 @lru_cache(maxsize=256)
-def far_column(spec: VorticitySpec, R: float, npp: int):
-    """(theta, H, dH/dR) of the supercritical stream of R on npp uniform
+def far_column(spec: VorticitySpec, R: float, grid: StripGrid):
+    """(theta, H, dH/dR) of the supercritical stream of R on the grid's
     p-nodes: the far-field column that every field at R pins, and its
     derivative in R.
 
@@ -631,7 +650,7 @@ def far_column(spec: VorticitySpec, R: float, npp: int):
     seed, the residual and the linearization of a corrector iterate and its
     accepted field ask for the same R), so the arrays are read-only."""
     theta = solve_theta_for_R(spec, R, "supercritical")
-    H, m3 = moments(spec, theta, np.linspace(0.0, 1.0, npp), (1, 3))
+    H, m3 = moments(spec, theta, grid.p, (1, 3))
     dH = -theta * m3
     dH_dR = dH / (theta + dH[-1])
     H.flags.writeable = dH_dR.flags.writeable = False
@@ -641,7 +660,7 @@ def far_column(spec: VorticitySpec, R: float, npp: int):
 def field_at(spec: VorticitySpec, grid: StripGrid, x: np.ndarray, R: float) -> StripField:
     """The field at R with unknowns x (pack's ordering), its far-field column
     pinned to the supercritical stream of R and its bottom to h = 0."""
-    theta, H, _ = far_column(spec, R, grid.np)
+    theta, H, _ = far_column(spec, R, grid)
     h = np.zeros((grid.nq, grid.np))
     h[: grid.nq - 1, 1:] = x.reshape(grid.nq - 1, grid.np - 1)
     h[grid.nq - 1, :] = H

@@ -43,7 +43,7 @@ def _reference_jacobian(field, spec):
     Returns the (N x N) matrix
     over the unknowns and the (N x np) matrix of derivatives with respect to
     the pinned far-field column."""
-    strip._check_unidirectional(field)
+    strip.check_unidirectional(field)
     grid = field.grid
     nq, npp = grid.nq, grid.np
     dq, dp = grid.dq, grid.dp
@@ -145,7 +145,7 @@ class TestBandAssembly:
         assert not bnd[: -(npp - 1)].any()
         assert np.array_equal(strip._assembled(field, irrot)[1], bnd[-(npp - 1) :])
         ref_fr = np.zeros_like(F_R)
-        ref_fr[-(npp - 1) :] = bnd[-(npp - 1) :] @ strip.far_column(irrot, field.R, npp)[2]
+        ref_fr[-(npp - 1) :] = bnd[-(npp - 1) :] @ strip.far_column(irrot, field.R, field.grid)[2]
         ref_fr[npp - 2 :: npp - 1] -= 1.0
         assert np.array_equal(F_R, ref_fr)
 

@@ -378,6 +378,17 @@ def _reference_pencil_weight(field):
     return bdiag.ravel()
 
 
+def _reference_localized_fraction(grid, vec):
+    """localized_fraction as its own reshape of the unknowns spelled it out."""
+    nq, npp = grid.nq, grid.np
+    scale = np.abs(vec).max()
+    if scale == 0.0 or not np.isfinite(scale):
+        return 0.0
+    mass = (vec.reshape(nq - 1, npp - 1) / scale) ** 2
+    inner = grid.q[: nq - 1] < 0.5 * grid.L
+    return float(mass[inner].sum() / mass.sum())
+
+
 class TestFoldRun:
     def test_node_derivative_readers_match_their_formulas(self, fold_branch):
         # diagnostics_of and pencil_weight read strip.node_derivatives, and
@@ -389,6 +400,28 @@ class TestFoldRun:
                 branch.pencil_weight(p.field), _reference_pencil_weight(p.field)
             )
 
+    def test_localized_fraction_matches_its_formula(self, fold_branch, irrot, monkeypatch):
+        # localized_fraction reads the unknown ordering from StripGrid.unknowns
+        # and gives bitwise what its own reshape gave, on the eigenvectors
+        # that spectrum_at classifies and on a random and a zero vector
+        pts, _ = fold_branch
+        asked = []
+        real = branch.localized_fraction
+
+        def recorded(grid, vec):
+            asked.append((grid, vec))
+            return real(grid, vec)
+
+        monkeypatch.setattr(branch, "localized_fraction", recorded)
+        for p in (pts[1], pts[len(pts) // 2], pts[-1]):
+            branch.spectrum_at(p.field, irrot, nu0_grid_n=512)
+        grid = pts[0].field.grid
+        rng = np.random.default_rng(5)
+        asked += [(grid, rng.standard_normal(grid.n_unknowns)), (grid, np.zeros(grid.n_unknowns))]
+        assert len(asked) > 2 + 3
+        for grid, vec in asked:
+            assert real(grid, vec) == _reference_localized_fraction(grid, vec)
+
     def test_one_far_column_build_per_distinct_R(self, fold_branch, irrot, monkeypatch):
         # the fold_branch run again, from a cleared memo: the seed, the
         # tangent's seeds, and the residual, linearization and accepted field
@@ -397,9 +430,9 @@ class TestFoldRun:
         asked, builds = [], []
         memo = strip.far_column
 
-        def far_column(spec, R, npp):
+        def far_column(spec, R, grid):
             asked.append(R)
-            return memo(spec, R, npp)
+            return memo(spec, R, grid)
 
         def moments(spec, theta, p, powers):
             builds.append(theta)

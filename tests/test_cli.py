@@ -471,6 +471,31 @@ class TestContinueAndVerify:
             assert f"point_{idx:04d}.txt: ok" in out
         assert err == ""
 
+    def test_verify_audits_past_a_library_error(self, branch_dir, tmp_path, capsys):
+        # a checkpoint on which a library check raises is its FAIL line, and
+        # the other checkpoints and branch.csv are still audited
+        bad_dir = tmp_path / "raises"
+        shutil.copytree(branch_dir, bad_dir)
+        # point 1: forward differences of h stay positive on row 3, but its
+        # one-sided surface h_p turns negative
+        lines = (bad_dir / "point_0001.txt").read_text().splitlines()
+        row = lines[7 + 3].split()
+        row[-2] = repr(float(row[-1]) - 1e-9)
+        lines[7 + 3] = " ".join(row)
+        (bad_dir / "point_0001.txt").write_text("\n".join(lines) + "\n")
+        # point 2: a far-field theta below theta0, where the stream is singular
+        lines = (bad_dir / "point_0002.txt").read_text().splitlines()
+        lines[6] = "theta -1.0"
+        (bad_dir / "point_0002.txt").write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", "--dir", str(bad_dir))
+        assert code == 1 and err == ""
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 2, out
+        assert fails[0].startswith("FAIL point_0001.txt: one-sided surface h_p <= 0")
+        assert fails[1].startswith("FAIL point_0002.txt: ")
+        for idx in (0, 3, 4):
+            assert f"point_{idx:04d}.txt: ok" in out
+
     def test_verify_reports_bad_grid_and_non_finite_checkpoints(
         self, branch_dir, tmp_path, capsys
     ):
@@ -859,6 +884,32 @@ def test_bench_pair_records_the_parent_as_its_short_hash(tmp_path, monkeypatch):
     bench_pair = _script("bench_pair")
     monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
     assert bench_pair.short_hash("HEAD") == want
+
+
+def test_bench_pair_exports_the_working_tree_as_it_is(tmp_path, monkeypatch):
+    # the change side of an A/B starts from a fresh copy of the working tree,
+    # as the parent starts from a fresh export of its commit
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 1\n")
+    (repo / ".gitignore").write_text("out/\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "c"], check=True)
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("z = 1\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "ignored.txt").write_text("ignored\n")
+    dest.mkdir()
+    bench_pair = _script("bench_pair")
+    monkeypatch.setattr(bench_pair, "ROOT", str(repo))
+    bench_pair.export_worktree(str(dest))
+    files = {str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file()}
+    assert files == {".gitignore", os.path.join("pkg", "mod.py"), "new.py"}
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"
 
 
 def test_same_outputs_names_each_differing_file(tmp_path, capsys):

@@ -299,12 +299,12 @@ class TestMomentKernel:
 
 
 def test_far_column_R_derivative(mini_branch, irrot):
-    npp = mini_branch[0].field.grid.np
+    grid = mini_branch[0].field.grid
     R = mini_branch[3].R
     h = 1e-5
-    fd = (strip.far_column(irrot, R + h, npp)[1]
-          - strip.far_column(irrot, R - h, npp)[1]) / (2 * h)
-    assert np.abs(strip.far_column(irrot, R, npp)[2] - fd).max() < 1e-7
+    fd = (strip.far_column(irrot, R + h, grid)[1]
+          - strip.far_column(irrot, R - h, grid)[1]) / (2 * h)
+    assert np.abs(strip.far_column(irrot, R, grid)[2] - fd).max() < 1e-7
 
 
 def test_moments_derive_theta0_once_per_spec(monkeypatch):

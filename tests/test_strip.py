@@ -50,6 +50,20 @@ class TestGrid:
         assert g.q[0] == 0.0 and g.q[-1] == 10.0
         assert g.p[0] == 0.0 and g.p[-1] == 1.0
 
+    def test_unknowns_are_packs_order_and_a_copy(self):
+        # k = i*(np-1) + (j-1) over i = 0..nq-2, j = 1..np-1
+        g = strip.StripGrid(L=10.0, nq=11, np=9)
+        h = np.arange(g.nq * g.np, dtype=float).reshape(g.nq, g.np)
+        field = strip.StripField(g, h.copy(), 1.5, 1.6)
+        x = strip.pack(field)
+        assert np.array_equal(g.unknowns(field.h), x)
+        assert x.shape == (g.n_unknowns,)
+        for i in range(g.nq - 1):
+            for j in range(1, g.np):
+                assert x[i * (g.np - 1) + (j - 1)] == h[i, j]
+        x[:] = -1.0
+        assert np.array_equal(field.h, h)
+
 
 class TestResidual:
     def test_irrotational_linear_field_exact(self, irrot):
@@ -344,10 +358,18 @@ class TestInitialGuess:
 
     def test_far_column_arrays_are_read_only(self, irrot):
         # the memo hands every caller the same arrays
-        _, H, dH_dR = strip.far_column(irrot, 1.53, 17)
+        _, H, dH_dR = strip.far_column(irrot, 1.53, strip.StripGrid(L=12.0, nq=61, np=17))
         for arr in (H, dH_dR):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+
+    @pytest.mark.parametrize("omega", [[0.0], [1.0, -2.0]], ids=str)
+    def test_far_column_is_the_stream_profile_on_the_grids_p_nodes(self, omega):
+        spec = VorticitySpec(omega)
+        R = st.dispersion_summary(spec).R_c + 0.02
+        grid = strip.StripGrid(L=12.0, nq=61, np=17)
+        theta, H, _ = strip.far_column(spec, R, grid)
+        assert H.tobytes() == st.stream_profile(spec, theta, grid.p).tobytes()
 
     def test_far_field_column_exact(self, irrot):
         grid = strip.default_grid(irrot, 1.53, nq=61, npp=17, L_factor=12.0)
