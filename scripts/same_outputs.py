@@ -20,9 +20,9 @@ runs:
   point_0003.txt with nu0 on 512 nodes (no crossing: its JSON holds both
   points' mu1 and nu0) and `wavebranch verify`;
 - `wavebranch continue` for omega [1, -2] from R = 1.70, then `wavebranch
-  pairs` on it, at the fold settings of run_fold_pairs.py (its
-  FOLD_SETTINGS): a rotational far field, a Turning and two eigenvalue
-  crossings;
+  pairs` and `wavebranch verify` on the branch it writes to rot_run/, at the
+  fold settings of run_fold_pairs.py (its FOLD_SETTINGS): a rotational far
+  field, a Turning and two eigenvalue crossings;
 - `wavebranch model-bifurcate` for every case of the model gallery;
 - `scripts/run_model_gallery.py` with its defaults.
 
@@ -90,6 +90,7 @@ def commands() -> list[tuple[str, list[str]]]:
         *FOLD_SETTINGS["continue"], "--out", "rot_run",
     ]))
     runs.append(("rot_pairs", cli + ["pairs", "--branch", "rot_run", *FOLD_SETTINGS["pairs"]]))
+    runs.append(("rot_verify", cli + ["verify", "--dir", "rot_run"]))
     for case in MODEL_CASES:
         runs.append((f"model_{case}", cli + ["model-bifurcate", "--case", case,
                                              "--out", f"model_{case}.json"]))

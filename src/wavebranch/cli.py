@@ -38,8 +38,6 @@ from .vorticity import VorticitySpec
 
 __all__ = ["RunConfig", "main"]
 
-_ENV_OUT = "WAVEBRANCH_OUT"
-
 # Layout of a branch directory: one checkpoint per accepted point in branch
 # order, the per-point table, and the same-R pairs found on the branch.
 POINT_NAME = "point_{:04d}.txt"
@@ -95,9 +93,6 @@ class RunConfig:
                     f"{path}: configuration key {key!r} cannot be {type(val).__name__}"
                 )
         return cls(**data)
-
-    def resolved_out_dir(self) -> str:
-        return self.out_dir or os.environ.get(_ENV_OUT, ".")
 
 
 def _fmt(x) -> str:
@@ -242,7 +237,7 @@ def _cmd_continue(args, cfg: RunConfig) -> int:
     spec = _spec_of(cfg)
     R0 = args.R_start
     grid = _grid_of(cfg, spec, R0)
-    out_dir = args.out or cfg.resolved_out_dir()
+    out_dir = args.out or cfg.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
     guess = strip_mod.initial_guess(spec, R0, grid)
@@ -264,43 +259,77 @@ def _cmd_continue(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _read_branch_csv(csv_path: str):
-    """Rows of a branch.csv as lists of fields, and the column index of each name."""
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return rows, {name: i for i, name in enumerate(header)}
+def _check_same_run(fld, spec, ref_fld, ref_spec, ref_name: str) -> None:
+    """Raise CheckpointFormatError unless the checkpoint read as fld and spec
+    has the vorticity and the grid of the one read from ref_name."""
+    if spec != ref_spec:
+        raise CheckpointFormatError(
+            f"vorticity {list(spec.coeffs)} differs from {ref_name}'s {list(ref_spec.coeffs)}")
+    if fld.grid != ref_fld.grid:
+        raise CheckpointFormatError(f"grid {fld.grid} differs from {ref_name}'s {ref_fld.grid}")
 
 
-def _load_branch_dir(dirpath: str):
+def _read_branch_dir(dirpath: str, audit=None):
+    """The checkpoints and branch.csv of a branch directory, checked by the
+    rules every reader of one applies: each checkpoint reads, all have the
+    vorticity and the grid of the first one that reads, and branch.csv
+    exists with one row per checkpoint, t strictly increasing and each row's
+    R its checkpoint's.
+
+    Returns (checkpoints, rows, faults): name -> (field, spec) of each
+    checkpoint of the run, in branch order; branch.csv's rows as {column:
+    float}; and the faults as "<file>: <fault>" lines, each checkpoint's in
+    name order, then branch.csv's.  audit(name, field, spec), when given,
+    runs on each checkpoint of the run, and a package error it raises is that
+    checkpoint's fault.  A missing directory, or one without checkpoints,
+    raises FileNotFoundError (a usage error)."""
+    names = _point_names(dirpath)
+    if not names:
+        raise FileNotFoundError(f"no checkpoints found in {dirpath}")
+    read, rows, faults = {}, [], []
+    for name in names:
+        try:
+            fld, spec = strip_mod.read_checkpoint(os.path.join(dirpath, name))
+            if read:
+                ref = next(iter(read))
+                _check_same_run(fld, spec, *read[ref], ref)
+            read[name] = (fld, spec)
+            if audit:
+                audit(name, fld, spec)
+        except WavebranchError as exc:
+            faults.append(f"{name}: {exc}")
     csv_path = os.path.join(dirpath, BRANCH_CSV)
     if not os.path.exists(csv_path):
-        raise CheckpointFormatError(f"{dirpath}: missing {BRANCH_CSV}")
-    rows, cols = _read_branch_csv(csv_path)
-    points = []
-    spec = None
-    for idx, row in enumerate(rows):
-        path = os.path.join(dirpath, POINT_NAME.format(idx))
-        fld, omega = strip_mod.read_checkpoint(path)
-        spec = omega
-        mu0 = float(row[cols["mu0"]])
-        points.append(
-            branch_mod.BranchPoint(
-                field=fld,
-                t=float(row[cols["t"]]),
-                R=float(row[cols["R"]]),
-                mu0=None if np.isnan(mu0) else mu0,
-                mu1=float(row[cols["mu1"]]),
-                nu0=float(row[cols["nu0"]]),
-            )
-        )
-    return points, spec
+        faults.append(f"{BRANCH_CSV}: missing")
+        return read, rows, faults
+    with open(csv_path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in fh if line.strip()]
+    if len(rows) != len(names):
+        faults.append(f"{BRANCH_CSV}: {len(rows)} rows vs {len(names)} checkpoints")
+        return read, rows, faults
+    ts = [row["t"] for row in rows]
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        faults.append(f"{BRANCH_CSV}: t not strictly increasing")
+    for idx, (row, name) in enumerate(zip(rows, names)):
+        if name in read and row["R"] != read[name][0].R:
+            faults.append(f"{BRANCH_CSV} row {idx}: R mismatch with checkpoint")
+            break
+    return read, rows, faults
 
 
 def _cmd_pairs(args, cfg: RunConfig) -> int:
-    points, spec = _load_branch_dir(args.branch)
-    if len(points) < 3:
-        raise PreconditionError(f"{args.branch}: {len(points)} points, pairs need at least 3")
+    checkpoints, rows, faults = _read_branch_dir(args.branch)
+    if faults:
+        raise CheckpointFormatError(f"{args.branch}: {faults[0]}")
+    if len(rows) < 3:
+        raise PreconditionError(f"{args.branch}: {len(rows)} points, pairs need at least 3")
+    points = [
+        branch_mod.BranchPoint(field=fld, t=row["t"], R=row["R"], mu1=row["mu1"], nu0=row["nu0"],
+                               mu0=None if np.isnan(row["mu0"]) else row["mu0"])
+        for (fld, _), row in zip(checkpoints.values(), rows)
+    ]
+    _, spec = checkpoints[POINT_NAME.format(0)]
     events = branch_mod.detect_events(points)
     summary = [(p.t, p.R, p) for p in points]
 
@@ -328,7 +357,8 @@ def _cmd_pairs(args, cfg: RunConfig) -> int:
 
 def _cmd_ls_reduce(args, cfg: RunConfig) -> int:
     fld_a, spec = strip_mod.read_checkpoint(args.checkpoint_a)
-    fld_b, _ = strip_mod.read_checkpoint(args.checkpoint_b)
+    fld_b, spec_b = strip_mod.read_checkpoint(args.checkpoint_b)
+    _check_same_run(fld_b, spec_b, fld_a, spec, args.checkpoint_a)
     pa = branch_mod.branch_point_from_field(fld_a, spec, nu0_grid_n=cfg.nu0_grid_n)
     pb = branch_mod.branch_point_from_field(fld_b, spec, nu0_grid_n=cfg.nu0_grid_n)
     payload = {"mu1_a": pa.mu1, "mu1_b": pb.mu1, "nu0_a": pa.nu0, "nu0_b": pb.nu0}
@@ -443,44 +473,24 @@ def _audit_checkpoint(path, fld, spec) -> str:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    dirpath = args.dir
-    failures = []
-    names = _point_names(dirpath)
-    if not names:
-        print(f"no checkpoints found in {dirpath}")
-        return 2
-    R_of = {}  # R of each checkpoint that reads, for the branch.csv check
-    for name in names:
-        path = os.path.join(dirpath, name)
-        # any package error while reading or checking a checkpoint is its
-        # FAIL line, and the audit goes on
-        try:
-            fld, spec = strip_mod.read_checkpoint(path)
-            R_of[name] = fld.R
-            details = _audit_checkpoint(path, fld, spec)
-        except WavebranchError as exc:
-            failures.append(f"{name}: {exc}")
-            continue
+    def audit(name, fld, spec):
+        details = _audit_checkpoint(os.path.join(args.dir, name), fld, spec)
         print(f"{name}: ok ({details})")
-    csv_path = os.path.join(dirpath, BRANCH_CSV)
-    if os.path.exists(csv_path):
-        rows, cols = _read_branch_csv(csv_path)
-        if len(rows) != len(names):
-            failures.append(f"{BRANCH_CSV}: {len(rows)} rows vs {len(names)} checkpoints")
-        else:
-            ts = [float(r[cols["t"]]) for r in rows]
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                failures.append(f"{BRANCH_CSV}: t not strictly increasing")
-            for idx, (row, name) in enumerate(zip(rows, names)):
-                if name in R_of and float(row[cols["R"]]) != R_of[name]:
-                    failures.append(f"{BRANCH_CSV} row {idx}: R mismatch with checkpoint")
-                    break
-    if failures:
-        for f in failures:
-            print(f"FAIL {f}")
+
+    checkpoints, _, faults = _read_branch_dir(args.dir, audit)
+    for fault in faults:
+        print(f"FAIL {fault}")
+    if faults:
         return 1
-    print(f"verified {len(names)} checkpoints")
+    print(f"verified {len(checkpoints)} checkpoints")
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -543,7 +553,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairs", help="same-R pair finding on a branch directory")
     p.add_argument("--branch", required=True)
-    p.add_argument("--n-r", type=int, default=10, dest="n_r")
+    p.add_argument("--n-r", type=_at_least_one, default=10, dest="n_r",
+                   help="values of R on each side of a Turning (at least 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pairs)
 

@@ -50,10 +50,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(nq=4)
 
-    def test_env_default_out_dir(self, monkeypatch):
-        monkeypatch.setenv("WAVEBRANCH_OUT", "/tmp/somewhere")
-        assert RunConfig().resolved_out_dir() == "/tmp/somewhere"
-
 
 class TestBasicCommands:
     def test_critical_irrotational(self, capsys):
@@ -256,6 +252,8 @@ class TestOptions:
         parser = _subparsers()[command]
         args_reads, cfg_reads = _reads(parser.get_default("func"))
         fields = cfg_reads & {f.name for f in dataclasses.fields(RunConfig)}
+        # --out is the option of the configuration key out_dir
+        fields = {"out" if name == "out_dir" else name for name in fields}
         held = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
         assert held == args_reads | fields | ({"config"} if fields else set())
 
@@ -323,19 +321,52 @@ def _tied_t(lines):
     lines[3] = ",".join(vals)
 
 
-# one tampering per failure branch of verify after the replay bound, and the
-# start of the FAIL line it must print
+def _garbage(lines):
+    lines[:] = ["not a checkpoint"]
+
+
+# one tampering per rule of the branch directory reader that `pairs` and
+# `verify` share (a tampering of None deletes the file), and the start of the
+# fault it must report
+_DIR_TAMPERINGS = {
+    "row-count": ("branch.csv", lambda ls: ls.pop(), "branch.csv: 4 rows vs 5 checkpoints"),
+    "t-order": ("branch.csv", _tied_t, "branch.csv: t not strictly increasing"),
+    "R": ("branch.csv", lambda ls: _shifted(ls, 3, 1, 1e-9, ","),
+          "branch.csv row 2: R mismatch with checkpoint"),
+    "last-checkpoint": ("point_0004.txt", None, "branch.csv: 5 rows vs 4 checkpoints"),
+    "no-branch-csv": ("branch.csv", None, "branch.csv: missing"),
+    "vorticity": ("point_0003.txt", lambda ls: _shifted(ls, 1, 1, 0.1, " "),
+                  "point_0003.txt: vorticity [0.1] differs from point_0000.txt's [0.0]"),
+    "grid": ("point_0002.txt", lambda ls: _shifted(ls, 2, 1, 1.0, " "),
+             "point_0002.txt: grid StripGrid(L="),
+    "unreadable": ("point_0001.txt", _garbage,
+                   "point_0001.txt: {dir}/point_0001.txt: not a wavebranch checkpoint"),
+}
+
+# and one per failure branch of verify's own audit after the replay bound
 _TAMPERINGS = {
     "far-column": ("point_0001.txt", lambda ls: _shifted(ls, -1, 3, 1e-6, " "),
                    "point_0001.txt: far-field column mismatch"),
     "theta": ("point_0002.txt", lambda ls: _shifted(ls, 6, 1, 1e-6, " "),
               "point_0002.txt: far-field theta inconsistent with R"),
     "h_p": ("point_0003.txt", _flat_hp, "point_0003.txt: h_p <= 0"),
-    "row-count": ("branch.csv", lambda ls: ls.pop(), "branch.csv: 4 rows vs 5 checkpoints"),
-    "t-order": ("branch.csv", _tied_t, "branch.csv: t not strictly increasing"),
-    "R": ("branch.csv", lambda ls: _shifted(ls, 3, 1, 1e-9, ","),
-          "branch.csv row 2: R mismatch with checkpoint"),
+    **_DIR_TAMPERINGS,
 }
+
+
+def _tampered(branch_dir, tmp_path, case):
+    """A copy of branch_dir with the tampering `case` of _TAMPERINGS, and the
+    start of the fault it must report, {dir} replaced by the copy's path."""
+    name, tamper, expected = _TAMPERINGS[case]
+    bad_dir = tmp_path / "tampered"
+    shutil.copytree(branch_dir, bad_dir)
+    if tamper is None:
+        (bad_dir / name).unlink()
+    else:
+        lines = (bad_dir / name).read_text().splitlines()
+        tamper(lines)
+        (bad_dir / name).write_text("\n".join(lines) + "\n")
+    return bad_dir, expected.format(dir=bad_dir)
 
 
 class TestContinueAndVerify:
@@ -399,16 +430,40 @@ class TestContinueAndVerify:
 
     @pytest.mark.parametrize("case", sorted(_TAMPERINGS))
     def test_verify_reports_each_failure(self, branch_dir, tmp_path, capsys, case):
-        name, tamper, expected = _TAMPERINGS[case]
-        bad_dir = tmp_path / "tampered"
-        shutil.copytree(branch_dir, bad_dir)
-        lines = (bad_dir / name).read_text().splitlines()
-        tamper(lines)
-        (bad_dir / name).write_text("\n".join(lines) + "\n")
+        bad_dir, expected = _tampered(branch_dir, tmp_path, case)
         code, out, _ = run(capsys, "verify", "--dir", str(bad_dir))
         assert code == 1
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith(f"FAIL {expected}"), out
+
+    @pytest.mark.parametrize("case", sorted(_DIR_TAMPERINGS))
+    def test_pairs_reports_each_fault_verify_reports(self, branch_dir, tmp_path, capsys, case):
+        bad_dir, expected = _tampered(branch_dir, tmp_path, case)
+        code, out, err = run(capsys, "pairs", "--branch", str(bad_dir))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error (CheckpointFormatError): {bad_dir}: {expected}"), err
+        assert not (bad_dir / cli.PAIRS_JSON).exists()
+
+    @pytest.mark.parametrize("command", ["pairs", "verify"])
+    @pytest.mark.parametrize("kind", ["missing", "empty"])
+    def test_directory_without_checkpoints_is_a_usage_error(self, tmp_path, capsys,
+                                                            command, kind):
+        where = tmp_path / "run"
+        if kind == "empty":
+            where.mkdir()
+        flag = {"pairs": "--branch", "verify": "--dir"}[command]
+        code, out, err = run(capsys, command, flag, str(where))
+        assert code == 2 and out == ""
+        assert err == f"usage error: no checkpoints found in {where}\n"
+
+    @pytest.mark.parametrize("n_r", ["0", "-1"])
+    def test_pairs_needs_one_R_value_per_side(self, branch_dir, tmp_path, capsys, n_r):
+        out = tmp_path / "pairs.json"
+        code, _, err = run(capsys, "pairs", "--branch", str(branch_dir), "--n-r", n_r,
+                           "--out", str(out))
+        assert code == 2
+        assert f"argument --n-r: must be at least 1, got {n_r}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", [BranchStallError, NumericalError],
                              ids=lambda e: e.__name__)
@@ -530,6 +585,8 @@ class TestContinueAndVerify:
         shutil.copytree(branch_dir, short)
         lines = (short / "branch.csv").read_text().splitlines()
         (short / "branch.csv").write_text("\n".join(lines[:3]) + "\n")
+        for idx in (2, 3, 4):
+            (short / cli.POINT_NAME.format(idx)).unlink()
         code, _, err = run(capsys, "pairs", "--branch", str(short))
         assert code == 1
         assert "PreconditionError" in err and "at least 3" in err
@@ -545,6 +602,29 @@ class TestContinueAndVerify:
         assert code == 1  # precondition: no mu1 sign change at desk scale
         payload = json.loads((tmp_path / "ls.json").read_text())
         assert payload["crossing_bracketed"] is False
+
+    @pytest.mark.parametrize("line, fault", [
+        ("omega 1.0 -2.0", "vorticity [1.0, -2.0] differs from {a}'s [0.0]"),
+        ("L 1.0", "grid StripGrid(L=1.0, nq=61, np=11) differs from {a}'s StripGrid(L="),
+    ], ids=["vorticity", "grid"])
+    def test_ls_reduce_needs_one_run(self, branch_dir, tmp_path, capsys, monkeypatch,
+                                     line, fault):
+        # two checkpoints of another vorticity or grid are rejected before
+        # any spectrum is computed
+        a, b = branch_dir / "point_0001.txt", tmp_path / "point_0003.txt"
+        lines = (branch_dir / "point_0003.txt").read_text().splitlines()
+        lines[1 if line.startswith("omega") else 2] = line
+        b.write_text("\n".join(lines) + "\n")
+
+        def spectrum_at(*args, **kwargs):
+            raise AssertionError("spectrum_at called")
+
+        monkeypatch.setattr(branch, "spectrum_at", spectrum_at)
+        code, out, err = run(capsys, "ls-reduce", "--checkpoint-a", str(a), "--checkpoint-b",
+                             str(b), "--out", str(tmp_path / "ls.json"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error (CheckpointFormatError): {fault.format(a=a)}"), err
+        assert not (tmp_path / "ls.json").exists()
 
 
 # (mu1, nu0) of the two points of a candidate bracket, and whether they
