@@ -180,11 +180,14 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     return 0
 
 
+# the columns of branch.csv, in order
+_BRANCH_CSV_HEADER = (
+    "t,R,xi0,mu0,mu1,nu0,max_surface_slope,surface_margin,bottom_margin,min_hp"
+)
+
+
 def _branch_csv_lines(points) -> list:
-    header = (
-        "t,R,xi0,mu0,mu1,nu0,max_surface_slope,surface_margin,bottom_margin,min_hp"
-    )
-    lines = [header]
+    lines = [_BRANCH_CSV_HEADER]
     for p in points:
         d = p.diag
         mu0 = "nan" if p.mu0 is None else _fmt(p.mu0)
@@ -273,8 +276,8 @@ def _read_branch_dir(dirpath: str, audit=None):
     """The checkpoints and branch.csv of a branch directory, checked by the
     rules every reader of one applies: each checkpoint reads, all have the
     vorticity and the grid of the first one that reads, and branch.csv
-    exists with one row per checkpoint, t strictly increasing and each row's
-    R its checkpoint's.
+    exists with the header the writer writes, one row of as many numbers per
+    checkpoint, t strictly increasing and each row's R its checkpoint's.
 
     Returns (checkpoints, rows, faults): name -> (field, spec) of each
     checkpoint of the run, in branch order; branch.csv's rows as {column:
@@ -303,8 +306,21 @@ def _read_branch_dir(dirpath: str, audit=None):
         faults.append(f"{BRANCH_CSV}: missing")
         return read, rows, faults
     with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [dict(zip(header, map(float, line.split(",")))) for line in fh if line.strip()]
+        header = fh.readline().strip()
+        lines = [line.split(",") for line in fh if line.strip()]
+    if header != _BRANCH_CSV_HEADER:
+        faults.append(f"{BRANCH_CSV}: header is not {_BRANCH_CSV_HEADER}")
+        return read, rows, faults
+    columns = header.split(",")
+    for idx, vals in enumerate(lines):
+        if len(vals) != len(columns):
+            faults.append(f"{BRANCH_CSV} row {idx}: {len(vals)} fields vs {len(columns)} columns")
+            return read, [], faults
+        try:
+            rows.append(dict(zip(columns, map(float, vals))))
+        except ValueError:
+            faults.append(f"{BRANCH_CSV} row {idx}: not a number")
+            return read, [], faults
     if len(rows) != len(names):
         faults.append(f"{BRANCH_CSV}: {len(rows)} rows vs {len(names)} checkpoints")
         return read, rows, faults

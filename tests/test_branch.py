@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -671,6 +672,56 @@ class TestShiftHint:
             pts[0], irrot, steps=24, ds=0.01, ctrl=ctrl, nu0_grid_n=512
         )
         assert solves == [1] * (len(inline) - 1)
+
+
+class TestArpackTolerance:
+    """spectrum_at runs ARPACK at branch._ARPACK_TOL, not at machine
+    precision (tol 0): what the monitor reads must not tell them apart."""
+
+    # shift-invert solves of the fold run's 17 spectra at _ARPACK_TOL
+    # (1,279 at tol 0)
+    SOLVE_BUDGET = 883
+
+    def test_monitor_reads_the_same_at_tol_zero(self, fold_branch, irrot, monkeypatch):
+        pts, _ = fold_branch
+        solves = []
+        arnoldi = branch._arnoldi
+
+        def counting(b, sigma, k, solve):
+            def counted(x):
+                solves[-1] += 1
+                return solve(x)
+
+            return arnoldi(b, sigma, k, counted)
+
+        def monitored():
+            """The fold run's spectra, each from the shift continue_branch
+            starts it at, and the points with them."""
+            solves.append(0)
+            infos, points = [], []
+            for p in pts:
+                sigma = branch._shift_hint(points[-1], p.tangent_lam) if points else None
+                infos.append(branch.spectrum_at(p.field, irrot, nu0_grid_n=512, sigma=sigma))
+                points.append(branch._set_spectrum(dataclasses.replace(p), infos[-1]))
+            return infos, points
+
+        monkeypatch.setattr(branch, "_arnoldi", counting)
+        infos, points = monitored()
+        assert [(p.mu0, p.mu1) for p in points] == [(p.mu0, p.mu1) for p in pts]
+        monkeypatch.setattr(branch, "_ARPACK_TOL", 0.0)
+        exact_infos, exact = monitored()
+
+        assert solves[0] <= self.SOLVE_BUDGET < solves[1]
+        for info, ref in zip(infos, exact_infos):
+            assert np.array_equal(info.localized, ref.localized)
+            assert np.abs(info.eigenvalues - ref.eigenvalues).max() <= 1e-10
+        for p, q in zip(points, exact):
+            assert p.mu0 == pytest.approx(q.mu0, rel=1e-10)
+            assert p.mu1 == pytest.approx(q.mu1, rel=1e-10)
+        events, exact_events = branch.detect_events(points), branch.detect_events(exact)
+        assert [type(e) for e in events] == [type(e) for e in exact_events]
+        for e, f in zip(events, exact_events):
+            assert e.t == pytest.approx(f.t, abs=1e-10)
 
 
 class TestBranchStall:

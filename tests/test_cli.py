@@ -321,6 +321,17 @@ def _tied_t(lines):
     lines[3] = ",".join(vals)
 
 
+def _set_cell(row, col, text):
+    """A tampering that writes text into branch.csv's cell (row, col)."""
+
+    def tamper(lines):
+        vals = lines[row].split(",")
+        vals[col] = text
+        lines[row] = ",".join(vals)
+
+    return tamper
+
+
 def _garbage(lines):
     lines[:] = ["not a checkpoint"]
 
@@ -335,6 +346,10 @@ _DIR_TAMPERINGS = {
           "branch.csv row 2: R mismatch with checkpoint"),
     "last-checkpoint": ("point_0004.txt", None, "branch.csv: 5 rows vs 4 checkpoints"),
     "no-branch-csv": ("branch.csv", None, "branch.csv: missing"),
+    "non-numeric": ("branch.csv", _set_cell(3, 0, "abc"), "branch.csv row 2: not a number"),
+    "header": ("branch.csv", _set_cell(0, 1, "Rb"), "branch.csv: header is not t,R,xi0,"),
+    "field-count": ("branch.csv", _set_cell(2, 4, "0.5,0.5"),
+                    "branch.csv row 1: 11 fields vs 10 columns"),
     "vorticity": ("point_0003.txt", lambda ls: _shifted(ls, 1, 1, 0.1, " "),
                   "point_0003.txt: vorticity [0.1] differs from point_0000.txt's [0.0]"),
     "grid": ("point_0002.txt", lambda ls: _shifted(ls, 2, 1, 1.0, " "),
